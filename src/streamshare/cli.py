@@ -32,14 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return 42
+    if raw is None:
+        return 42
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"{SEED_ENV_VAR}={raw!r} is not an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=Path, default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=None,
                        help=f"seed for audits and default weights "
-                            f"(env {SEED_ENV_VAR} overrides the default)")
+                            f"(default: env {SEED_ENV_VAR}, else 42)")
 
     alloc = sub.add_parser("allocate", help="compute index values and payouts")
     alloc.add_argument("--input", type=Path, required=True, help="CSV stream matrix")
@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--index", default="all",
                        help="index name or 'all' (the three table indices)")
     audit.add_argument("--trials", type=int, default=500)
-    audit.add_argument("--table", action="store_true",
+    suite = audit.add_mutually_exclusive_group()
+    suite.add_argument("--table", action="store_true",
                        help="reproduce the full rules-vs-axioms table")
-    audit.add_argument("--independence", action="store_true",
+    suite.add_argument("--independence", action="store_true",
                        help="run the characterization independence suite")
     common(audit)
     return parser
@@ -124,8 +125,6 @@ def _run_game(args) -> int:
 
 
 def _run_audit(args) -> int:
-    if args.table and args.independence:
-        raise SystemExit(EXIT_USAGE)
     if args.table:
         result = axioms.reproduce_table(trials=args.trials, seed=args.seed)
         _emit(reporting.table_document(result), args)
@@ -152,6 +151,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed(parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -161,8 +162,6 @@ def main(argv=None) -> int:
             return _run_game(args)
         if args.command == "audit":
             return _run_audit(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ProblemError, reporting.ParseError, TooManyArtists,
             axioms.UnknownAxiom, UnknownRule, ValueError) as exc:
         print(f"streamshare: error: {exc}", file=sys.stderr)

@@ -4,16 +4,26 @@ All arithmetic is exact (``fractions.Fraction``), so equalities such as
 budget balance hold with zero tolerance. Indices are returned in their
 canonical un-normalized form; normalization to the revenue total happens
 only in :func:`rewards`.
+
+Every index is a sum over users of an integer numerator per artist divided
+by a per-user denominator: the listening-set size (shapley, user-weighted),
+the stream total (user-centric) or the weight sum (artist-weighted). The
+kernels scan the matrix once, user by user, add the integer numerators of
+users that share a denominator, and build one ``Fraction`` per artist over
+the lcm of the distinct denominators. Nothing goes through floats, which
+would break the exact equalities the axiom checks rely on.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .core import Problem, derive
+from .core import Problem
 
 
 class ZeroTotalIndex(ValueError):
@@ -61,46 +71,31 @@ class AllocationReport:
 
 def shapley_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split equally among the artists they streamed."""
-    stats = derive(p)
-    acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
-        share = Fraction(1, len(listened))
-        for a in listened:
-            acc[a] += share
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    return _equal_split(p, [1] * p.m, 1)
 
 
 def pro_rata_index(p: Problem) -> IndexVector:
     """Raw total stream counts per artist."""
-    stats = derive(p)
-    return IndexVector(
-        p.artists, tuple(Fraction(stats.total_by_artist[a]) for a in p.artists)
-    )
+    return IndexVector(p.artists, tuple(Fraction(sum(row)) for row in p.streams))
 
 
 def user_centric_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split in proportion to that user's streams."""
-    stats = derive(p)
-    acc = {a: Fraction(0) for a in p.artists}
-    for j, u in enumerate(p.users):
-        total = stats.total_by_user[u]
-        for i, a in enumerate(p.artists):
-            x = p.streams[i][j]
+    groups = defaultdict(lambda: [0] * p.n)
+    for col in zip(*p.streams):
+        acc = groups[sum(col)]
+        for i, x in enumerate(col):
             if x:
-                acc[a] += Fraction(x, total)
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+                acc[i] += x
+    return _combine(p, groups)
 
 
 def active_uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among the artists with at least one fan."""
-    stats = derive(p)
-    active = [a for a in p.artists if stats.fans[a]]
-    share = Fraction(p.m, len(active))
-    return IndexVector(
-        p.artists,
-        tuple(share if a in set(active) else Fraction(0) for a in p.artists),
-    )
+    active = [any(row) for row in p.streams]
+    share = Fraction(p.m, sum(active))
+    zero = Fraction(0)
+    return IndexVector(p.artists, tuple(share if a else zero for a in active))
 
 
 def uniform_index(p: Problem) -> IndexVector:
@@ -112,27 +107,54 @@ def uniform_index(p: Problem) -> IndexVector:
 def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Equal split of a per-user weight among the artists that user streamed."""
     w = _check_weights(weights, p.users, "user")
-    stats = derive(p)
-    acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
-        share = Fraction(w[u], len(listened))
-        for a in listened:
-            acc[a] += share
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    scale, iw = _integral([w[u] for u in p.users])
+    return _equal_split(p, iw, scale)
 
 
 def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Each user's unit split among streamed artists in proportion to artist weights."""
     w = _check_weights(weights, p.artists, "artist")
-    stats = derive(p)
-    acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
-        denom = sum(w[a] for a in listened)
-        for a in listened:
-            acc[a] += Fraction(w[a], denom)
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    _, iw = _integral([w[a] for a in p.artists])
+    groups = defaultdict(lambda: [0] * p.n)
+    for col in zip(*p.streams):
+        listened = [i for i, x in enumerate(col) if x]
+        acc = groups[sum(iw[i] for i in listened)]
+        for i in listened:
+            acc[i] += iw[i]
+    return _combine(p, groups)
+
+
+def _equal_split(p: Problem, numerators: list[int], scale: int) -> IndexVector:
+    """Split ``numerators[j] / scale`` equally among the artists user ``j`` streamed."""
+    groups = defaultdict(lambda: [0] * p.n)
+    for col, num in zip(zip(*p.streams), numerators):
+        listened = [i for i, x in enumerate(col) if x]
+        acc = groups[len(listened) * scale]
+        for i in listened:
+            acc[i] += num
+    return _combine(p, groups)
+
+
+def _combine(p: Problem, groups: Mapping[int, list[int]]) -> IndexVector:
+    """Sum ``groups[d][i] / d`` over ``d`` for each artist ``i``, exactly.
+
+    The numerators are brought over the lcm of the denominators, so the only
+    ``Fraction`` built is the final one per artist.
+    """
+    common = math.lcm(*groups)
+    totals = [0] * p.n
+    for denom, acc in groups.items():
+        scale = common // denom
+        for i, x in enumerate(acc):
+            if x:
+                totals[i] += x * scale
+    return IndexVector(p.artists, tuple(Fraction(t, common) for t in totals))
+
+
+def _integral(weights: list[Fraction]) -> tuple[int, list[int]]:
+    """Return ``(scale, ints)`` with ``weights[i] == ints[i] / scale`` exactly."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _check_weights(weights, ids, kind: str) -> dict[str, Fraction]:

@@ -1,8 +1,10 @@
 """CSV matrix ingestion and report serialization.
 
 Reports carry payouts both as exact fraction strings (authoritative) and as
-fixed six-decimal renderings. Rendering is deterministic: the same inputs
-produce byte-identical output.
+fixed six-decimal renderings. A decimal rendering is the exact fraction
+rounded to six places, ties to even, in integer arithmetic, so it is right
+for any magnitude. Rendering is deterministic: the same inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -80,7 +82,12 @@ def _frac(x: Fraction) -> str:
 
 
 def _dec(x: Fraction) -> str:
-    return f"{float(x):.6f}"
+    q, r = divmod(x.numerator * 10**6, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+        q += 1
+    sign = "-" if q < 0 else ""
+    whole, frac = divmod(abs(q), 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ class TestAllocate:
         assert code == 0
         assert "payout=0.500000" in out
 
+    def test_price_beyond_float_range(self, matrix, capsys):
+        code, out, err = run(capsys, "allocate", "--input", str(matrix),
+                             "--index", "shapley", "--price", "1e400")
+        assert code == 0 and err == ""
+        assert f"payout=1{'0' * 400}.000000" in out
+
     def test_all_indices_json(self, matrix, capsys):
         import json
         code, out, _ = run(capsys, "allocate", "--input", str(matrix),
@@ -109,7 +115,9 @@ class TestErrorsAndUsage:
         assert run(capsys, "game", "--input", str(matrix), "--stance", "hopeful")[0] == 1
 
     def test_table_and_independence_conflict(self, capsys):
-        assert run(capsys, "audit", "--table", "--independence", "--trials", "1")[0] == 1
+        code, out, err = run(capsys, "audit", "--table", "--independence", "--trials", "1")
+        assert code == 1 and out == ""
+        assert "--table" in err and "--independence" in err
 
 
 class TestAudit:
@@ -152,3 +160,10 @@ class TestAudit:
                              "--seed", "99", "--format", "json")
         assert out_env == out_flag
         assert '"seed": 99' in out_env
+
+    def test_invalid_seed_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "forty-two")
+        code, out, err = run(capsys, "audit", "--axiom", "additivity",
+                             "--index", "shapley", "--trials", "5")
+        assert code == 1 and out == ""
+        assert SEED_ENV_VAR in err and "'forty-two'" in err

@@ -1,0 +1,77 @@
+"""The index kernels equal the per-entry Fraction reference exactly, for all seven rules."""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamshare import build_problem, make_rule
+from streamshare.indices import ALL_RULE_NAMES
+
+from helpers import problems, random_problem
+from reference_indices import reference_rule, user_centric_index
+
+WEIGHTS = st.fractions(min_value=F(1, 60), max_value=97, max_denominator=60)
+
+
+def assert_same(got, want):
+    assert got.artists == want.artists
+    assert got.values == want.values
+    assert all(type(v) is F for v in got.values)
+
+
+def assert_all_rules_match(p, seed, user_weights=None, artist_weights=None):
+    for name in ALL_RULE_NAMES:
+        assert_same(make_rule(name, seed=seed)(p), reference_rule(name, seed=seed)(p))
+    for name, weights in (("user-weighted", user_weights), ("artist-weighted", artist_weights)):
+        if weights is not None:
+            assert_same(make_rule(name, weights=weights)(p),
+                        reference_rule(name, weights=weights)(p))
+
+
+def fraction_weights(rng, ids):
+    return {i: F(rng.randint(1, 500), rng.randint(1, 60)) for i in ids}
+
+
+@settings(max_examples=150)
+@given(st.data(), problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
+def test_property_all_rules_equal_reference(data, p, seed):
+    user_weights = {u: data.draw(WEIGHTS) for u in p.users}
+    artist_weights = {a: data.draw(WEIGHTS) for a in p.artists}
+    assert_all_rules_match(p, seed, user_weights, artist_weights)
+
+
+def test_fixed_seed_sweep_all_rules_equal_reference():
+    for seed in (11, 12):
+        rng = random.Random(seed)
+        for trial in range(300):
+            p = random_problem(rng, max_n=6, max_m=7,
+                               max_entry=200 if trial % 2 else 5)
+            assert_all_rules_match(p, seed, fraction_weights(rng, p.users),
+                                   fraction_weights(rng, p.artists))
+
+
+def test_single_row_and_single_column_problems():
+    rng = random.Random(5)
+    for k in (1, 2, 9):
+        one_artist = build_problem(["x"], [f"u{j}" for j in range(k)],
+                                   [[rng.randint(1, 200) for _ in range(k)]])
+        one_user = build_problem([f"a{i}" for i in range(k)], ["y"],
+                                 [[rng.randint(0, 200)] for _ in range(k - 1)] + [[7]])
+        for p in (one_artist, one_user):
+            assert_all_rules_match(p, k, fraction_weights(rng, p.users),
+                                   fraction_weights(rng, p.artists))
+
+
+def test_dense_problem_with_huge_denominators():
+    # the alloc-dense shape: 40 x 6000, each entry streamed with p = 0.5
+    rng = random.Random(2024)
+    rows = [[rng.randint(1, 50) if rng.random() < 0.5 else 0 for _ in range(6000)]
+            for _ in range(40)]
+    for j in range(6000):
+        if not any(row[j] for row in rows):
+            rows[rng.randrange(40)][j] = 1
+    p = build_problem([f"a{i}" for i in range(40)], [f"u{j}" for j in range(6000)], rows)
+    assert max(len(str(v.denominator)) for v in user_centric_index(p).values) > 300
+    assert_all_rules_match(p, 3)

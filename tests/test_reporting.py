@@ -108,6 +108,18 @@ class TestAllocationDocument:
         assert [r["payout"] for r in sec["rewards"]] == ["10.000000", "20.000000"]
         assert doc["price_multiplier"] == "10"
 
+    def test_decimal_ties_round_half_to_even(self):
+        # 1/80000 = 0.0000125 and 3/80000 = 0.0000375 exactly
+        for price, payouts in ((F(1, 80000), ["0.000012", "0.000025"]),
+                               (F(3, 80000), ["0.000038", "0.000075"])):
+            sec = allocation_document(example_1(), ["shapley"], price=price)["sections"][0]
+            assert [r["payout"] for r in sec["rewards"]] == payouts
+
+    def test_decimals_exact_beyond_float_precision(self):
+        sec = allocation_document(example_1(), ["shapley"], price=F(2**53 + 1))["sections"][0]
+        assert [r["payout"] for r in sec["rewards"]] == [
+            "9007199254740993.000000", "18014398509481986.000000"]
+
 
 class TestGameExport:
     def test_example_1_lines(self):
