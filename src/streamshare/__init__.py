@@ -12,6 +12,7 @@ from .core import (
     Problem,
     ProblemError,
     build_problem,
+    build_sparse_problem,
     derive,
     remove_artist,
     remove_user,
@@ -47,6 +48,7 @@ __all__ = [
     "ProblemError",
     "TooManyArtists",
     "build_problem",
+    "build_sparse_problem",
     "derive",
     "dual_game",
     "make_rule",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import axioms, reporting
 from .core import ProblemError
-from .game import TooManyArtists
+from .game import MAX_TABLE_ARTISTS, TooManyArtists
 from .indices import ALL_RULE_NAMES, TABLE_RULE_NAMES, UnknownRule, make_rule
 
 SEED_ENV_VAR = "STREAMSHARE_SEED"
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--stance", choices=("pessimistic", "optimistic", "dual"),
                       default="pessimistic")
     game.add_argument("--cap", type=int, default=None,
-                      help="artist enumeration cap override")
+                      help="artist enumeration cap override; no table is built for "
+                           f"more than {MAX_TABLE_ARTISTS} artists")
     common(game)
 
     audit = sub.add_parser("audit", help="search axioms for counterexamples")

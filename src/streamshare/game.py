@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .core import Problem, derive
+from .core import Problem
 from .indices import IndexVector
 
 DEFAULT_TABLE_CAP = 20
 DEFAULT_PERMUTATION_CAP = 10
+# No cap override builds a worth table for more artists than this. An export
+# costs about 130 bytes per coalition (55 MB peak for the dual game of 18
+# artists, CPython 3.11), so 2^22 coalitions already take about half a GB.
+MAX_TABLE_ARTISTS = 22
 
 
 class TooManyArtists(ValueError):
@@ -47,12 +51,10 @@ def _user_mask_counts(p: Problem) -> list[int]:
     """counts[S] = number of users whose whole listening list lies inside S."""
     n = p.n
     counts = [0] * (1 << n)
-    pos = {a: i for i, a in enumerate(p.artists)}
-    stats = derive(p)
-    for u in p.users:
+    for idx, _ in p.columns:
         mask = 0
-        for a in stats.listening[u]:
-            mask |= 1 << pos[a]
+        for i in idx:
+            mask |= 1 << i
         counts[mask] += 1
     # subset-sum (zeta) transform
     for b in range(n):
@@ -64,6 +66,11 @@ def _user_mask_counts(p: Problem) -> list[int]:
 
 
 def _check_cap(p: Problem, cap: int):
+    if p.n > MAX_TABLE_ARTISTS:
+        raise TooManyArtists(
+            f"{p.n} artists exceeds the ceiling of {MAX_TABLE_ARTISTS} artists "
+            f"for a 2^n worth table, whatever the cap"
+        )
     if p.n > cap:
         raise TooManyArtists(f"{p.n} artists exceeds the enumeration cap {cap}")
 

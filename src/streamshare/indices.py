@@ -8,10 +8,11 @@ only in :func:`rewards`.
 Every index is a sum over users of an integer numerator per artist divided
 by a per-user denominator: the listening-set size (shapley, user-weighted),
 the stream total (user-centric) or the weight sum (artist-weighted). The
-kernels scan the matrix once, user by user, add the integer numerators of
-users that share a denominator, and build one ``Fraction`` per artist over
-the lcm of the distinct denominators. Nothing goes through floats, which
-would break the exact equalities the axiom checks rely on.
+kernels walk the sparse columns ``Problem.columns`` once, user by user, so
+they cost O(nnz); they add the integer numerators of users that share a
+denominator, and build one ``Fraction`` per artist over the lcm of the
+distinct denominators. Nothing goes through floats, which would break the
+exact equalities the axiom checks rely on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, compress
 from typing import Callable, Mapping
 
 from .core import Problem
@@ -76,26 +79,29 @@ def shapley_index(p: Problem) -> IndexVector:
 
 def pro_rata_index(p: Problem) -> IndexVector:
     """Raw total stream counts per artist."""
-    return IndexVector(p.artists, tuple(Fraction(sum(row)) for row in p.streams))
+    totals = [0] * p.n
+    for idx, counts in p.columns:
+        for i, x in zip(idx, counts):
+            totals[i] += x
+    return IndexVector(p.artists, tuple(map(Fraction, totals)))
 
 
 def user_centric_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split in proportion to that user's streams."""
     groups = defaultdict(lambda: [0] * p.n)
-    for col in zip(*p.streams):
-        acc = groups[sum(col)]
-        for i, x in enumerate(col):
-            if x:
-                acc[i] += x
+    for idx, counts in p.columns:
+        acc = groups[sum(counts)]
+        for i, x in zip(idx, counts):
+            acc[i] += x
     return _combine(p, groups)
 
 
 def active_uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among the artists with at least one fan."""
-    active = [any(row) for row in p.streams]
-    share = Fraction(p.m, sum(active))
+    active = set(chain.from_iterable(idx for idx, _ in p.columns))
+    share = Fraction(p.m, len(active))
     zero = Fraction(0)
-    return IndexVector(p.artists, tuple(share if a else zero for a in active))
+    return IndexVector(p.artists, tuple(share if i in active else zero for i in range(p.n)))
 
 
 def uniform_index(p: Problem) -> IndexVector:
@@ -116,21 +122,20 @@ def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexV
     w = _check_weights(weights, p.artists, "artist")
     _, iw = _integral([w[a] for a in p.artists])
     groups = defaultdict(lambda: [0] * p.n)
-    for col in zip(*p.streams):
-        listened = [i for i, x in enumerate(col) if x]
-        acc = groups[sum(iw[i] for i in listened)]
-        for i in listened:
-            acc[i] += iw[i]
+    for idx, _ in p.columns:
+        ws = [iw[i] for i in idx]
+        acc = groups[sum(ws)]
+        for i, w in zip(idx, ws):
+            acc[i] += w
     return _combine(p, groups)
 
 
 def _equal_split(p: Problem, numerators: list[int], scale: int) -> IndexVector:
     """Split ``numerators[j] / scale`` equally among the artists user ``j`` streamed."""
     groups = defaultdict(lambda: [0] * p.n)
-    for col, num in zip(zip(*p.streams), numerators):
-        listened = [i for i, x in enumerate(col) if x]
-        acc = groups[len(listened) * scale]
-        for i in listened:
+    for (idx, _), num in zip(p.columns, numerators):
+        acc = groups[len(idx) * scale]
+        for i in idx:
             acc[i] += num
     return _combine(p, groups)
 
@@ -145,9 +150,8 @@ def _combine(p: Problem, groups: Mapping[int, list[int]]) -> IndexVector:
     totals = [0] * p.n
     for denom, acc in groups.items():
         scale = common // denom
-        for i, x in enumerate(acc):
-            if x:
-                totals[i] += x * scale
+        for i in compress(range(p.n), acc):
+            totals[i] += acc[i] * scale
     return IndexVector(p.artists, tuple(Fraction(t, common) for t in totals))
 
 
@@ -206,8 +210,13 @@ ALL_RULE_NAMES = TABLE_RULE_NAMES + (
 )
 
 
+@lru_cache(maxsize=1 << 16)
 def default_weight(seed: int, kind: str, ident: str) -> int:
-    """Deterministic positive weight for one identifier, independent of context."""
+    """Deterministic positive weight for one identifier, independent of context.
+
+    Memoized: seeding a ``random.Random`` from a string costs far more than
+    the lookup, and audits ask for the same few identifiers on every trial.
+    """
     return random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
 
 

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from . import axioms
-from .core import Problem, build_problem
+from .core import Problem, build_sparse_problem
 from .game import dual_game, optimistic_game, pessimistic_game
 from .indices import make_rule, rewards
 
@@ -33,38 +33,77 @@ class ParseError(ValueError):
 
 
 def parse_matrix(text: str) -> Problem:
-    """Parse the CSV matrix format: header "artist,<users...>", one row per artist."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]  # ignore blank lines
-    if not rows:
+    """Parse the CSV matrix format: header "artist,<users...>", one row per artist.
+
+    Rows are read one at a time and blank lines are skipped; a ``ParseError``
+    names the physical line. Each cell costs one comparison with ``"0"``;
+    only the other cells are converted and stored, user by user. A count is
+    ASCII digits after stripping, with an optional leading ``-`` (negative
+    counts then fail validation); ids must be nonempty.
+    """
+    reader = csv.reader(_lines(text))
+    header = next(filter(None, reader), None)
+    if header is None:
         raise ParseError("empty input")
-    header = rows[0]
     if len(header) < 2:
-        raise ParseError("header must name at least one user", line=1)
+        raise ParseError("header must name at least one user", line=reader.line_num)
     users = [c.strip() for c in header[1:]]
-    artists = []
-    streams = []
+    if not all(users):
+        raise ParseError("empty user id", line=reader.line_num, column=users.index("") + 2)
     width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    artists = []
+    idx_lists = [[] for _ in users]
+    count_lists = [[] for _ in users]
+    for row in filter(None, reader):
+        line = reader.line_num
         if len(row) != width:
             raise ParseError(
-                f"expected {width} fields, got {len(row)}", line=lineno
+                f"expected {width} fields, got {len(row)}", line=line
             )
-        artists.append(row[0].strip())
-        counts = []
-        for col, cell in enumerate(row[1:], start=2):
-            try:
-                value = int(cell.strip())
-            except ValueError:
-                raise ParseError(
-                    f"stream count {cell.strip()!r} is not an integer",
-                    line=lineno, column=col,
-                ) from None
-            counts.append(value)
-        streams.append(counts)
+        artist = row[0].strip()
+        if not artist:
+            raise ParseError("empty artist id", line=line, column=1)
+        i = len(artists)
+        artists.append(artist)
+        cells = row[1:]
+        nonzero = [j for j, cell in enumerate(cells) if cell != "0"]
+        texts = [cells[j] for j in nonzero]
+        joined = "".join(texts)
+        if joined.isascii() and joined.isdigit() and all(texts):  # plain counts only
+            values = map(int, texts)
+        else:
+            values = [_count(t, line, j + 2) for j, t in zip(nonzero, texts)]
+        for j, x in zip(nonzero, values):
+            if x:
+                idx_lists[j].append(i)
+                count_lists[j].append(x)
     if not artists:
         raise ParseError("no artist rows")
-    return build_problem(artists, users, streams)
+    return build_sparse_problem(artists, users, zip(idx_lists, count_lists))
+
+
+def _lines(text: str):
+    """The lines of ``text``, each with its "\\n", one at a time.
+
+    The same lines as ``io.StringIO(text)`` gives, without its copy of the
+    text at four bytes per character.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _count(cell: str, line: int, column: int) -> int:
+    """One stream count: ASCII digits with an optional leading "-"."""
+    text = cell.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(
+            f"stream count {text!r} is not an integer", line=line, column=column,
+        )
+    return int(text)
 
 
 def serialize_matrix(p: Problem) -> str:

@@ -90,6 +90,15 @@ class TestGame:
         assert code == 2
         assert "error" in err
 
+    def test_cap_cannot_lift_the_table_ceiling(self, tmp_path, capsys):
+        # 25 artists: the check must refuse before any 2^25 table is built
+        path = tmp_path / "wide.csv"
+        rows = [f"a{i},{i + 1}" for i in range(25)]
+        path.write_text("artist,u\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "game", "--input", str(path), "--cap", "30")
+        assert code == 2 and out == ""
+        assert "25 artists exceeds the ceiling of 22 artists" in err
+
 
 class TestErrorsAndUsage:
     def test_missing_file(self, tmp_path, capsys):

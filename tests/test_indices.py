@@ -20,6 +20,7 @@ from streamshare.indices import (
     NonpositiveWeight,
     ZeroTotalIndex,
     active_uniform_index,
+    default_weight,
     artist_weighted_index,
     uniform_index,
     user_weighted_index,
@@ -177,6 +178,15 @@ class TestRules:
         assert make_rule("user-centric")(p).values == user_centric_index(p).values
         assert make_rule("uniform")(p).values == uniform_index(p).values
         assert make_rule("active-uniform")(p).values == active_uniform_index(p).values
+
+    def test_default_weight_memo_keeps_values(self):
+        for seed in (0, 7, 42):
+            for kind in ("user", "artist"):
+                for ident in ("a", "u1", "x y", ""):
+                    expected = random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
+                    assert default_weight(seed, kind, ident) == expected
+                    assert default_weight(seed, kind, ident) == expected
+        assert default_weight.cache_info().maxsize is not None
 
     def test_weighted_rules_are_seed_stable(self):
         p = example_1()

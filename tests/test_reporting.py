@@ -6,7 +6,7 @@ import pytest
 
 from streamshare import build_problem, make_rule
 from streamshare.axioms import audit
-from streamshare.core import DuplicateId, SilentUser
+from streamshare.core import DuplicateId, NegativeStream, SilentUser
 from streamshare.reporting import (
     ParseError,
     allocation_document,
@@ -38,6 +38,11 @@ class TestParseMatrix:
         text = "artist, a ,b\n\nx, 1 ,0\n\ny,0,2\n"
         p = parse_matrix(text)
         assert p.users == ("a", "b")
+        assert p.streams == ((1, 0), (0, 2))
+
+    def test_crlf_and_quoted_line_break(self):
+        p = parse_matrix('artist,"a\nb",c\r\nx,1,0\r\n\r\ny,0,2\r\n')
+        assert p.users == ("a\nb", "c")
         assert p.streams == ((1, 0), (0, 2))
 
     def test_round_trip(self):
@@ -79,6 +84,41 @@ class TestParseMatrix:
             parse_matrix("artist,a,b\nx,1,0\n")
         with pytest.raises(DuplicateId):
             parse_matrix("artist,a,a\nx,1,1\n")
+        with pytest.raises(NegativeStream):
+            parse_matrix("artist,a,b\nx,1,-2\n")
+
+    def test_digit_group_separator_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("artist,a,b\nx,1,1_000\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("artist,a,b\nx,\u0663,1\n")  # ARABIC-INDIC DIGIT THREE
+        assert (exc.value.line, exc.value.column) == (2, 2)
+
+    def test_plus_sign_rejected(self):
+        with pytest.raises(ParseError):
+            parse_matrix("artist,a\nx,+1\n")
+
+    def test_zero_spellings_are_zero(self):
+        p = parse_matrix("artist,a,b\nx, 0 ,1\ny,00,-0\nz,7,0\n")
+        assert p.streams == ((0, 1), (0, 0), (7, 0))
+
+    def test_empty_user_id_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\nartist,a, \nx,1,1\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_empty_artist_id_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("artist,a,b\nx,1,1\n ,1,1\n")
+        assert (exc.value.line, exc.value.column) == (3, 1)
+
+    def test_error_line_counts_blank_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("artist,a,b\n\n\nx,1,zz\n")
+        assert (exc.value.line, exc.value.column) == (4, 3)
 
 
 class TestAllocationDocument:
