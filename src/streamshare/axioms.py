@@ -10,17 +10,20 @@ instance reproduces the violation bit-for-bit through
 the seed.
 
 Quantified axioms ("for each pair", "for each subset") are checked over
-every applicable pair or subset inside each instance; user subsets are
-enumerated exhaustively up to 10 users and sampled above that.
+every applicable pair or subset inside each instance. Random problems have
+at most 5 artists and 5 users, so their user subsets are always enumerated
+exhaustively; a supplied instance may list its own ``user_subsets``, and
+must above 10 users.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from typing import Callable, Iterable
 
 from .core import (
     Problem,
@@ -31,22 +34,19 @@ from .core import (
     remove_user,
     split_by_users,
 )
-from .indices import IndexRule, make_rule, rewards
-
-AXIOM_IDS = (
-    "additivity",
-    "reasonable_lower_bound",
-    "equal_global_impact_of_users",
-    "symmetry_on_fans",
-    "order_preservation",
-    "non_unilateral_manipulability",
-    "equal_impact_of_artists",
-    "null_artists",
-    "pairwise_homogeneity",
-    "click_fraud_proofness",
-)
+from .indices import TABLE_RULE_NAMES, IndexRule, make_rule, rewards
 
 SUBSET_ENUMERATION_CAP = 10
+
+# Random problems: up to MAX_ARTISTS x MAX_USERS, entries up to MAX_ENTRY. A
+# HEAVY_CHANCE share of trials caps entries at HEAVY_ENTRY instead, which is
+# what exposes ratio-sensitive violations (for example, reward shifts under a
+# single user's extreme stream counts).
+MAX_ARTISTS = 5
+MAX_USERS = 5
+MAX_ENTRY = 5
+HEAVY_ENTRY = 200
+HEAVY_CHANCE = 0.15
 
 
 class ShapeMismatch(ValueError):
@@ -55,28 +55,6 @@ class ShapeMismatch(ValueError):
 
 class UnknownAxiom(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SizeBounds:
-    """Dimensions and entry ranges for randomly generated problems.
-
-    A small fraction of trials use ``heavy_entry`` as the entry cap, which is
-    what exposes ratio-sensitive violations (for example, reward shifts under
-    a single user's extreme stream counts).
-    """
-
-    max_artists: int = 5
-    max_users: int = 5
-    max_entry: int = 5
-    heavy_entry: int = 200
-    heavy_chance: float = 0.15
-
-
-@dataclass(frozen=True)
-class Violation:
-    description: str
-    details: dict
 
 
 @dataclass(frozen=True)
@@ -104,59 +82,63 @@ def problem_to_dict(p: Problem) -> dict:
     }
 
 
-def problem_from_dict(d: dict) -> Problem:
-    return build_problem(d["artists"], d["users"], d["streams"])
-
-
 # ---------------------------------------------------------------------------
 # Single-instance checks
+#
+# A checker returns ``(details, skipped)``: ``details`` describes the
+# violation (``None`` when the axiom holds on the instance) and ``skipped``
+# counts quantified cases whose reduced problem falls outside the model (only
+# relevant to the artist-removal axiom). Each docstring says what a violation
+# means.
 
 
 def check_instance(axiom: str, rule: IndexRule, instance: dict):
     """Evaluate one axiom on one instance with exact arithmetic.
 
-    Returns ``(violation, skipped)`` where ``violation`` is ``None`` when the
-    axiom's condition holds on the instance and ``skipped`` counts quantified
-    cases whose reduced problem falls outside the model (only relevant to the
-    artist-removal axiom).
+    Returns ``(details, skipped)``; ``details`` is ``None`` when the axiom's
+    condition holds on the instance.
     """
-    try:
-        checker = _CHECKERS[axiom]
-    except KeyError:
-        raise UnknownAxiom(f"unknown axiom {axiom!r}") from None
-    return checker(rule, instance)
+    return _lookup(axiom).check(rule, instance)
 
 
 def _get_problem(instance: dict, key: str = "problem") -> Problem:
     try:
-        return problem_from_dict(instance[key])
+        d = instance[key]
+        return build_problem(d["artists"], d["users"], d["streams"])
     except KeyError:
         raise ShapeMismatch(f"instance is missing {key!r}") from None
     except ProblemError as exc:
         raise ShapeMismatch(f"invalid {key!r}: {exc}") from None
 
 
+def _modified_pair(instance: dict, key: str) -> tuple[Problem, Problem, str]:
+    """The problem, its ``modified`` twin and the manipulating ``key`` ("artist" or "user")."""
+    p = _get_problem(instance)
+    q = _get_problem(instance, "modified")
+    ident = instance.get(key)
+    if ident not in (p.artists if key == "artist" else p.users):
+        raise ShapeMismatch(f"unknown {key} {ident!r}")
+    if p.artists != q.artists or p.users != q.users:
+        raise ShapeMismatch("both problems must share artists and users")
+    return p, q, ident
+
+
 def _check_additivity(rule: IndexRule, instance: dict):
+    """Index on the whole problem differs from the sum over the user split."""
     p = _get_problem(instance)
     try:
-        first, second = instance["first_users"], instance["second_users"]
-        p1, p2 = split_by_users(p, first, second)
+        p1, p2 = split_by_users(p, instance["first_users"], instance["second_users"])
     except (KeyError, ProblemError) as exc:
         raise ShapeMismatch(str(exc)) from None
-    whole = rule(p)
-    part1 = rule(p1)
-    part2 = rule(p2)
+    whole, part1, part2 = rule(p), rule(p1), rule(p2)
     for a in p.artists:
         if whole[a] != part1[a] + part2[a]:
-            return Violation(
-                "index on the whole problem differs from the sum over the user split",
-                {
-                    "artist": a,
-                    "whole": str(whole[a]),
-                    "first_part": str(part1[a]),
-                    "second_part": str(part2[a]),
-                },
-            ), 0
+            return {
+                "artist": a,
+                "whole": str(whole[a]),
+                "first_part": str(part1[a]),
+                "second_part": str(part2[a]),
+            }, 0
     return None, 0
 
 
@@ -167,10 +149,10 @@ def _nonempty_subsets(items):
 
 
 def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
+    """Artists streamed by a user group receive less than the group paid."""
     p = _get_problem(instance)
     stats = derive(p)
-    report = rewards(rule(p), p)
-    payout = dict(zip(p.artists, report.rewards))
+    payout = dict(zip(p.artists, rewards(rule(p), p).rewards))
     subsets = instance.get("user_subsets")
     if subsets is None:
         if p.m > SUBSET_ENUMERATION_CAP:
@@ -184,19 +166,17 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
             streamed |= stats.listening[u]
         got = sum((payout[a] for a in streamed), Fraction(0))
         if got < len(group):
-            return Violation(
-                "artists streamed by a user group receive less than the group paid",
-                {
-                    "user_group": sorted(group),
-                    "streamed_artists": sorted(streamed),
-                    "reward_sum": str(got),
-                    "amount_paid": len(group),
-                },
-            ), 0
+            return {
+                "user_group": sorted(group),
+                "streamed_artists": sorted(streamed),
+                "reward_sum": str(got),
+                "amount_paid": len(group),
+            }, 0
     return None, 0
 
 
 def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
+    """Removing different users shifts the index total by different amounts."""
     p = _get_problem(instance)
     if p.m < 2:
         return None, 0
@@ -204,39 +184,35 @@ def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
     base = p.users[0]
     for u in p.users[1:]:
         if totals[u] != totals[base]:
-            return Violation(
-                "removing different users shifts the index total by different amounts",
-                {
-                    "user": base,
-                    "other_user": u,
-                    "total_without_user": str(totals[base]),
-                    "total_without_other": str(totals[u]),
-                },
-            ), 0
+            return {
+                "user": base,
+                "other_user": u,
+                "total_without_user": str(totals[base]),
+                "total_without_other": str(totals[u]),
+            }, 0
     return None, 0
 
 
 def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
+    """Two artists with identical fan sets get different index values."""
     p = _get_problem(instance)
     stats = derive(p)
     vec = rule(p)
     for x, a in enumerate(p.artists):
         for b in p.artists[x + 1:]:
             if stats.fans[a] == stats.fans[b] and vec[a] != vec[b]:
-                return Violation(
-                    "two artists with identical fan sets get different index values",
-                    {
-                        "artist": a,
-                        "other_artist": b,
-                        "fans": sorted(stats.fans[a]),
-                        "value": str(vec[a]),
-                        "other_value": str(vec[b]),
-                    },
-                ), 0
+                return {
+                    "artist": a,
+                    "other_artist": b,
+                    "fans": sorted(stats.fans[a]),
+                    "value": str(vec[a]),
+                    "other_value": str(vec[b]),
+                }, 0
     return None, 0
 
 
 def _check_order_preservation(rule: IndexRule, instance: dict):
+    """An artist dominated stream-by-stream outranks the dominating artist."""
     p = _get_problem(instance)
     vec = rule(p)
     for x, a in enumerate(p.artists):
@@ -245,26 +221,18 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
                 continue
             if all(p.streams[x][j] <= p.streams[y][j] for j in range(p.m)):
                 if vec[a] > vec[b]:
-                    return Violation(
-                        "an artist dominated stream-by-stream outranks the dominating artist",
-                        {
-                            "dominated_artist": a,
-                            "dominating_artist": b,
-                            "dominated_value": str(vec[a]),
-                            "dominating_value": str(vec[b]),
-                        },
-                    ), 0
+                    return {
+                        "dominated_artist": a,
+                        "dominating_artist": b,
+                        "dominated_value": str(vec[a]),
+                        "dominating_value": str(vec[b]),
+                    }, 0
     return None, 0
 
 
 def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
-    p = _get_problem(instance)
-    q = _get_problem(instance, "modified")
-    artist = instance.get("artist")
-    if artist not in p.artists:
-        raise ShapeMismatch(f"unknown artist {artist!r}")
-    if p.artists != q.artists or p.users != q.users:
-        raise ShapeMismatch("both problems must share artists and users")
+    """Inflating own streams from existing fans raised the artist's index."""
+    p, q, artist = _modified_pair(instance, "artist")
     i = p.artists.index(artist)
     for x in range(p.n):
         if x != i and p.streams[x] != q.streams[x]:
@@ -278,18 +246,16 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
     before = rule(p)[artist]
     after = rule(q)[artist]
     if after > before:
-        return Violation(
-            "inflating own streams from existing fans raised the artist's index",
-            {
-                "artist": artist,
-                "value_before": str(before),
-                "value_after": str(after),
-            },
-        ), 0
+        return {
+            "artist": artist,
+            "value_before": str(before),
+            "value_after": str(after),
+        }, 0
     return None, 0
 
 
 def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
+    """One artist's departure changes the other's index asymmetrically."""
     p = _get_problem(instance)
     if p.n < 2:
         return None, 0
@@ -308,28 +274,23 @@ def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
             lhs = vec[a] - reduced[b][a]
             rhs = vec[b] - reduced[a][b]
             if lhs != rhs:
-                return Violation(
-                    "one artist's departure changes the other's index asymmetrically",
-                    {
-                        "artist": a,
-                        "other_artist": b,
-                        "change_for_artist": str(lhs),
-                        "change_for_other": str(rhs),
-                    },
-                ), skipped
+                return {
+                    "artist": a,
+                    "other_artist": b,
+                    "change_for_artist": str(lhs),
+                    "change_for_other": str(rhs),
+                }, skipped
     return None, skipped
 
 
 def _check_null_artists(rule: IndexRule, instance: dict):
+    """An artist with zero streams has a nonzero index."""
     p = _get_problem(instance)
     stats = derive(p)
     vec = rule(p)
     for a in p.artists:
         if stats.total_by_artist[a] == 0 and vec[a] != 0:
-            return Violation(
-                "an artist with zero streams has a nonzero index",
-                {"artist": a, "value": str(vec[a])},
-            ), 0
+            return {"artist": a, "value": str(vec[a])}, 0
     return None, 0
 
 
@@ -349,6 +310,7 @@ def _row_ratio(row, other) -> Fraction | None:
 
 
 def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
+    """A constant per-user stream ratio between two artists is not preserved."""
     p = _get_problem(instance)
     vec = rule(p)
     for x, a in enumerate(p.artists):
@@ -359,27 +321,19 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
             if ratio is None:
                 continue
             if vec[b] != ratio * vec[a]:
-                return Violation(
-                    "a constant per-user stream ratio between two artists is not preserved",
-                    {
-                        "artist": a,
-                        "other_artist": b,
-                        "ratio": str(ratio),
-                        "value": str(vec[a]),
-                        "other_value": str(vec[b]),
-                    },
-                ), 0
+                return {
+                    "artist": a,
+                    "other_artist": b,
+                    "ratio": str(ratio),
+                    "value": str(vec[a]),
+                    "other_value": str(vec[b]),
+                }, 0
     return None, 0
 
 
 def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
-    p = _get_problem(instance)
-    q = _get_problem(instance, "modified")
-    user = instance.get("user")
-    if user not in p.users:
-        raise ShapeMismatch(f"unknown user {user!r}")
-    if p.artists != q.artists or p.users != q.users:
-        raise ShapeMismatch("both problems must share artists and users")
+    """One user's altered streams moved an artist's payout by more than that user's subscription."""
+    p, q, user = _modified_pair(instance, "user")
     j = p.users.index(user)
     for x in range(p.n):
         row_p = p.streams[x][:j] + p.streams[x][j + 1:]
@@ -391,30 +345,13 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
     for a in p.artists:
         delta = after[a] - before[a]
         if delta > 1 or delta < -1:
-            return Violation(
-                "one user's altered streams moved an artist's payout by more than that user's subscription",
-                {
-                    "artist": a,
-                    "user": user,
-                    "reward_before": str(before[a]),
-                    "reward_after": str(after[a]),
-                },
-            ), 0
+            return {
+                "artist": a,
+                "user": user,
+                "reward_before": str(before[a]),
+                "reward_after": str(after[a]),
+            }, 0
     return None, 0
-
-
-_CHECKERS = {
-    "additivity": _check_additivity,
-    "reasonable_lower_bound": _check_reasonable_lower_bound,
-    "equal_global_impact_of_users": _check_equal_global_impact_of_users,
-    "symmetry_on_fans": _check_symmetry_on_fans,
-    "order_preservation": _check_order_preservation,
-    "non_unilateral_manipulability": _check_non_unilateral_manipulability,
-    "equal_impact_of_artists": _check_equal_impact_of_artists,
-    "null_artists": _check_null_artists,
-    "pairwise_homogeneity": _check_pairwise_homogeneity,
-    "click_fraud_proofness": _check_click_fraud_proofness,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +360,8 @@ _CHECKERS = {
 # Literal exhaustion over every small matrix is infeasible, so the grid covers
 # two complete families that are rich enough to witness every "No" cell of the
 # rules-vs-axioms table: all 0/1 support matrices up to 3x3, and all 2x2
-# matrices with entries in {0, 1, 3}.
+# matrices with entries in {0, 1, 3}. Each axiom expands every grid problem
+# into its instances.
 
 
 @lru_cache(maxsize=1)
@@ -451,6 +389,38 @@ def _grid_dict(rows) -> dict:
     }
 
 
+def _with_row(d: dict, i: int, row) -> dict:
+    """``d`` with row ``i`` of its streams replaced."""
+    return {**d, "streams": [list(row if x == i else r) for x, r in enumerate(d["streams"])]}
+
+
+def _with_column(d: dict, j: int, col) -> dict:
+    """``d`` with column ``j`` of its streams replaced."""
+    return {**d, "streams": [r[:j] + [x] + r[j + 1:] for r, x in zip(d["streams"], col)]}
+
+
+def _single(d: dict):
+    return ({"problem": d},)
+
+
+def _user_splits(d: dict):
+    users = d["users"]
+    for mask in range(1, 1 << (len(users) - 1)):
+        first = [users[0]] + [
+            users[k + 1] for k in range(len(users) - 1) if mask >> k & 1
+        ]
+        second = [u for u in users if u not in first]
+        if second:
+            yield {"problem": d, "first_users": first, "second_users": second}
+
+
+def _row_inflations(d: dict):
+    for i, a in enumerate(d["artists"]):
+        if any(d["streams"][i]):
+            modified = _with_row(d, i, [3 * x for x in d["streams"][i]])
+            yield {"problem": d, "modified": modified, "artist": a}
+
+
 def _column_variants(col):
     variants = []
     rev = list(reversed(col))
@@ -466,84 +436,43 @@ def _column_variants(col):
     return variants
 
 
+def _column_changes(d: dict):
+    for j, u in enumerate(d["users"]):
+        for new_col in _column_variants([row[j] for row in d["streams"]]):
+            yield {"problem": d, "modified": _with_column(d, j, new_col), "user": u}
+
+
 @lru_cache(maxsize=None)
 def grid_instances(axiom: str) -> tuple[dict, ...]:
     """Deterministic exhaustive instances for one axiom."""
-    if axiom not in AXIOM_IDS:
-        raise UnknownAxiom(f"unknown axiom {axiom!r}")
-    problems = _grid_problems()
-    out = []
-    if axiom == "additivity":
-        for d in problems:
-            users = d["users"]
-            if len(users) < 2:
-                continue
-            for mask in range(1, 1 << (len(users) - 1)):
-                first = [users[0]] + [
-                    users[k + 1] for k in range(len(users) - 1) if mask >> k & 1
-                ]
-                second = [u for u in users if u not in first]
-                if second:
-                    out.append({"problem": d, "first_users": first, "second_users": second})
-    elif axiom == "non_unilateral_manipulability":
-        for d in problems:
-            for i, a in enumerate(d["artists"]):
-                if not any(d["streams"][i]):
-                    continue
-                rows = [list(r) for r in d["streams"]]
-                rows[i] = [3 * x for x in rows[i]]
-                out.append({
-                    "problem": d,
-                    "modified": {**d, "streams": rows},
-                    "artist": a,
-                })
-    elif axiom == "click_fraud_proofness":
-        for d in problems:
-            for j, u in enumerate(d["users"]):
-                col = [row[j] for row in d["streams"]]
-                for new_col in _column_variants(col):
-                    rows = [list(r) for r in d["streams"]]
-                    for i in range(len(rows)):
-                        rows[i][j] = new_col[i]
-                    out.append({
-                        "problem": d,
-                        "modified": {**d, "streams": rows},
-                        "user": u,
-                    })
-    else:
-        out = [{"problem": d} for d in problems]
-    return tuple(out)
+    expand = _lookup(axiom).expand
+    return tuple(chain.from_iterable(map(expand, _grid_problems())))
 
 
 # ---------------------------------------------------------------------------
 # Random instance generation
 
 
-def _random_matrix(rng: random.Random, n: int, m: int, max_entry: int, zero_chance: float):
+def _random_problem_dict(
+    rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
+) -> dict:
+    n = rng.randint(min_n, MAX_ARTISTS)
+    m = rng.randint(min_m, MAX_USERS)
+    max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
     rows = [
         [0 if rng.random() < zero_chance else rng.randint(1, max_entry) for _ in range(m)]
         for _ in range(n)
     ]
-    for j in range(m):
-        if all(rows[i][j] == 0 for i in range(n)):
-            rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
-    return rows
-
-
-def _random_problem_dict(
-    rng: random.Random,
-    bounds: SizeBounds,
-    min_n: int = 1,
-    min_m: int = 1,
-    zero_chance: float = 0.35,
-) -> dict:
-    n = rng.randint(min_n, max(min_n, bounds.max_artists))
-    m = rng.randint(min_m, max(min_m, bounds.max_users))
-    max_entry = (
-        bounds.heavy_entry if rng.random() < bounds.heavy_chance else bounds.max_entry
-    )
-    rows = _random_matrix(rng, n, m, max_entry, zero_chance)
+    for j in _empty_columns(rows):
+        rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
     return _grid_dict(rows)
+
+
+def _empty_columns(rows):
+    """Positions of the all-zero columns, each tested once the earlier ones are refilled."""
+    for j in range(len(rows[0])):
+        if not any(row[j] for row in rows):
+            yield j
 
 
 def _bump_column(rng, rows, j, avoid):
@@ -552,144 +481,159 @@ def _bump_column(rng, rows, j, avoid):
     rows[rng.choice(candidates)][j] = rng.randint(1, 3)
 
 
-def generate_instance(axiom: str, rng: random.Random, bounds: SizeBounds) -> dict:
-    """Draw one random instance of the shape the axiom expects."""
-    if axiom == "additivity":
-        d = _random_problem_dict(rng, bounds, min_m=2)
-        users = d["users"]
-        while True:
-            first = [u for u in users if rng.random() < 0.5]
-            second = [u for u in users if u not in first]
-            if first and second:
-                return {"problem": d, "first_users": first, "second_users": second}
-    if axiom == "symmetry_on_fans":
-        d = _random_problem_dict(rng, bounds, min_n=2)
-        if rng.random() < 0.7:
-            rows = d["streams"]
-            n, m = len(rows), len(rows[0])
-            i, k = rng.sample(range(n), 2)
-            rows[k] = [
-                0 if rows[i][j] == 0 else rng.randint(1, bounds.max_entry)
-                for j in range(m)
-            ]
-            for j in range(m):
-                if all(rows[x][j] == 0 for x in range(n)):
-                    if n > 2:
-                        _bump_column(rng, rows, j, {i, k})
-                    else:
-                        v = rng.randint(1, bounds.max_entry)
-                        rows[i][j] = v
-                        rows[k][j] = rng.randint(1, bounds.max_entry)
-        return {"problem": d}
-    if axiom == "order_preservation":
-        d = _random_problem_dict(rng, bounds, min_n=2)
-        if rng.random() < 0.6:
-            rows = d["streams"]
-            n, m = len(rows), len(rows[0])
-            i, k = rng.sample(range(n), 2)
-            rows[k] = [x + rng.randint(0, 2) for x in rows[i]]
-            for j in range(m):
-                if all(rows[x][j] == 0 for x in range(n)):
-                    # bumping the dominating row keeps the domination intact
-                    rows[k][j] += rng.randint(1, 2)
-        return {"problem": d}
-    if axiom == "non_unilateral_manipulability":
-        d = _random_problem_dict(rng, bounds)
-        rows = d["streams"]
-        active = [i for i in range(len(rows)) if any(rows[i])]
-        i = rng.choice(active)
-        new_row = [
-            x + (rng.randint(0, bounds.max_entry) if x else 0) for x in rows[i]
-        ]
-        modified = [list(r) for r in rows]
-        modified[i] = new_row
-        return {
-            "problem": d,
-            "modified": {**d, "streams": modified},
-            "artist": d["artists"][i],
-        }
-    if axiom == "equal_impact_of_artists":
-        # dense matrices keep most artist removals inside the model
-        d = _random_problem_dict(rng, bounds, min_n=2, zero_chance=0.15)
-        return {"problem": d}
-    if axiom == "null_artists":
-        d = _random_problem_dict(rng, bounds, min_n=2)
-        rows = d["streams"]
-        n, m = len(rows), len(rows[0])
-        i = rng.randrange(n)
-        rows[i] = [0] * m
-        for j in range(m):
-            if all(rows[x][j] == 0 for x in range(n)):
-                _bump_column(rng, rows, j, {i})
-        return {"problem": d}
-    if axiom == "pairwise_homogeneity":
-        d = _random_problem_dict(rng, bounds, min_n=2)
-        if rng.random() < 0.7:
-            rows = d["streams"]
-            n, m = len(rows), len(rows[0])
-            i, k = rng.sample(range(n), 2)
-            if not any(rows[i]):
-                rows[i] = [rng.randint(1, bounds.max_entry) for _ in rows[i]]
-            mult = rng.choice((2, 3))
-            rows[k] = [mult * x for x in rows[i]]
-            for j in range(m):
-                if all(rows[x][j] == 0 for x in range(n)):
-                    if n > 2:
-                        _bump_column(rng, rows, j, {i, k})
-                    else:
-                        v = rng.randint(1, bounds.max_entry)
-                        rows[i][j] = v
-                        rows[k][j] = mult * v
-        return {"problem": d}
-    if axiom == "click_fraud_proofness":
-        d = _random_problem_dict(rng, bounds)
-        rows = d["streams"]
-        n = len(rows)
-        j = rng.randrange(len(d["users"]))
-        col = [rows[i][j] for i in range(n)]
-        style = rng.random()
-        if style < 0.4:
-            new_col = [0] * n
-            new_col[rng.randrange(n)] = rng.randint(1, bounds.heavy_entry)
-        elif style < 0.7:
-            new_col = list(reversed(col))
+def _refill_pair(rng, rows, i, k, partner):
+    """Refill empty columns from rows other than ``i`` and ``k``, if any.
+
+    With only those two rows, row ``i`` gets a fresh entry ``v`` and row
+    ``k`` gets ``partner(v)``.
+    """
+    for j in _empty_columns(rows):
+        if len(rows) > 2:
+            _bump_column(rng, rows, j, {i, k})
         else:
-            scale = rng.randint(2, 50)
-            new_col = [scale * x for x in col]
-        modified = [list(r) for r in rows]
-        for i in range(n):
-            modified[i][j] = new_col[i]
-        return {
-            "problem": d,
-            "modified": {**d, "streams": modified},
-            "user": d["users"][j],
-        }
-    if axiom == "reasonable_lower_bound":
-        d = _random_problem_dict(rng, bounds)
-        inst = {"problem": d}
-        if len(d["users"]) > SUBSET_ENUMERATION_CAP:
-            inst["user_subsets"] = [
-                [u for u in d["users"] if rng.random() < 0.5] or [d["users"][0]]
-                for _ in range(256)
-            ]
-        return inst
-    if axiom == "equal_global_impact_of_users":
-        return {"problem": _random_problem_dict(rng, bounds, min_m=2)}
-    raise UnknownAxiom(f"unknown axiom {axiom!r}")
+            rows[i][j] = rng.randint(1, MAX_ENTRY)
+            rows[k][j] = partner(rows[i][j])
+
+
+def _plain(**shape):
+    """A generator of bare random problems of the given shape."""
+    return lambda rng: {"problem": _random_problem_dict(rng, **shape)}
+
+
+def _generate_additivity(rng):
+    d = _random_problem_dict(rng, min_m=2)
+    users = d["users"]
+    while True:
+        first = [u for u in users if rng.random() < 0.5]
+        second = [u for u in users if u not in first]
+        if first and second:
+            return {"problem": d, "first_users": first, "second_users": second}
+
+
+def _generate_symmetry_on_fans(rng):
+    d = _random_problem_dict(rng, min_n=2)
+    if rng.random() < 0.7:
+        rows = d["streams"]
+        i, k = rng.sample(range(len(rows)), 2)
+        rows[k] = [0 if x == 0 else rng.randint(1, MAX_ENTRY) for x in rows[i]]
+        _refill_pair(rng, rows, i, k, lambda v: rng.randint(1, MAX_ENTRY))
+    return {"problem": d}
+
+
+def _generate_order_preservation(rng):
+    d = _random_problem_dict(rng, min_n=2)
+    if rng.random() < 0.6:
+        rows = d["streams"]
+        i, k = rng.sample(range(len(rows)), 2)
+        rows[k] = [x + rng.randint(0, 2) for x in rows[i]]
+        for j in _empty_columns(rows):
+            # bumping the dominating row keeps the domination intact
+            rows[k][j] += rng.randint(1, 2)
+    return {"problem": d}
+
+
+def _generate_non_unilateral_manipulability(rng):
+    d = _random_problem_dict(rng)
+    rows = d["streams"]
+    i = rng.choice([x for x in range(len(rows)) if any(rows[x])])
+    new_row = [x + (rng.randint(0, MAX_ENTRY) if x else 0) for x in rows[i]]
+    return {"problem": d, "modified": _with_row(d, i, new_row), "artist": d["artists"][i]}
+
+
+def _generate_null_artists(rng):
+    d = _random_problem_dict(rng, min_n=2)
+    rows = d["streams"]
+    i = rng.randrange(len(rows))
+    rows[i] = [0] * len(rows[i])
+    for j in _empty_columns(rows):
+        _bump_column(rng, rows, j, {i})
+    return {"problem": d}
+
+
+def _generate_pairwise_homogeneity(rng):
+    d = _random_problem_dict(rng, min_n=2)
+    if rng.random() < 0.7:
+        rows = d["streams"]
+        i, k = rng.sample(range(len(rows)), 2)
+        if not any(rows[i]):
+            rows[i] = [rng.randint(1, MAX_ENTRY) for _ in rows[i]]
+        mult = rng.choice((2, 3))
+        rows[k] = [mult * x for x in rows[i]]
+        _refill_pair(rng, rows, i, k, lambda v: mult * v)
+    return {"problem": d}
+
+
+def _generate_click_fraud_proofness(rng):
+    d = _random_problem_dict(rng)
+    n = len(d["artists"])
+    j = rng.randrange(len(d["users"]))
+    col = [row[j] for row in d["streams"]]
+    style = rng.random()
+    if style < 0.4:
+        new_col = [0] * n
+        new_col[rng.randrange(n)] = rng.randint(1, HEAVY_ENTRY)
+    elif style < 0.7:
+        new_col = list(reversed(col))
+    else:
+        scale = rng.randint(2, 50)
+        new_col = [scale * x for x in col]
+    return {"problem": d, "modified": _with_column(d, j, new_col), "user": d["users"][j]}
+
+
+def generate_instance(axiom: str, rng: random.Random) -> dict:
+    """Draw one random instance of the shape the axiom expects."""
+    return _lookup(axiom).generate(rng)
+
+
+# ---------------------------------------------------------------------------
+# The axiom registry
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """One axiom: its single-instance check, a random-instance generator, and
+    the instances it derives from one grid problem."""
+
+    check: Callable[[IndexRule, dict], tuple[dict | None, int]]
+    generate: Callable[[random.Random], dict]
+    expand: Callable[[dict], Iterable[dict]] = _single
+
+
+AXIOMS: dict[str, Axiom] = {
+    "additivity": Axiom(_check_additivity, _generate_additivity, _user_splits),
+    "reasonable_lower_bound": Axiom(_check_reasonable_lower_bound, _plain()),
+    "equal_global_impact_of_users": Axiom(
+        _check_equal_global_impact_of_users, _plain(min_m=2)),
+    "symmetry_on_fans": Axiom(_check_symmetry_on_fans, _generate_symmetry_on_fans),
+    "order_preservation": Axiom(_check_order_preservation, _generate_order_preservation),
+    "non_unilateral_manipulability": Axiom(
+        _check_non_unilateral_manipulability, _generate_non_unilateral_manipulability,
+        _row_inflations),
+    # dense matrices keep most artist removals inside the model
+    "equal_impact_of_artists": Axiom(
+        _check_equal_impact_of_artists, _plain(min_n=2, zero_chance=0.15)),
+    "null_artists": Axiom(_check_null_artists, _generate_null_artists),
+    "pairwise_homogeneity": Axiom(
+        _check_pairwise_homogeneity, _generate_pairwise_homogeneity),
+    "click_fraud_proofness": Axiom(
+        _check_click_fraud_proofness, _generate_click_fraud_proofness, _column_changes),
+}
+
+AXIOM_IDS = tuple(AXIOMS)
+
+
+def _lookup(axiom: str) -> Axiom:
+    try:
+        return AXIOMS[axiom]
+    except KeyError:
+        raise UnknownAxiom(f"unknown axiom {axiom!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Audits
 
 
-def audit(
-    axiom: str,
-    rule: IndexRule,
-    trials: int = 500,
-    seed: int = 42,
-    bounds: SizeBounds = SizeBounds(),
-    include_grid: bool = True,
-) -> Verdict:
+def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Verdict:
     """Search for a counterexample: exhaustive grid first, then seeded trials.
 
     Deterministic in ``seed``; the earliest counterexample in the fixed scan
@@ -697,29 +641,18 @@ def audit(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    skipped = 0
-    grid_cases = 0
-    if include_grid:
-        for instance in grid_instances(axiom):
-            grid_cases += 1
-            violation, sk = check_instance(axiom, rule, instance)
-            skipped += sk
-            if violation is not None:
-                return Verdict(
-                    axiom, rule.name, "counterexample", 0, grid_cases, skipped,
-                    seed, witness=instance, details=violation.details,
-                )
+    grid = grid_instances(axiom)
     rng = random.Random(f"{seed}|{axiom}|{rule.name}")
-    for k in range(trials):
-        instance = generate_instance(axiom, rng, bounds)
-        violation, sk = check_instance(axiom, rule, instance)
+    drawn = (generate_instance(axiom, rng) for _ in range(trials))
+    skipped = 0
+    for k, instance in enumerate(chain(grid, drawn), 1):
+        details, sk = check_instance(axiom, rule, instance)
         skipped += sk
-        if violation is not None:
-            return Verdict(
-                axiom, rule.name, "counterexample", k + 1, grid_cases, skipped,
-                seed, witness=instance, details=violation.details,
-            )
-    return Verdict(axiom, rule.name, "holds", trials, grid_cases, skipped, seed)
+        if details is not None:
+            grid_cases = min(k, len(grid))
+            return Verdict(axiom, rule.name, "counterexample", k - grid_cases,
+                           grid_cases, skipped, seed, instance, details)
+    return Verdict(axiom, rule.name, "holds", trials, len(grid), skipped, seed)
 
 
 def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
@@ -729,8 +662,48 @@ def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
     """
     if verdict.witness is None:
         return False
-    violation, _ = check_instance(verdict.axiom, rule, verdict.witness)
-    return violation is not None and violation.details == verdict.details
+    details, _ = check_instance(verdict.axiom, rule, verdict.witness)
+    return details is not None and details == verdict.details
+
+
+@dataclass(frozen=True)
+class AuditCell:
+    """One audited (axiom, rule) pair and the outcome it is expected to have.
+
+    ``axiom_set`` names the characterization of an independence-suite cell.
+    """
+
+    verdict: Verdict
+    expected_holds: bool
+    axiom_set: str | None = None
+
+    @property
+    def axiom(self) -> str:
+        return self.verdict.axiom
+
+    @property
+    def rule(self) -> str:
+        return self.verdict.rule
+
+    @property
+    def matches(self) -> bool:
+        return self.verdict.holds == self.expected_holds
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    kind: str  # "table" or "independence"
+    trials: int
+    seed: int
+    cells: tuple[AuditCell, ...]
+
+    @property
+    def all_match(self) -> bool:
+        return all(c.matches for c in self.cells)
+
+    @property
+    def mismatches(self) -> tuple[AuditCell, ...]:
+        return tuple(c for c in self.cells if not c.matches)
 
 
 # ---------------------------------------------------------------------------
@@ -751,45 +724,15 @@ TABLE1_EXPECTED: dict[str, dict[str, bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class TableCell:
-    axiom: str
-    rule: str
-    expected_holds: bool
-    verdict: Verdict
-
-    @property
-    def matches(self) -> bool:
-        return self.verdict.holds == self.expected_holds
-
-
-@dataclass(frozen=True)
-class TableResult:
-    trials: int
-    seed: int
-    cells: tuple[TableCell, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.matches for c in self.cells)
-
-    @property
-    def mismatches(self) -> tuple[TableCell, ...]:
-        return tuple(c for c in self.cells if not c.matches)
-
-
-def reproduce_table(
-    trials: int = 500, seed: int = 42, bounds: SizeBounds = SizeBounds()
-) -> TableResult:
+def reproduce_table(trials: int = 500, seed: int = 42) -> SuiteResult:
     """Audit every (axiom, rule) cell of the expected satisfaction table."""
-    cells = []
-    for axiom in AXIOM_IDS:
-        for name in ("shapley", "pro-rata", "user-centric"):
-            verdict = audit(axiom, make_rule(name, seed=seed), trials, seed, bounds)
-            cells.append(
-                TableCell(axiom, name, TABLE1_EXPECTED[axiom][name], verdict)
-            )
-    return TableResult(trials, seed, tuple(cells))
+    cells = tuple(
+        AuditCell(audit(axiom, make_rule(name, seed=seed), trials, seed),
+                  TABLE1_EXPECTED[axiom][name])
+        for axiom in AXIOM_IDS
+        for name in TABLE_RULE_NAMES
+    )
+    return SuiteResult("table", trials, seed, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -839,49 +782,15 @@ INDEPENDENCE_CLAIMS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class IndependenceCell:
-    axiom_set: str
-    rule: str
-    axiom: str
-    expected_holds: bool
-    verdict: Verdict
-
-    @property
-    def matches(self) -> bool:
-        return self.verdict.holds == self.expected_holds
-
-
-@dataclass(frozen=True)
-class IndependenceResult:
-    trials: int
-    seed: int
-    cells: tuple[IndependenceCell, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.matches for c in self.cells)
-
-    @property
-    def mismatches(self) -> tuple[IndependenceCell, ...]:
-        return tuple(c for c in self.cells if not c.matches)
-
-
-def independence_suite(
-    trials: int = 200, seed: int = 42, bounds: SizeBounds = SizeBounds()
-) -> IndependenceResult:
+def independence_suite(trials: int = 200, seed: int = 42) -> SuiteResult:
     """Audit every deviant rule against its characterization axiom set."""
     cells = []
-    verdict_cache: dict[tuple[str, str], Verdict] = {}
+    verdicts: dict[tuple[str, str], Verdict] = {}
     for set_name, rule_name, fails in INDEPENDENCE_CLAIMS:
         rule = make_rule(rule_name, seed=seed)
         for axiom in THEOREM_AXIOM_SETS[set_name]:
             key = (rule_name, axiom)
-            if key not in verdict_cache:
-                verdict_cache[key] = audit(axiom, rule, trials, seed, bounds)
-            cells.append(
-                IndependenceCell(
-                    set_name, rule_name, axiom, axiom != fails, verdict_cache[key]
-                )
-            )
-    return IndependenceResult(trials, seed, tuple(cells))
+            if key not in verdicts:
+                verdicts[key] = audit(axiom, rule, trials, seed)
+            cells.append(AuditCell(verdicts[key], axiom != fails, set_name))
+    return SuiteResult("independence", trials, seed, tuple(cells))

@@ -72,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(game)
 
     audit = sub.add_parser("audit", help="search axioms for counterexamples")
-    audit.add_argument("--axiom", default="all",
-                       help="axiom name or 'all' (" + ", ".join(axioms.AXIOM_IDS) + ")")
-    audit.add_argument("--index", default="all",
-                       help="index name or 'all' (the three table indices)")
+    audit.add_argument("--axiom", default=None,
+                       help="axiom name or 'all' (" + ", ".join(axioms.AXIOM_IDS) + "; "
+                            "default all, not with --table or --independence)")
+    audit.add_argument("--index", default=None,
+                       help="index name or 'all' (the three table indices; default all, "
+                            "not with --table or --independence)")
     audit.add_argument("--trials", type=int, default=500)
     suite = audit.add_mutually_exclusive_group()
     suite.add_argument("--table", action="store_true",
@@ -96,7 +98,7 @@ def _emit(doc: dict, args) -> None:
 
 def _read_problem(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise reporting.ParseError(f"cannot read {path}: {exc}") from None
     return reporting.parse_matrix(text)
@@ -126,19 +128,13 @@ def _run_game(args) -> int:
 
 
 def _run_audit(args) -> int:
-    if args.table:
-        result = axioms.reproduce_table(trials=args.trials, seed=args.seed)
-        _emit(reporting.table_document(result), args)
+    if args.table or args.independence:
+        suite = axioms.reproduce_table if args.table else axioms.independence_suite
+        result = suite(trials=args.trials, seed=args.seed)
+        _emit(reporting.suite_document(result), args)
         return EXIT_OK if result.all_match else EXIT_MISMATCH
-    if args.independence:
-        result = axioms.independence_suite(trials=args.trials, seed=args.seed)
-        _emit(reporting.independence_document(result), args)
-        return EXIT_OK if result.all_match else EXIT_MISMATCH
-    axiom_names = list(axioms.AXIOM_IDS) if args.axiom == "all" else [args.axiom]
-    for a in axiom_names:
-        if a not in axioms.AXIOM_IDS:
-            raise axioms.UnknownAxiom(f"unknown axiom {a!r}")
-    rule_names = list(TABLE_RULE_NAMES) if args.index == "all" else [args.index]
+    axiom_names = list(axioms.AXIOM_IDS) if args.axiom in (None, "all") else [args.axiom]
+    rule_names = list(TABLE_RULE_NAMES) if args.index in (None, "all") else [args.index]
     verdicts = []
     for a in axiom_names:
         for name in rule_names:
@@ -154,6 +150,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed(parser)
+        if args.command == "audit" and (args.table or args.independence):
+            suite = "--table" if args.table else "--independence"
+            for flag, value in (("--axiom", args.axiom), ("--index", args.index)):
+                if value is not None:
+                    parser.error(f"audit: {flag} cannot be used with {suite}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -114,7 +114,6 @@ class DerivedStats:
     total_by_user: dict[str, int]
     fans: dict[str, frozenset[str]]
     listening: dict[str, frozenset[str]]
-    profile: dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ def _check_count(x, artist: str) -> None:
 
 
 def derive(p: Problem) -> DerivedStats:
-    """Compute totals, fan sets, listening lists, and per-user profiles."""
+    """Compute totals, fan sets and listening sets."""
     artists = p.artists
     total_by_artist = [0] * p.n
     fans = [[] for _ in artists]
@@ -261,7 +260,6 @@ def derive(p: Problem) -> DerivedStats:
         total_by_user=total_by_user,
         fans=dict(zip(artists, map(frozenset, fans))),
         listening=listening,
-        profile=dict(zip(p.users, zip(*p.streams))),
     )
 
 

@@ -59,9 +59,6 @@ class IndexVector:
     def total(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.artists, self.values))
-
 
 @dataclass(frozen=True)
 class AllocationReport:
@@ -222,32 +219,25 @@ def default_weight(seed: int, kind: str, ident: str) -> int:
 
 def make_rule(name: str, seed: int = 0, weights: Mapping[str, Fraction] | None = None) -> IndexRule:
     """Build a named rule; ``weights`` overrides the seeded defaults where applicable."""
-    if name == "shapley":
-        return IndexRule(name, shapley_index)
-    if name == "pro-rata":
-        return IndexRule(name, pro_rata_index)
-    if name == "user-centric":
-        return IndexRule(name, user_centric_index)
-    if name == "active-uniform":
-        return IndexRule(name, active_uniform_index)
-    if name == "uniform":
-        return IndexRule(name, uniform_index)
-    if name == "user-weighted":
-        if weights is not None:
-            return IndexRule(name, lambda p: user_weighted_index(p, weights))
-        return IndexRule(
-            name,
-            lambda p: user_weighted_index(
-                p, {u: default_weight(seed, "user", u) for u in p.users}
-            ),
-        )
-    if name == "artist-weighted":
-        if weights is not None:
-            return IndexRule(name, lambda p: artist_weighted_index(p, weights))
-        return IndexRule(
-            name,
-            lambda p: artist_weighted_index(
-                p, {a: default_weight(seed, "artist", a) for a in p.artists}
-            ),
-        )
-    raise UnknownRule(f"unknown index rule {name!r}")
+    # Looked up at call time, so a kernel rebound on the module (for
+    # instance by a tracer) is the one the rule calls.
+    fn = {
+        "shapley": shapley_index,
+        "pro-rata": pro_rata_index,
+        "user-centric": user_centric_index,
+        "active-uniform": active_uniform_index,
+        "uniform": uniform_index,
+        "user-weighted": user_weighted_index,
+        "artist-weighted": artist_weighted_index,
+    }.get(name)
+    if fn is None:
+        raise UnknownRule(f"unknown index rule {name!r}")
+    kind = {"user-weighted": "user", "artist-weighted": "artist"}.get(name)
+    if kind is None:
+        return IndexRule(name, fn)
+    if weights is not None:
+        return IndexRule(name, lambda p: fn(p, weights))
+    return IndexRule(name, lambda p: fn(p, {
+        ident: default_weight(seed, kind, ident)
+        for ident in (p.users if kind == "user" else p.artists)
+    }))

@@ -35,8 +35,10 @@ class ParseError(ValueError):
 def parse_matrix(text: str) -> Problem:
     """Parse the CSV matrix format: header "artist,<users...>", one row per artist.
 
-    Rows are read one at a time and blank lines are skipped; a ``ParseError``
-    names the physical line. Each cell costs one comparison with ``"0"``;
+    The header's first cell must be ``artist``; spaces around it are allowed,
+    a byte-order mark is not (decode with ``utf-8-sig``). Rows are read one
+    at a time and blank lines are skipped; a ``ParseError`` names the
+    physical line. Each cell costs one comparison with ``"0"``;
     only the other cells are converted and stored, user by user. A count is
     ASCII digits after stripping, with an optional leading ``-`` (negative
     counts then fail validation); ids must be nonempty.
@@ -45,6 +47,9 @@ def parse_matrix(text: str) -> Problem:
     header = next(filter(None, reader), None)
     if header is None:
         raise ParseError("empty input")
+    if header[0].strip() != "artist":
+        raise ParseError(f"header must start with 'artist', not {header[0]!r}",
+                         line=reader.line_num, column=1)
     if len(header) < 2:
         raise ParseError("header must name at least one user", line=reader.line_num)
     users = [c.strip() for c in header[1:]]
@@ -116,10 +121,6 @@ def serialize_matrix(p: Problem) -> str:
     return out.getvalue()
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _dec(x: Fraction) -> str:
     q, r = divmod(x.numerator * 10**6, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
@@ -147,17 +148,17 @@ def allocation_document(
         report = rewards(vec, p)
         sections.append({
             "index": name,
-            "values": [_frac(v) for v in vec.values],
+            "values": [str(v) for v in vec.values],
             "rewards": [
                 {
                     "artist": a,
-                    "fraction": _frac(r),
+                    "fraction": str(r),
                     "decimal": _dec(r),
                     "payout": _dec(r * price),
                 }
                 for a, r in zip(p.artists, report.rewards)
             ],
-            "reward_total": _frac(sum(report.rewards, Fraction(0))),
+            "reward_total": str(sum(report.rewards, Fraction(0))),
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -168,7 +169,7 @@ def allocation_document(
             "n": p.n,
             "m": p.m,
         },
-        "price_multiplier": _frac(price),
+        "price_multiplier": str(price),
         "sections": sections,
     }
 
@@ -227,38 +228,17 @@ def audit_document(verdicts) -> dict:
     }
 
 
-def table_document(result: axioms.TableResult) -> dict:
+def suite_document(result: axioms.SuiteResult) -> dict:
+    """The satisfaction table or the independence suite, one entry per cell."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "table",
+        "kind": result.kind,
         "trials": result.trials,
         "seed": result.seed,
         "all_match": result.all_match,
         "cells": [
             {
-                "axiom": c.axiom,
-                "rule": c.rule,
-                "expected": "holds" if c.expected_holds else "counterexample",
-                "matches": c.matches,
-                **verdict_to_dict(c.verdict),
-            }
-            for c in result.cells
-        ],
-    }
-
-
-def independence_document(result: axioms.IndependenceResult) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "independence",
-        "trials": result.trials,
-        "seed": result.seed,
-        "all_match": result.all_match,
-        "cells": [
-            {
-                "axiom_set": c.axiom_set,
-                "axiom": c.axiom,
-                "rule": c.rule,
+                **({} if c.axiom_set is None else {"axiom_set": c.axiom_set}),
                 "expected": "holds" if c.expected_holds else "counterexample",
                 "matches": c.matches,
                 **verdict_to_dict(c.verdict),

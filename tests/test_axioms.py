@@ -7,16 +7,13 @@ from streamshare.axioms import (
     TABLE1_EXPECTED,
     THEOREM_AXIOM_SETS,
     ShapeMismatch,
-    SizeBounds,
     UnknownAxiom,
     audit,
     check_instance,
     generate_instance,
     grid_instances,
-    independence_suite,
     problem_to_dict,
     replay_witness,
-    reproduce_table,
 )
 
 from helpers import EXAMPLE_1, EXAMPLE_2
@@ -33,7 +30,7 @@ class TestInstanceChecks:
     def test_pro_rata_breaks_symmetry_on_example_2(self):
         violation, _ = check_instance("symmetry_on_fans", PRO_RATA, {"problem": EX2})
         assert violation is not None
-        assert {violation.details["value"], violation.details["other_value"]} \
+        assert {violation["value"], violation["other_value"]} \
             == {"300", "600"}
 
     def test_shapley_respects_symmetry_on_example_2(self):
@@ -50,13 +47,13 @@ class TestInstanceChecks:
         }}
         violation, _ = check_instance("reasonable_lower_bound", PRO_RATA, inst)
         assert violation is not None
-        assert violation.details["user_group"] == ["a"]
-        assert violation.details["reward_sum"] == "2/101"
+        assert violation["user_group"] == ["a"]
+        assert violation["reward_sum"] == "2/101"
 
     def test_pairwise_homogeneity_fails_for_shapley_on_example_2(self):
         violation, _ = check_instance("pairwise_homogeneity", SHAPLEY, {"problem": EX2})
         assert violation is not None
-        assert violation.details["ratio"] == "2"
+        assert violation["ratio"] == "2"
 
     def test_pairwise_homogeneity_holds_for_pro_rata_and_user_centric(self):
         for rule in (PRO_RATA, USER_CENTRIC):
@@ -81,7 +78,7 @@ class TestInstanceChecks:
         violation, skipped = check_instance("equal_impact_of_artists", USER_CENTRIC, inst)
         assert violation is not None
         assert skipped == 0
-        assert violation.details["change_for_artist"] != violation.details["change_for_other"]
+        assert violation["change_for_artist"] != violation["change_for_other"]
 
     def test_click_fraud_violated_by_pro_rata(self):
         base = {"artists": ["1", "2"], "users": ["a", "b"], "streams": [[1, 0], [1, 3]]}
@@ -119,6 +116,26 @@ class TestInstanceShapes:
         bad = {"artists": ["1"], "users": ["a"], "streams": [[0]]}
         with pytest.raises(ShapeMismatch):
             check_instance("null_artists", SHAPLEY, {"problem": bad})
+
+    def test_supplied_user_subsets_are_checked(self):
+        # pro-rata pays user "a" only 2/101 on this problem; the subsets that
+        # hold it are not checked unless listed
+        inst = {"problem": {
+            "artists": ["1", "2"], "users": ["a", "b"], "streams": [[1, 0], [0, 100]],
+        }}
+        listed = {**inst, "user_subsets": [["b"], ["a", "b"]]}
+        assert check_instance("reasonable_lower_bound", PRO_RATA, listed) == (None, 0)
+        violation, _ = check_instance(
+            "reasonable_lower_bound", PRO_RATA, {**inst, "user_subsets": [["b"], ["a"]]})
+        assert violation["user_group"] == ["a"]
+
+    def test_many_users_need_supplied_subsets(self):
+        users = [f"u{j}" for j in range(11)]
+        problem = {"artists": ["1"], "users": users, "streams": [[1] * 11]}
+        with pytest.raises(ShapeMismatch):
+            check_instance("reasonable_lower_bound", SHAPLEY, {"problem": problem})
+        inst = {"problem": problem, "user_subsets": [users[:3], users]}
+        assert check_instance("reasonable_lower_bound", SHAPLEY, inst) == (None, 0)
 
     def test_bad_partition(self):
         with pytest.raises(ShapeMismatch):
@@ -175,10 +192,9 @@ class TestAudit:
     def test_random_instances_are_well_formed(self):
         import random
         rng = random.Random(0)
-        bounds = SizeBounds()
         for axiom in AXIOM_IDS:
             for _ in range(40):
-                inst = generate_instance(axiom, rng, bounds)
+                inst = generate_instance(axiom, rng)
                 # must not raise ShapeMismatch
                 check_instance(axiom, SHAPLEY, inst)
 
@@ -188,14 +204,14 @@ class TestAudit:
 
 
 class TestTable:
-    def test_full_table_matches(self):
-        result = reproduce_table(trials=40, seed=2)
+    def test_full_table_matches(self, table_run):
+        result = table_run
         assert result.all_match, [
             (c.axiom, c.rule, c.verdict.outcome) for c in result.mismatches
         ]
 
-    def test_every_no_cell_has_replayable_witness(self):
-        result = reproduce_table(trials=40, seed=2)
+    def test_every_no_cell_has_replayable_witness(self, table_run):
+        result = table_run
         for cell in result.cells:
             if not cell.expected_holds:
                 assert cell.verdict.outcome == "counterexample"
@@ -225,8 +241,8 @@ class TestIndependence:
         for rule in ("active-uniform", "user-weighted")
     }
 
-    def test_mismatches_are_exactly_the_known_defects(self):
-        result = independence_suite(trials=60, seed=2)
+    def test_mismatches_are_exactly_the_known_defects(self, independence_run):
+        result = independence_run
         got = {(c.axiom_set, c.rule, c.axiom) for c in result.mismatches}
         assert got == self.EXPECTED_MISMATCHES
 
@@ -238,7 +254,7 @@ class TestIndependence:
             "reasonable_lower_bound", rule, {"problem": problem_to_dict(p)}
         )
         assert violation is not None
-        assert violation.details["reward_sum"] == "2/3"
+        assert violation["reward_sum"] == "2/3"
 
     def test_user_weighted_fails_lower_bound_with_skewed_weights(self):
         p = build_problem(["1", "2"], ["a", "b"], [[1, 0], [0, 1]])
@@ -247,10 +263,10 @@ class TestIndependence:
             "reasonable_lower_bound", rule, {"problem": problem_to_dict(p)}
         )
         assert violation is not None
-        assert violation.details["reward_sum"] == "1/5"
+        assert violation["reward_sum"] == "1/5"
 
-    def test_designated_failures_all_observed(self):
-        result = independence_suite(trials=60, seed=2)
+    def test_designated_failures_all_observed(self, independence_run):
+        result = independence_run
         designated = {
             (s, r, a) for s, r, a in INDEPENDENCE_CLAIMS
         }

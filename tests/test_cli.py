@@ -113,6 +113,13 @@ class TestErrorsAndUsage:
         assert code == 2
         assert "line 2" in err
 
+    def test_byte_order_mark_input(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text(EXAMPLE_1_CSV, encoding="utf-8-sig")
+        code, out, _ = run(capsys, "allocate", "--input", str(path), "--index", "shapley")
+        assert code == 0
+        assert "1: value=1 reward=1" in out
+
     def test_silent_user_csv(self, tmp_path, capsys):
         path = tmp_path / "silent.csv"
         path.write_text("artist,a,b\nx,1,0\n", encoding="utf-8")
@@ -127,6 +134,15 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, "audit", "--table", "--independence", "--trials", "1")
         assert code == 1 and out == ""
         assert "--table" in err and "--independence" in err
+
+    @pytest.mark.parametrize("suite", ["--table", "--independence"])
+    @pytest.mark.parametrize("flag", [["--axiom", "bogus"], ["--index", "nope"],
+                                      ["--axiom", "all"], ["--index", "all"]],
+                             ids=" ".join)
+    def test_suite_refuses_axiom_and_index(self, suite, flag, capsys):
+        code, out, err = run(capsys, "audit", suite, *flag, "--trials", "1")
+        assert code == 1 and out == ""
+        assert flag[0] in err and suite in err
 
 
 class TestAudit:

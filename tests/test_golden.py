@@ -1,30 +1,46 @@
-"""Golden CLI reports and their independence from the interpreter's hash seed.
+"""Golden CLI reports, pinned instance generators, and the reports'
+independence from the interpreter's hash seed.
 
-The files under ``golden/`` were written by the CLI before the problem
-storage became sparse: ``allocate --index all --format json --seed 7`` on a
-seeded sparse input (24 artists x 40 users) and a seeded dense one (6 x 30),
-and ``game --stance dual --seed 7`` on a 6 x 25 input. Reports must stay
-byte-identical.
+The files under ``golden/`` were written by the CLI before the code they
+cover was restructured, and reports must stay byte-identical:
+``allocate --index all --format json --seed 7`` on a seeded sparse input
+(24 artists x 40 users) and a seeded dense one (6 x 30), ``game --stance
+dual --seed 7`` on a 6 x 25 input, and ``audit --table`` / ``audit
+--independence`` with ``--trials 60 --seed 7`` in JSON, and the latter
+in text too.
+
+At seed 7 every audit counterexample is found on the grid, so the reports do
+not pin the random instance generators. ``instances.json`` does: for each
+axiom, one sha256 of its grid instances and one of 400 random instances drawn
+from ``random.Random(f"pin|{axiom}")``.
 """
 
+import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances
 from streamshare.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CASES = {
-    "sparse_allocate.json": ["allocate", "--input", "sparse.csv", "--index", "all",
-                             "--format", "json", "--seed", "7"],
-    "dense_allocate.json": ["allocate", "--input", "dense.csv", "--index", "all",
-                            "--format", "json", "--seed", "7"],
-    "game_dual.txt": ["game", "--input", "game.csv", "--stance", "dual", "--seed", "7"],
+AUDIT = ["--trials", "60", "--seed", "7"]
+CASES = {  # file name: (argv, exit code)
+    "sparse_allocate.json": (["allocate", "--input", "sparse.csv", "--index", "all",
+                              "--format", "json", "--seed", "7"], 0),
+    "dense_allocate.json": (["allocate", "--input", "dense.csv", "--index", "all",
+                             "--format", "json", "--seed", "7"], 0),
+    "game_dual.txt": (["game", "--input", "game.csv", "--stance", "dual", "--seed", "7"], 0),
+    "audit_table.json": (["audit", "--table", "--format", "json", *AUDIT], 0),
+    "audit_independence.json": (["audit", "--independence", "--format", "json", *AUDIT], 3),
+    "audit_independence.txt": (["audit", "--independence", *AUDIT], 3),
 }
 
 
@@ -34,14 +50,29 @@ def _argv(args):
 
 @pytest.mark.parametrize("expected", sorted(CASES))
 def test_report_matches_golden_file(expected, capsys):
-    assert main(_argv(CASES[expected])) == 0
+    argv, code = CASES[expected]
+    assert main(_argv(argv)) == code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / expected).read_bytes()
 
 
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("axiom", AXIOM_IDS)
+def test_instances_match_pinned_digests(axiom):
+    pinned = json.loads((GOLDEN / "instances.json").read_text(encoding="utf-8"))[axiom]
+    rng = random.Random(f"pin|{axiom}")
+    draws = [generate_instance(axiom, rng) for _ in range(400)]
+    assert _digest(list(grid_instances(axiom))) == pinned["grid"]
+    assert _digest(draws) == pinned["random"]
+
+
 def test_reports_independent_of_hash_seed():
     commands = [
-        _argv(CASES["sparse_allocate.json"]),
+        _argv(CASES["sparse_allocate.json"][0]),
         ["audit", "--independence", "--trials", "20", "--format", "json", "--seed", "5"],
     ]
     runs = []

@@ -13,14 +13,12 @@ from streamshare.reporting import (
     audit_document,
     game_document,
     game_export_lines,
-    independence_document,
     parse_matrix,
     render_json,
     render_text,
     serialize_matrix,
-    table_document,
+    suite_document,
 )
-from streamshare.axioms import independence_suite, reproduce_table
 
 from helpers import EXAMPLE_1, example_1, random_problem
 
@@ -62,6 +60,17 @@ class TestParseMatrix:
         with pytest.raises(ParseError) as exc:
             parse_matrix("artist\n")
         assert exc.value.line == 1
+
+    def test_header_must_start_with_artist(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("banana,a\nx,1\n")
+        assert (exc.value.line, exc.value.column) == (1, 1)
+        assert "'banana'" in str(exc.value)
+
+    def test_byte_order_mark_before_header_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\ufeffartist,a\nx,1\n")
+        assert (exc.value.line, exc.value.column) == (1, 1)
 
     def test_ragged_row_reports_line(self):
         with pytest.raises(ParseError) as exc:
@@ -221,15 +230,15 @@ class TestRendering:
         (entry,) = audit_document([v])["verdicts"]
         assert "witness" not in entry
 
-    def test_table_document_roundtrips_through_json(self):
-        doc = table_document(reproduce_table(trials=20, seed=3))
+    def test_table_document_roundtrips_through_json(self, table_run):
+        doc = suite_document(table_run)
         assert doc["all_match"] is True
         assert len(doc["cells"]) == 30
         assert json.loads(render_json(doc)) == doc
         assert "all_match=True" in render_text(doc)
 
-    def test_independence_document_flags_mismatches(self):
-        doc = independence_document(independence_suite(trials=20, seed=3))
+    def test_independence_document_flags_mismatches(self, independence_run):
+        doc = suite_document(independence_run)
         assert doc["all_match"] is False
         text = render_text(doc)
         assert "MISMATCH" in text
