@@ -162,8 +162,11 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
         subsets = _nonempty_subsets(list(p.users))
     for group in subsets:
         streamed = set()
-        for u in group:
-            streamed |= stats.listening[u]
+        try:
+            for u in group:
+                streamed |= stats.listening[u]
+        except KeyError as exc:  # only a supplied subset can name an unknown user
+            raise ShapeMismatch(f"unknown user {exc.args[0]!r} in 'user_subsets'") from None
         got = sum((payout[a] for a in streamed), Fraction(0))
         if got < len(group):
             return {

@@ -150,6 +150,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed(parser)
+        if args.command == "audit" and args.trials < 1:
+            parser.error(f"audit: --trials must be at least 1, got {args.trials}")
         if args.command == "audit" and (args.table or args.independence):
             suite = "--table" if args.table else "--independence"
             for flag, value in (("--axiom", args.axiom), ("--index", args.index)):

@@ -10,6 +10,7 @@ oracle returns exact fractions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -49,19 +50,27 @@ class CoalitionGame:
 
 def _user_mask_counts(p: Problem) -> list[int]:
     """counts[S] = number of users whose whole listening list lies inside S."""
-    n = p.n
-    counts = [0] * (1 << n)
+    size = 1 << p.n
+    counts = [0] * size
     for idx, _ in p.columns:
         mask = 0
         for i in idx:
             mask |= 1 << i
         counts[mask] += 1
-    # subset-sum (zeta) transform
-    for b in range(n):
+    # subset-sum (zeta) transform: for each bit, add every coalition without
+    # the bit into the one with it, by slices: ``bit`` strided slices or
+    # ``size / (2 * bit)`` contiguous blocks, whichever are fewer.
+    for b in range(p.n):
         bit = 1 << b
-        for s in range(1 << n):
-            if s & bit:
-                counts[s] += counts[s ^ bit]
+        step = bit << 1
+        if bit <= size // step:
+            for lo in range(bit):
+                hi = slice(lo + bit, size, step)
+                counts[hi] = map(operator.add, counts[hi], counts[lo:size:step])
+        else:
+            for lo in range(0, size, step):
+                hi = slice(lo + bit, lo + step)
+                counts[hi] = map(operator.add, counts[hi], counts[lo:lo + bit])
     return counts
 
 
@@ -84,17 +93,17 @@ def pessimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
 def optimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
     """worth(S) = number of users who streamed at least one artist in S."""
     _check_cap(p, cap)
-    counts = _user_mask_counts(p)
-    full = (1 << p.n) - 1
-    worth = tuple(p.m - counts[full ^ s] if s else 0 for s in range(1 << p.n))
+    # worth(S) = m - counts[N \ S], and N \ S runs down the table as S runs
+    # up; counts[N] == m, so the empty coalition gets 0.
+    m = p.m
+    worth = tuple(m - c for c in reversed(_user_mask_counts(p)))
     return CoalitionGame(p.artists, worth, "optimistic")
 
 
 def dual_game(g: CoalitionGame) -> CoalitionGame:
     """worth*(S) = worth(N) - worth(N \\ S); an involution on games."""
-    full = (1 << g.n) - 1
-    grand = g.worth[full]
-    worth = tuple(grand - g.worth[full ^ s] for s in range(1 << g.n))
+    grand = g.worth[-1]
+    worth = tuple(grand - w for w in reversed(g.worth))  # N \ S, S ascending
     return CoalitionGame(g.players, worth, f"dual-of-{g.stance}")
 
 

@@ -189,9 +189,8 @@ def game_export_lines(p: Problem, stance: str, cap: int | None = None) -> list[s
         g = dual_game(pessimistic_game(p, **kwargs))
     else:
         raise ValueError(f"unknown stance {stance!r}")
-    return [
-        f"{mask:0{p.n}b},{worth}" for mask, worth in enumerate(g.worth)
-    ]
+    row = f"{{:0{p.n}b}},{{}}".format
+    return list(map(row, range(len(g.worth)), g.worth))
 
 
 def game_document(p: Problem, stance: str, cap: int | None = None) -> dict:

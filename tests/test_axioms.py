@@ -129,6 +129,12 @@ class TestInstanceShapes:
             "reasonable_lower_bound", PRO_RATA, {**inst, "user_subsets": [["b"], ["a"]]})
         assert violation["user_group"] == ["a"]
 
+    def test_supplied_user_subsets_name_known_users(self):
+        inst = {"problem": {"artists": ["1"], "users": ["a"], "streams": [[1]]},
+                "user_subsets": [["a"], ["zz"]]}
+        with pytest.raises(ShapeMismatch, match="unknown user 'zz'"):
+            check_instance("reasonable_lower_bound", SHAPLEY, inst)
+
     def test_many_users_need_supplied_subsets(self):
         users = [f"u{j}" for j in range(11)]
         problem = {"artists": ["1"], "users": users, "streams": [[1] * 11]}

@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamshare.cli import SEED_ENV_VAR, main
 
@@ -100,6 +105,45 @@ class TestGame:
         assert "25 artists exceeds the ceiling of 22 artists" in err
 
 
+@st.composite
+def csv_texts(draw):
+    """Up to 6 artist rows of small counts, then maybe one cell overwritten."""
+    m = draw(st.integers(1, 4))
+    rows = [["artist", *(f"u{j}" for j in range(m))]]
+    for i in range(draw(st.integers(1, 6))):
+        counts = st.lists(st.sampled_from(["0", "1", "7"]), min_size=m, max_size=m)
+        rows.append([f"x{i}", *draw(counts)])
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, m))] = draw(st.sampled_from(
+            ["", "x", "-1", "1.5", " 2", '"3"', "1,2", "x0", "u0", "artist"]))
+    return "\n".join(map(",".join, rows)) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(csv_texts(), st.text(max_size=80), st.binary(max_size=80)),
+       stance=st.sampled_from(["pessimistic", "optimistic", "dual"]),
+       cap=st.none() | st.integers(-2, 3), as_json=st.booleans())
+def test_game_on_any_input_exits_with_a_message(fuzz_input, data, stance, cap, as_json):
+    if isinstance(data, bytes):
+        fuzz_input.write_bytes(data)
+    else:
+        fuzz_input.write_text(data, encoding="utf-8", errors="surrogatepass")
+    argv = ["game", "--input", str(fuzz_input), "--stance", stance]
+    argv += [] if cap is None else ["--cap", str(cap)]
+    argv += ["--format", "json"] if as_json else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().strip()
+
+
 class TestErrorsAndUsage:
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "allocate", "--input", str(tmp_path / "nope.csv"))
@@ -143,6 +187,15 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, "audit", suite, *flag, "--trials", "1")
         assert code == 1 and out == ""
         assert flag[0] in err and suite in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("mode", [["--table"], ["--independence"],
+                                      ["--axiom", "additivity", "--index", "shapley"]],
+                             ids=" ".join)
+    def test_trials_below_one_is_usage_error(self, mode, trials, capsys):
+        code, out, err = run(capsys, "audit", *mode, "--trials", trials)
+        assert code == 1 and out == ""
+        assert f"--trials must be at least 1, got {trials}" in err
 
 
 class TestAudit:

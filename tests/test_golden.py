@@ -4,10 +4,10 @@ independence from the interpreter's hash seed.
 The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical:
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
-(24 artists x 40 users) and a seeded dense one (6 x 30), ``game --stance
-dual --seed 7`` on a 6 x 25 input, and ``audit --table`` / ``audit
---independence`` with ``--trials 60 --seed 7`` in JSON, and the latter
-in text too.
+(24 artists x 40 users) and a seeded dense one (6 x 30), ``game --seed 7``
+under each of the three stances on a 6 x 25 input, and ``audit --table`` /
+``audit --independence`` with ``--trials 60 --seed 7`` in JSON, and the
+latter in text too.
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
 not pin the random instance generators. ``instances.json`` does: for each
@@ -37,7 +37,9 @@ CASES = {  # file name: (argv, exit code)
                               "--format", "json", "--seed", "7"], 0),
     "dense_allocate.json": (["allocate", "--input", "dense.csv", "--index", "all",
                              "--format", "json", "--seed", "7"], 0),
-    "game_dual.txt": (["game", "--input", "game.csv", "--stance", "dual", "--seed", "7"], 0),
+    **{f"game_{stance}.txt": (["game", "--input", "game.csv", "--stance", stance,
+                               "--seed", "7"], 0)
+       for stance in ("pessimistic", "optimistic", "dual")},
     "audit_table.json": (["audit", "--table", "--format", "json", *AUDIT], 0),
     "audit_independence.json": (["audit", "--independence", "--format", "json", *AUDIT], 3),
     "audit_independence.txt": (["audit", "--independence", *AUDIT], 3),
