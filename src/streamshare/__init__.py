@@ -7,13 +7,10 @@ index satisfies.
 """
 
 from .core import (
-    ArtistRemoval,
-    DerivedStats,
     Problem,
     ProblemError,
     build_problem,
     build_sparse_problem,
-    derive,
     remove_artist,
     remove_user,
     split_by_users,
@@ -27,7 +24,6 @@ from .game import (
     shapley_value_brute_force,
 )
 from .indices import (
-    AllocationReport,
     IndexRule,
     IndexVector,
     make_rule,
@@ -38,10 +34,7 @@ from .indices import (
 )
 
 __all__ = [
-    "ArtistRemoval",
-    "AllocationReport",
     "CoalitionGame",
-    "DerivedStats",
     "IndexRule",
     "IndexVector",
     "Problem",
@@ -49,7 +42,6 @@ __all__ = [
     "TooManyArtists",
     "build_problem",
     "build_sparse_problem",
-    "derive",
     "dual_game",
     "make_rule",
     "optimistic_game",

@@ -92,8 +92,11 @@ def _emit(doc: dict, args) -> None:
     text = reporting.render_json(doc) if args.format == "json" else reporting.render_text(doc)
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         args.output.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc}") from None
 
 
 def _read_problem(path: Path):
@@ -114,7 +117,10 @@ def _run_allocate(args) -> int:
             raise UnknownRule("no index selected")
         for n in names:
             make_rule(n)  # validate early
-    price = Fraction(args.price)
+    try:
+        price = Fraction(args.price)
+    except ZeroDivisionError:
+        raise ValueError(f"price multiplier {args.price!r} has a zero denominator") from None
     if price <= 0:
         raise ValueError("price multiplier must be positive")
     _emit(reporting.allocation_document(p, names, price=price, seed=args.seed), args)

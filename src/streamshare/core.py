@@ -8,6 +8,7 @@ to the same value.)
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -106,46 +107,6 @@ class Problem:
         return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class DerivedStats:
-    """Per-artist and per-user statistics of one problem."""
-
-    total_by_artist: dict[str, int]
-    total_by_user: dict[str, int]
-    fans: dict[str, frozenset[str]]
-    listening: dict[str, frozenset[str]]
-
-
-@dataclass(frozen=True)
-class ArtistRemoval:
-    """Raw result of deleting one artist's row.
-
-    Removing a row can leave users with an all-zero column, which violates the
-    everyone-streams-something assumption. The silenced users are surfaced
-    rather than dropped silently; callers decide how to proceed.
-    """
-
-    artists: tuple[str, ...]
-    users: tuple[str, ...]
-    streams: Matrix
-    silenced: tuple[str, ...]
-
-    def to_problem(self) -> Problem:
-        """Return the reduced problem, failing if any user was silenced."""
-        if self.silenced:
-            raise SilentUser(self.silenced[0])
-        return build_problem(self.artists, self.users, self.streams)
-
-    def drop_silenced(self) -> Problem:
-        """Return the reduced problem with silenced users' columns removed."""
-        keep = [j for j, u in enumerate(self.users) if u not in self.silenced]
-        if not keep:
-            raise EmptyUsers("removing the artist silenced every user")
-        users = tuple(self.users[j] for j in keep)
-        streams = tuple(tuple(row[j] for j in keep) for row in self.streams)
-        return build_problem(self.artists, users, streams)
-
-
 def build_problem(artists, users, streams) -> Problem:
     """Validate and construct a :class:`Problem` from dense rows.
 
@@ -242,41 +203,27 @@ def _check_count(x, artist: str) -> None:
         raise NegativeStream(f"negative stream count {x} for artist {artist!r}")
 
 
-def derive(p: Problem) -> DerivedStats:
-    """Compute totals, fan sets and listening sets."""
-    artists = p.artists
-    total_by_artist = [0] * p.n
-    fans = [[] for _ in artists]
-    total_by_user = {}
-    listening = {}
-    for u, (idx, counts) in zip(p.users, p.columns):
-        total_by_user[u] = sum(counts)
-        listening[u] = frozenset([artists[i] for i in idx])
-        for i, x in zip(idx, counts):
-            total_by_artist[i] += x
-            fans[i].append(u)
-    return DerivedStats(
-        total_by_artist=dict(zip(artists, total_by_artist)),
-        total_by_user=total_by_user,
-        fans=dict(zip(artists, map(frozenset, fans))),
-        listening=listening,
-    )
+def remove_artist(p: Problem, artist: str) -> Problem:
+    """Delete one artist's row.
 
-
-def remove_artist(p: Problem, artist: str) -> ArtistRemoval:
-    """Delete one artist's row, reporting any users left with zero streams."""
+    Raises :class:`SilentUser` for the first user who streamed only that
+    artist, since the reduced problem would leave them with zero streams.
+    """
     if artist not in p.artists:
         raise UnknownArtist(f"unknown artist {artist!r}")
     if p.n < 2:
         raise LastArtist("cannot remove the only artist")
     i = p.artists.index(artist)
-    artists = p.artists[:i] + p.artists[i + 1:]
-    streams = p.streams[:i] + p.streams[i + 1:]
-    only_i = (i,)
-    silenced = tuple(
-        u for u, (idx, _) in zip(p.users, p.columns) if idx == only_i
-    )
-    return ArtistRemoval(artists, p.users, streams, silenced)
+    columns = []
+    for u, (idx, counts) in zip(p.users, p.columns):
+        k = bisect_left(idx, i)
+        if idx[k:k + 1] == (i,):
+            if len(idx) == 1:
+                raise SilentUser(u)
+            idx, counts = idx[:k] + idx[k + 1:], counts[:k] + counts[k + 1:]
+        columns.append((idx[:k] + tuple([x - 1 for x in idx[k:]]), counts))
+    # the remaining columns stay valid, so nothing is rechecked
+    return Problem(p.artists[:i] + p.artists[i + 1:], p.users, tuple(columns))
 
 
 def remove_user(p: Problem, user: str) -> Problem:

@@ -60,15 +60,6 @@ class IndexVector:
         return sum(self.values, Fraction(0))
 
 
-@dataclass(frozen=True)
-class AllocationReport:
-    """An index together with the payouts it induces; payouts sum to ``total``."""
-
-    index: IndexVector
-    rewards: tuple[Fraction, ...]
-    total: int
-
-
 def shapley_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split equally among the artists they streamed."""
     return _equal_split(p, [1] * p.m, 1)
@@ -172,16 +163,16 @@ def _check_weights(weights, ids, kind: str) -> dict[str, Fraction]:
     return out
 
 
-def rewards(index: IndexVector, p: Problem) -> AllocationReport:
+def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
     """Distribute the revenue total ``m`` proportionally to index values.
 
-    Invariant under positive scaling of the index vector.
+    The payouts align with ``index.artists`` and sum to ``p.m``; they are
+    invariant under positive scaling of the index vector.
     """
     total = index.total
     if total <= 0:
         raise ZeroTotalIndex("index values sum to zero")
-    payouts = tuple(v / total * p.m for v in index.values)
-    return AllocationReport(index=index, rewards=payouts, total=p.m)
+    return tuple(v / total * p.m for v in index.values)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def allocation_document(
     for name in rule_names:
         rule = make_rule(name, seed=seed)
         vec = rule(p)
-        report = rewards(vec, p)
+        payouts = rewards(vec, p)
         sections.append({
             "index": name,
             "values": [str(v) for v in vec.values],
@@ -156,9 +156,9 @@ def allocation_document(
                     "decimal": _dec(r),
                     "payout": _dec(r * price),
                 }
-                for a, r in zip(p.artists, report.rewards)
+                for a, r in zip(p.artists, payouts)
             ],
-            "reward_total": str(sum(report.rewards, Fraction(0))),
+            "reward_total": str(sum(payouts, Fraction(0))),
         })
     return {
         "schema_version": SCHEMA_VERSION,

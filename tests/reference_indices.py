@@ -1,22 +1,27 @@
 """Reference index kernels: one ``Fraction`` add per streamed entry.
 
-These are the straightforward per-user loops over :func:`derive` that the
-integer-accumulation kernels in ``streamshare.indices`` replaced. They are
-kept here, slow and obviously correct, so tests can require the fast kernels
-to return exactly the same ``Fraction`` values.
+These are the straightforward per-user loops over the dense rows
+``p.streams`` that the integer-accumulation kernels in ``streamshare.indices``
+replaced. They are kept here, slow and obviously correct, so tests can
+require the fast kernels to return exactly the same ``Fraction`` values.
 """
 
 from fractions import Fraction
 
-from streamshare import derive
 from streamshare.indices import IndexVector, default_weight
 
 
+def listening(p):
+    """Each user's streamed artists, by a double loop over the dense rows."""
+    return {
+        u: [a for i, a in enumerate(p.artists) if p.streams[i][j] > 0]
+        for j, u in enumerate(p.users)
+    }
+
+
 def shapley_index(p):
-    stats = derive(p)
     acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
+    for listened in listening(p).values():
         share = Fraction(1, len(listened))
         for a in listened:
             acc[a] += share
@@ -24,17 +29,13 @@ def shapley_index(p):
 
 
 def pro_rata_index(p):
-    stats = derive(p)
-    return IndexVector(
-        p.artists, tuple(Fraction(stats.total_by_artist[a]) for a in p.artists)
-    )
+    return IndexVector(p.artists, tuple(Fraction(sum(row)) for row in p.streams))
 
 
 def user_centric_index(p):
-    stats = derive(p)
     acc = {a: Fraction(0) for a in p.artists}
-    for j, u in enumerate(p.users):
-        total = stats.total_by_user[u]
+    for j in range(p.m):
+        total = sum(row[j] for row in p.streams)
         for i, a in enumerate(p.artists):
             x = p.streams[i][j]
             if x:
@@ -43,8 +44,7 @@ def user_centric_index(p):
 
 
 def active_uniform_index(p):
-    stats = derive(p)
-    active = [a for a in p.artists if stats.fans[a]]
+    active = [a for a, row in zip(p.artists, p.streams) if any(row)]
     share = Fraction(p.m, len(active))
     return IndexVector(
         p.artists,
@@ -58,10 +58,8 @@ def uniform_index(p):
 
 
 def user_weighted_index(p, weights):
-    stats = derive(p)
     acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
+    for u, listened in listening(p).items():
         share = Fraction(weights[u], len(listened))
         for a in listened:
             acc[a] += share
@@ -69,10 +67,8 @@ def user_weighted_index(p, weights):
 
 
 def artist_weighted_index(p, weights):
-    stats = derive(p)
     acc = {a: Fraction(0) for a in p.artists}
-    for u in p.users:
-        listened = stats.listening[u]
+    for listened in listening(p).values():
         denom = sum(Fraction(weights[a]) for a in listened)
         for a in listened:
             acc[a] += Fraction(weights[a], denom)

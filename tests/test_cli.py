@@ -70,6 +70,9 @@ class TestAllocate:
     def test_bad_price(self, matrix, capsys):
         assert run(capsys, "allocate", "--input", str(matrix), "--price", "0")[0] == 2
         assert run(capsys, "allocate", "--input", str(matrix), "--price", "x")[0] == 2
+        code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", "1/0")
+        assert code == 2 and out == ""
+        assert "streamshare: error:" in err and "'1/0'" in err
 
     def test_output_file(self, matrix, tmp_path, capsys):
         dest = tmp_path / "report.txt"
@@ -144,6 +147,27 @@ def test_game_on_any_input_exits_with_a_message(fuzz_input, data, stance, cap, a
     assert code == 0 or err.getvalue().strip()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(csv_texts(), st.text(max_size=80), st.binary(max_size=80)),
+       index=st.sampled_from(["", ",", "all", "shapley,,pro-rata", "bogus", "all,shapley"]),
+       price=st.sampled_from(["1", "9.99", "1/2", "0", "-1", "x", "1/0", "1e400"]),
+       to_missing_dir=st.booleans(), as_json=st.booleans())
+def test_allocate_on_any_input_exits_with_a_message(fuzz_input, data, index, price,
+                                                    to_missing_dir, as_json):
+    if isinstance(data, bytes):
+        fuzz_input.write_bytes(data)
+    else:
+        fuzz_input.write_text(data, encoding="utf-8", errors="surrogatepass")
+    argv = ["allocate", "--input", str(fuzz_input), "--index", index, "--price", price]
+    argv += ["--output", str(fuzz_input.parent / "missing" / "out")] if to_missing_dir else []
+    argv += ["--format", "json"] if as_json else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().strip()
+
+
 class TestErrorsAndUsage:
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "allocate", "--input", str(tmp_path / "nope.csv"))
@@ -168,6 +192,16 @@ class TestErrorsAndUsage:
         path = tmp_path / "silent.csv"
         path.write_text("artist,a,b\nx,1,0\n", encoding="utf-8")
         assert run(capsys, "allocate", "--input", str(path))[0] == 2
+
+    @pytest.mark.parametrize("command", [["allocate"], ["game"],
+                                         ["audit", "--axiom", "additivity"]], ids=" ".join)
+    @pytest.mark.parametrize("dest", ["missing/out.txt", "."])
+    def test_unwritable_output_is_data_error(self, command, dest, matrix, tmp_path, capsys):
+        argv = [*command, "--output", str(tmp_path / dest)]
+        argv += ["--trials", "1"] if command[0] == "audit" else ["--input", str(matrix)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"streamshare: error: cannot write {tmp_path / dest}" in err
 
     def test_usage_errors(self, matrix, capsys):
         assert run(capsys, "allocate")[0] == 1  # --input is required

@@ -6,7 +6,6 @@ import pytest
 
 from streamshare import (
     build_problem,
-    derive,
     dual_game,
     optimistic_game,
     pessimistic_game,
@@ -22,17 +21,20 @@ def subsets(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
+def listening(p, j):
+    """The artists user ``j`` streamed, read off the dense rows."""
+    return {a for i, a in enumerate(p.artists) if p.streams[i][j] > 0}
+
+
 def naive_pessimistic_worth(p, coalition):
     """Direct set-inclusion count, independent of the table construction."""
-    stats = derive(p)
     s = set(coalition)
-    return sum(1 for u in p.users if stats.listening[u] <= s)
+    return sum(1 for j in range(p.m) if listening(p, j) <= s)
 
 
 def naive_optimistic_worth(p, coalition):
-    stats = derive(p)
     s = set(coalition)
-    return sum(1 for u in p.users if stats.listening[u] & s)
+    return sum(1 for j in range(p.m) if listening(p, j) & s)
 
 
 class TestGameConstruction:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamshare import build_problem, build_sparse_problem, remove_user, split_by_users
+from streamshare import (
+    build_problem,
+    build_sparse_problem,
+    remove_artist,
+    remove_user,
+    split_by_users,
+)
 from streamshare.core import (
     DimensionMismatch,
     DuplicateId,
@@ -77,6 +83,25 @@ class TestLayout:
                                        [[row[k] for k in keep] for row in p.streams])
             assert p2 == build_problem(p.artists, [user], [[row[j]] for row in p.streams])
             assert_streams_match_columns(p1)
+
+    @given(problems(max_n=5, max_m=5), st.data())
+    def test_artist_removal_equals_rebuilt_problem(self, p, data):
+        artist = data.draw(st.sampled_from(p.artists))
+        if p.n < 2:
+            return
+        i = p.artists.index(artist)
+        artists = p.artists[:i] + p.artists[i + 1:]
+        rows = p.streams[:i] + p.streams[i + 1:]
+        try:
+            expected = build_problem(artists, p.users, rows)
+        except SilentUser as exc:
+            with pytest.raises(SilentUser) as got:
+                remove_artist(p, artist)
+            assert got.value.user == exc.user
+            return
+        reduced = remove_artist(p, artist)
+        assert reduced == expected
+        assert reduced.streams == expected.streams
 
 
 class TestSparseConstructorChecks:
