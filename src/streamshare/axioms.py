@@ -19,6 +19,7 @@ must above 10 users.
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,13 @@ from .core import (
     remove_user,
     split_by_users,
 )
-from .indices import TABLE_RULE_NAMES, IndexRule, make_rule, rewards
+from .indices import (
+    TABLE_RULE_NAMES,
+    IndexRule,
+    common_numerators,
+    make_rule,
+    rewards,
+)
 
 SUBSET_ENUMERATION_CAP = 10
 
@@ -96,7 +103,9 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
     """Evaluate one axiom on one instance with exact arithmetic.
 
     Returns ``(details, skipped)``; ``details`` is ``None`` when the axiom's
-    condition holds on the instance.
+    condition holds on the instance. The ``problem`` (and ``modified``) entry
+    is a dict of ``artists``, ``users`` and ``streams``, built and validated
+    here, or a ``Problem`` that is already built (the audit grid's are).
     """
     return _lookup(axiom).check(rule, instance)
 
@@ -104,7 +113,7 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
 def _get_problem(instance: dict, key: str = "problem") -> Problem:
     try:
         d = instance[key]
-        return build_problem(d["artists"], d["users"], d["streams"])
+        return d if type(d) is Problem else _build(d)
     except KeyError:
         raise ShapeMismatch(f"instance is missing {key!r}") from None
     except ProblemError as exc:
@@ -151,8 +160,9 @@ def _nonempty_subsets(items):
 def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     """Artists streamed by a user group receive less than the group paid."""
     p = _get_problem(instance)
-    listening = {u: [p.artists[i] for i in idx] for u, (idx, _) in zip(p.users, p.columns)}
-    payout = dict(zip(p.artists, rewards(rule(p), p)))
+    listening = {u: idx for u, (idx, _) in zip(p.users, p.columns)}
+    # payout i is nums[i] / common: group sums compare as integers
+    common, nums = common_numerators(rewards(rule(p), p))
     subsets = instance.get("user_subsets")
     if subsets is None:
         if p.m > SUBSET_ENUMERATION_CAP:
@@ -167,12 +177,12 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
                 streamed.update(listening[u])
         except KeyError as exc:  # only a supplied subset can name an unknown user
             raise ShapeMismatch(f"unknown user {exc.args[0]!r} in 'user_subsets'") from None
-        got = sum((payout[a] for a in streamed), Fraction(0))
-        if got < len(group):
+        got = sum([nums[i] for i in streamed])
+        if got < len(group) * common:
             return {
                 "user_group": sorted(group),
-                "streamed_artists": sorted(streamed),
-                "reward_sum": str(got),
+                "streamed_artists": sorted(p.artists[i] for i in streamed),
+                "reward_sum": str(Fraction(got, common)),
                 "amount_paid": len(group),
             }, 0
     return None, 0
@@ -366,10 +376,17 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 # rules-vs-axioms table: all 0/1 support matrices up to 3x3, and all 2x2
 # matrices with entries in {0, 1, 3}. Each axiom expands every grid problem
 # into its instances.
+#
+# An audit scans the grid as built problems: the 505 base problems are built
+# once per process and shared by every instance expanded from them, and each
+# modified problem is built once per axiom. Only the last axiom's prepared
+# grid is kept, so a suite that runs axiom by axiom builds each grid once and
+# shares it among all its rules.
 
 
 @lru_cache(maxsize=1)
-def _grid_problems() -> tuple[dict, ...]:
+def _grid_problems() -> tuple[tuple[dict, Problem], ...]:
+    """The base grid problems, each as a dict and as the ``Problem`` built from it."""
     out = []
     for n in (1, 2, 3):
         for m in (1, 2, 3):
@@ -381,7 +398,11 @@ def _grid_problems() -> tuple[dict, ...]:
         rows = [list(combo[:2]), list(combo[2:])]
         if all(any(rows[i][j] for i in range(2)) for j in range(2)):
             out.append(_grid_dict(rows))
-    return tuple(out)
+    return tuple((d, _build(d)) for d in out)
+
+
+def _build(d: dict) -> Problem:
+    return build_problem(d["artists"], d["users"], d["streams"])
 
 
 def _grid_dict(rows) -> dict:
@@ -446,11 +467,33 @@ def _column_changes(d: dict):
             yield {"problem": d, "modified": _with_column(d, j, new_col), "user": u}
 
 
-@lru_cache(maxsize=None)
 def grid_instances(axiom: str) -> tuple[dict, ...]:
-    """Deterministic exhaustive instances for one axiom."""
+    """Deterministic exhaustive instances for one axiom, as plain dicts."""
     expand = _lookup(axiom).expand
-    return tuple(chain.from_iterable(map(expand, _grid_problems())))
+    return tuple(chain.from_iterable(expand(d) for d, _ in _grid_problems()))
+
+
+@lru_cache(maxsize=1)
+def _prepared_grid(axiom: str) -> tuple[dict, ...]:
+    """``grid_instances(axiom)`` with every problem built."""
+    expand = _lookup(axiom).expand
+    out = []
+    for d, p in _grid_problems():
+        for inst in expand(d):
+            built = {**inst, "problem": p}
+            if "modified" in inst:
+                built["modified"] = _build(inst["modified"])
+            out.append(built)
+    return tuple(out)
+
+
+def _as_dicts(instance: dict) -> dict:
+    """A plain copy of ``instance``, each built problem turned back into its dict.
+
+    A copy, so that a caller who edits a witness cannot edit the cached grid.
+    """
+    return {k: problem_to_dict(v) if type(v) is Problem else deepcopy(v)
+            for k, v in instance.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +688,7 @@ def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Ver
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    grid = grid_instances(axiom)
+    grid = _prepared_grid(axiom)
     rng = random.Random(f"{seed}|{axiom}|{rule.name}")
     drawn = (generate_instance(axiom, rng) for _ in range(trials))
     skipped = 0
@@ -655,7 +698,7 @@ def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Ver
         if details is not None:
             grid_cases = min(k, len(grid))
             return Verdict(axiom, rule.name, "counterexample", k - grid_cases,
-                           grid_cases, skipped, seed, instance, details)
+                           grid_cases, skipped, seed, _as_dicts(instance), details)
     return Verdict(axiom, rule.name, "holds", trials, len(grid), skipped, seed)
 
 
@@ -787,14 +830,18 @@ INDEPENDENCE_CLAIMS: tuple[tuple[str, str, str], ...] = (
 
 
 def independence_suite(trials: int = 200, seed: int = 42) -> SuiteResult:
-    """Audit every deviant rule against its characterization axiom set."""
-    cells = []
-    verdicts: dict[tuple[str, str], Verdict] = {}
-    for set_name, rule_name, fails in INDEPENDENCE_CLAIMS:
-        rule = make_rule(rule_name, seed=seed)
-        for axiom in THEOREM_AXIOM_SETS[set_name]:
-            key = (rule_name, axiom)
-            if key not in verdicts:
-                verdicts[key] = audit(axiom, rule, trials, seed)
-            cells.append(AuditCell(verdicts[key], axiom != fails, set_name))
-    return SuiteResult("independence", trials, seed, tuple(cells))
+    """Audit every deviant rule against its characterization axiom set.
+
+    Each distinct (axiom, rule) pair is audited once, axiom by axiom so that
+    every axiom's grid is built once; the cells then follow the claims.
+    """
+    claimed = [(set_name, axiom, rule, axiom != fails)
+               for set_name, rule, fails in INDEPENDENCE_CLAIMS
+               for axiom in THEOREM_AXIOM_SETS[set_name]]
+    pairs = sorted({(axiom, rule) for _, axiom, rule, _ in claimed},
+                   key=lambda pair: (AXIOM_IDS.index(pair[0]), pair[1]))
+    verdicts = {(axiom, rule): audit(axiom, make_rule(rule, seed=seed), trials, seed)
+                for axiom, rule in pairs}
+    cells = tuple(AuditCell(verdicts[axiom, rule], holds, set_name)
+                  for set_name, axiom, rule, holds in claimed)
+    return SuiteResult("independence", trials, seed, cells)

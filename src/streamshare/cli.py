@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MISMATCH = 3
+
+# A --price is refused on its text, before ``Fraction`` parses it: ``Fraction``
+# builds 10**exp for an exponent of any size, and a price or payout past the
+# interpreter's 4300-digit limit on int-to-str conversion cannot be printed.
+MAX_PRICE_CHARS = 1000
+MAX_PRICE_EXPONENT = 1000
+_PRICE_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled on first use, not on import
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,14 +125,26 @@ def _run_allocate(args) -> int:
             raise UnknownRule("no index selected")
         for n in names:
             make_rule(n)  # validate early
-    try:
-        price = Fraction(args.price)
-    except ZeroDivisionError:
-        raise ValueError(f"price multiplier {args.price!r} has a zero denominator") from None
-    if price <= 0:
-        raise ValueError("price multiplier must be positive")
+    price = _parse_price(args.price)
     _emit(reporting.allocation_document(p, names, price=price, seed=args.seed), args)
     return EXIT_OK
+
+
+def _parse_price(text: str) -> Fraction:
+    if len(text) > MAX_PRICE_CHARS:
+        raise ValueError(f"price multiplier {text[:20]!r}... has {len(text)} characters, "
+                         f"more than {MAX_PRICE_CHARS}")
+    exponent = re.search(_PRICE_EXPONENT, text)
+    if exponent and abs(int(exponent.group(1))) > MAX_PRICE_EXPONENT:
+        raise ValueError(f"price multiplier {text!r} has an exponent beyond "
+                         f"-{MAX_PRICE_EXPONENT}..{MAX_PRICE_EXPONENT}")
+    try:
+        price = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"price multiplier {text!r} has a zero denominator") from None
+    if price <= 0:
+        raise ValueError("price multiplier must be positive")
+    return price
 
 
 def _run_game(args) -> int:

@@ -57,7 +57,22 @@ class IndexVector:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return exact_sum(self.values)
+
+
+def exact_sum(values) -> Fraction:
+    """The sum of ``values`` as one ``Fraction``: integers added over the lcm of the denominators."""
+    common, nums = common_numerators(values)
+    return Fraction(sum(nums), common)
+
+
+def common_numerators(values) -> tuple[int, list[int]]:
+    """Return ``(common, nums)`` with ``values[i] == nums[i] / common`` exactly.
+
+    ``common`` is the lcm of the denominators.
+    """
+    common = math.lcm(*(v.denominator for v in values))
+    return common, [v.numerator * (common // v.denominator) for v in values]
 
 
 def shapley_index(p: Problem) -> IndexVector:
@@ -101,14 +116,14 @@ def uniform_index(p: Problem) -> IndexVector:
 def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Equal split of a per-user weight among the artists that user streamed."""
     w = _check_weights(weights, p.users, "user")
-    scale, iw = _integral([w[u] for u in p.users])
+    scale, iw = common_numerators([w[u] for u in p.users])
     return _equal_split(p, iw, scale)
 
 
 def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Each user's unit split among streamed artists in proportion to artist weights."""
     w = _check_weights(weights, p.artists, "artist")
-    _, iw = _integral([w[a] for a in p.artists])
+    _, iw = common_numerators([w[a] for a in p.artists])
     groups = defaultdict(lambda: [0] * p.n)
     for idx, _ in p.columns:
         ws = [iw[i] for i in idx]
@@ -143,12 +158,6 @@ def _combine(p: Problem, groups: Mapping[int, list[int]]) -> IndexVector:
     return IndexVector(p.artists, tuple(Fraction(t, common) for t in totals))
 
 
-def _integral(weights: list[Fraction]) -> tuple[int, list[int]]:
-    """Return ``(scale, ints)`` with ``weights[i] == ints[i] / scale`` exactly."""
-    scale = math.lcm(*(w.denominator for w in weights))
-    return scale, [w.numerator * (scale // w.denominator) for w in weights]
-
-
 def _check_weights(weights, ids, kind: str) -> dict[str, Fraction]:
     if weights is None:
         raise MissingWeights(f"{kind} weights are required")
@@ -167,12 +176,17 @@ def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
     """Distribute the revenue total ``m`` proportionally to index values.
 
     The payouts align with ``index.artists`` and sum to ``p.m``; they are
-    invariant under positive scaling of the index vector.
+    invariant under positive scaling of the index vector. Over the lcm of
+    the denominators, value ``i`` is ``nums[i]`` and the total is
+    ``sum(nums)``, so payout ``i`` is ``nums[i] * m / sum(nums)``: one
+    ``Fraction`` per artist.
     """
-    total = index.total
+    _, nums = common_numerators(index.values)
+    total = sum(nums)
     if total <= 0:
         raise ZeroTotalIndex("index values sum to zero")
-    return tuple(v / total * p.m for v in index.values)
+    m = p.m
+    return tuple([Fraction(x * m, total) for x in nums])
 
 
 # ---------------------------------------------------------------------------

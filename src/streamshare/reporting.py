@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import axioms
 from .core import Problem, build_sparse_problem
 from .game import dual_game, optimistic_game, pessimistic_game
-from .indices import make_rule, rewards
+from .indices import exact_sum, make_rule, rewards
 
 SCHEMA_VERSION = 1
 
@@ -158,7 +158,7 @@ def allocation_document(
                 }
                 for a, r in zip(p.artists, payouts)
             ],
-            "reward_total": str(sum(payouts, Fraction(0))),
+            "reward_total": str(exact_sum(payouts)),
         })
     return {
         "schema_version": SCHEMA_VERSION,

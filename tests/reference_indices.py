@@ -4,11 +4,31 @@ These are the straightforward per-user loops over the dense rows
 ``p.streams`` that the integer-accumulation kernels in ``streamshare.indices``
 replaced. They are kept here, slow and obviously correct, so tests can
 require the fast kernels to return exactly the same ``Fraction`` values.
+The sums and the reward map likewise keep their ``Fraction``-by-``Fraction``
+formulas, which the integer sums over one common denominator replaced.
 """
 
 from fractions import Fraction
 
-from streamshare.indices import IndexVector, default_weight
+from streamshare.indices import IndexVector, ZeroTotalIndex, default_weight
+
+
+def total(index):
+    """``IndexVector.total``: one ``Fraction`` add per value."""
+    return sum(index.values, Fraction(0))
+
+
+def rewards(index, p):
+    """``rewards``: each value divided by the total, times the user count."""
+    t = total(index)
+    if t <= 0:
+        raise ZeroTotalIndex("index values sum to zero")
+    return tuple(v / t * p.m for v in index.values)
+
+
+def reward_total(payouts):
+    """The allocation report's ``reward_total``."""
+    return sum(payouts, Fraction(0))
 
 
 def listening(p):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from streamshare import build_problem, make_rule
+from streamshare import Problem, build_problem, make_rule
 from streamshare.axioms import (
     AXIOM_IDS,
     INDEPENDENCE_CLAIMS,
@@ -15,6 +17,7 @@ from streamshare.axioms import (
     problem_to_dict,
     replay_witness,
 )
+from streamshare.axioms import _as_dicts, _grid_problems, _prepared_grid
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -286,3 +289,67 @@ class TestIndependence:
             verdict = audit(axiom, make_rule("uniform"), trials=60, seed=2)
             expected = "counterexample" if axiom == "reasonable_lower_bound" else "holds"
             assert verdict.outcome == expected, axiom
+
+
+class TestGrid:
+    def test_prepared_grid_is_the_dict_grid_built_once(self):
+        bases = {id(p) for _, p in _grid_problems()}
+        assert len(bases) == 505
+        for axiom in AXIOM_IDS:
+            prepared = _prepared_grid(axiom)
+            assert [_as_dicts(i) for i in prepared] == list(grid_instances(axiom))
+            # every instance shares its base problem; only modified ones are new
+            assert {id(i["problem"]) for i in prepared} <= bases
+            assert all(type(i.get("modified", i["problem"])) is Problem for i in prepared)
+        assert _prepared_grid.cache_info().currsize == 1
+
+    def test_grid_witnesses_are_plain_grid_instances(self, table_run, independence_run):
+        grids = {}
+        on_grid = 0
+        for cell in table_run.cells + independence_run.cells:
+            v = cell.verdict
+            if v.holds or v.trials:
+                continue  # held, or found by a random trial
+            on_grid += 1
+            if v.axiom not in grids:
+                grids[v.axiom] = grid_instances(v.axiom)
+            assert v.witness == grids[v.axiom][v.grid_cases - 1]
+            assert json.loads(json.dumps(v.witness)) == v.witness
+            assert replay_witness(v, make_rule(v.rule, seed=v.seed))
+        assert on_grid >= 10
+
+    def test_editing_a_grid_witness_leaves_the_grid_alone(self):
+        rule = make_rule("active-uniform")
+        first = audit("additivity", rule, trials=1, seed=1)
+        assert first.trials == 0  # found on the grid
+        first.witness["first_users"].append("zz")
+        first.witness["problem"]["streams"][0][0] += 1
+        again = audit("additivity", rule, trials=1, seed=1)
+        assert again.witness == grid_instances("additivity")[again.grid_cases - 1]
+
+    def test_suite_cells_equal_standalone_audits(self, independence_run):
+        result = independence_run
+        standalone = {}
+        for cell in result.cells:
+            key = (cell.axiom, cell.rule)
+            if key not in standalone:
+                rule = make_rule(cell.rule, seed=result.seed)
+                standalone[key] = audit(cell.axiom, rule, result.trials, result.seed)
+            assert cell.verdict == standalone[key]
+
+    def test_suite_cells_follow_the_claims(self, independence_run):
+        assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [
+            (set_name, rule, axiom)
+            for set_name, rule, _ in INDEPENDENCE_CLAIMS
+            for axiom in THEOREM_AXIOM_SETS[set_name]
+        ]
+
+    @pytest.mark.parametrize("axiom", AXIOM_IDS)
+    def test_supplied_dict_instances_are_still_validated(self, axiom):
+        instance = grid_instances(axiom)[0]
+        silent = {**instance["problem"], "streams": [[0] * len(instance["problem"]["users"])]
+                  * len(instance["problem"]["artists"])}
+        keys = ["problem", "modified"] if "modified" in instance else ["problem"]
+        for key in keys:
+            with pytest.raises(ShapeMismatch, match="invalid"):
+                check_instance(axiom, SHAPLEY, {**instance, key: silent})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamshare import cli
 from streamshare.cli import SEED_ENV_VAR, main
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"
@@ -73,6 +74,24 @@ class TestAllocate:
         code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", "1/0")
         assert code == 2 and out == ""
         assert "streamshare: error:" in err and "'1/0'" in err
+
+    @pytest.mark.parametrize("price", ["1e5000", "1E-1001", "2.5e+99999999", "1" * 1001],
+                             ids=["exponent", "negative-exponent", "huge-exponent", "length"])
+    def test_price_out_of_range_is_refused_before_parsing(self, matrix, capsys,
+                                                           monkeypatch, price):
+        parsed = []
+        monkeypatch.setattr(cli, "Fraction", lambda text: parsed.append(text))
+        code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", price)
+        assert code == 2 and out == ""
+        assert err.startswith("streamshare: error: price multiplier ")
+        assert repr(price[:20])[:-1] in err
+        assert parsed == []
+
+    def test_price_at_the_limits(self, matrix, capsys):
+        for price in ("1e1000", "1e-1000", "9" * 995 + "e1000", "1/" + "7" * 998):
+            code, out, err = run(capsys, "allocate", "--input", str(matrix),
+                                 "--index", "shapley", "--price", price)
+            assert (code, err) == (0, "")
 
     def test_output_file(self, matrix, tmp_path, capsys):
         dest = tmp_path / "report.txt"
@@ -150,7 +169,7 @@ def test_game_on_any_input_exits_with_a_message(fuzz_input, data, stance, cap, a
 @settings(max_examples=200, deadline=None)
 @given(data=st.one_of(csv_texts(), st.text(max_size=80), st.binary(max_size=80)),
        index=st.sampled_from(["", ",", "all", "shapley,,pro-rata", "bogus", "all,shapley"]),
-       price=st.sampled_from(["1", "9.99", "1/2", "0", "-1", "x", "1/0", "1e400"]),
+       price=st.sampled_from(["1", "9.99", "1/2", "0", "-1", "x", "1/0", "1e400", "1e5000"]),
        to_missing_dir=st.booleans(), as_json=st.booleans())
 def test_allocate_on_any_input_exits_with_a_message(fuzz_input, data, index, price,
                                                     to_missing_dir, as_json):
