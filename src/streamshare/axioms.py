@@ -105,7 +105,8 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
     Returns ``(details, skipped)``; ``details`` is ``None`` when the axiom's
     condition holds on the instance. The ``problem`` (and ``modified``) entry
     is a dict of ``artists``, ``users`` and ``streams``, built and validated
-    here, or a ``Problem`` that is already built (the audit grid's are).
+    here, or a ``Problem`` that is already built (generated instances hold
+    built ones). Malformed data raises :class:`ShapeMismatch`.
     """
     return _lookup(axiom).check(rule, instance)
 
@@ -113,10 +114,10 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
 def _get_problem(instance: dict, key: str = "problem") -> Problem:
     try:
         d = instance[key]
-        return d if type(d) is Problem else _build(d)
-    except KeyError:
-        raise ShapeMismatch(f"instance is missing {key!r}") from None
-    except ProblemError as exc:
+        return d if type(d) is Problem else build_problem(d["artists"], d["users"], d["streams"])
+    except KeyError as exc:
+        raise ShapeMismatch(f"instance is missing {exc}") from None
+    except (ProblemError, TypeError) as exc:
         raise ShapeMismatch(f"invalid {key!r}: {exc}") from None
 
 
@@ -137,8 +138,8 @@ def _check_additivity(rule: IndexRule, instance: dict):
     p = _get_problem(instance)
     try:
         p1, p2 = split_by_users(p, instance["first_users"], instance["second_users"])
-    except (KeyError, ProblemError) as exc:
-        raise ShapeMismatch(str(exc)) from None
+    except (KeyError, ProblemError, TypeError) as exc:
+        raise ShapeMismatch(f"invalid user split: {exc}") from None
     whole, part1, part2 = rule(p), rule(p1), rule(p2)
     for a in p.artists:
         if whole[a] != part1[a] + part2[a]:
@@ -170,13 +171,18 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
                 f"{p.m} users requires sampled subsets in the instance"
             )
         subsets = _nonempty_subsets(list(p.users))
+    else:
+        try:
+            subsets = [list(group) for group in subsets]
+        except TypeError:
+            raise ShapeMismatch("'user_subsets' must be a list of user lists") from None
+        for u in chain.from_iterable(subsets):
+            if u not in p.users:
+                raise ShapeMismatch(f"unknown user {u!r} in 'user_subsets'")
     for group in subsets:
         streamed = set()
-        try:
-            for u in group:
-                streamed.update(listening[u])
-        except KeyError as exc:  # only a supplied subset can name an unknown user
-            raise ShapeMismatch(f"unknown user {exc.args[0]!r} in 'user_subsets'") from None
+        for u in group:
+            streamed.update(listening[u])
         got = sum([nums[i] for i in streamed])
         if got < len(group) * common:
             return {
@@ -377,117 +383,98 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 # matrices with entries in {0, 1, 3}. Each axiom expands every grid problem
 # into its instances.
 #
-# An audit scans the grid as built problems: the 505 base problems are built
-# once per process and shared by every instance expanded from them, and each
-# modified problem is built once per axiom. Only the last axiom's prepared
-# grid is kept, so a suite that runs axiom by axiom builds each grid once and
-# shares it among all its rules.
+# Grid and random instances hold built problems from the start: the 505 base
+# problems are built once per process and shared by every instance expanded
+# from them, and each modified problem is built once per axiom. Only the last
+# axiom's grid is kept, so a suite that runs axiom by axiom builds each grid
+# once and shares it among all its rules. Plain dicts appear only at the
+# edges: a supplied instance is built by :func:`check_instance`, and a witness
+# is reported through :func:`instance_to_dict`.
 
 
 @lru_cache(maxsize=1)
-def _grid_problems() -> tuple[tuple[dict, Problem], ...]:
-    """The base grid problems, each as a dict and as the ``Problem`` built from it."""
+def _grid_problems() -> tuple[Problem, ...]:
+    """The 505 base grid problems."""
     out = []
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             for combo in product((0, 1), repeat=n * m):
-                rows = [list(combo[i * m:(i + 1) * m]) for i in range(n)]
+                rows = [combo[i * m:(i + 1) * m] for i in range(n)]
                 if all(any(rows[i][j] for i in range(n)) for j in range(m)):
-                    out.append(_grid_dict(rows))
+                    out.append(_problem(rows))
     for combo in product((0, 1, 3), repeat=4):
-        rows = [list(combo[:2]), list(combo[2:])]
+        rows = [combo[:2], combo[2:]]
         if all(any(rows[i][j] for i in range(2)) for j in range(2)):
-            out.append(_grid_dict(rows))
-    return tuple((d, _build(d)) for d in out)
+            out.append(_problem(rows))
+    return tuple(out)
 
 
-def _build(d: dict) -> Problem:
-    return build_problem(d["artists"], d["users"], d["streams"])
+def _problem(rows) -> Problem:
+    """The problem of ``rows``, its artists named a1.. and its users u1..."""
+    return build_problem([f"a{i + 1}" for i in range(len(rows))],
+                         [f"u{j + 1}" for j in range(len(rows[0]))], rows)
 
 
-def _grid_dict(rows) -> dict:
-    n, m = len(rows), len(rows[0])
-    return {
-        "artists": [f"a{i + 1}" for i in range(n)],
-        "users": [f"u{j + 1}" for j in range(m)],
-        "streams": rows,
-    }
+def _with_row(p: Problem, i: int, row) -> Problem:
+    """``p`` with row ``i`` of its streams replaced."""
+    return build_problem(p.artists, p.users,
+                         [row if x == i else r for x, r in enumerate(p.streams)])
 
 
-def _with_row(d: dict, i: int, row) -> dict:
-    """``d`` with row ``i`` of its streams replaced."""
-    return {**d, "streams": [list(row if x == i else r) for x, r in enumerate(d["streams"])]}
+def _with_column(p: Problem, j: int, col) -> Problem:
+    """``p`` with column ``j`` of its streams replaced."""
+    return build_problem(p.artists, p.users,
+                         [r[:j] + (x,) + r[j + 1:] for r, x in zip(p.streams, col)])
 
 
-def _with_column(d: dict, j: int, col) -> dict:
-    """``d`` with column ``j`` of its streams replaced."""
-    return {**d, "streams": [r[:j] + [x] + r[j + 1:] for r, x in zip(d["streams"], col)]}
+def _single(p: Problem):
+    return ({"problem": p},)
 
 
-def _single(d: dict):
-    return ({"problem": d},)
-
-
-def _user_splits(d: dict):
-    users = d["users"]
-    for mask in range(1, 1 << (len(users) - 1)):
-        first = [users[0]] + [
-            users[k + 1] for k in range(len(users) - 1) if mask >> k & 1
-        ]
+def _user_splits(p: Problem):
+    users = p.users
+    for mask in range(1, (1 << (len(users) - 1)) - 1):  # both parts nonempty
+        first = [users[0]] + [users[k + 1] for k in range(len(users) - 1) if mask >> k & 1]
         second = [u for u in users if u not in first]
-        if second:
-            yield {"problem": d, "first_users": first, "second_users": second}
+        yield {"problem": p, "first_users": first, "second_users": second}
 
 
-def _row_inflations(d: dict):
-    for i, a in enumerate(d["artists"]):
-        if any(d["streams"][i]):
-            modified = _with_row(d, i, [3 * x for x in d["streams"][i]])
-            yield {"problem": d, "modified": modified, "artist": a}
+def _row_inflations(p: Problem):
+    for i, (a, row) in enumerate(zip(p.artists, p.streams)):
+        if any(row):
+            yield {"problem": p, "modified": _with_row(p, i, [3 * x for x in row]),
+                   "artist": a}
 
 
-def _column_variants(col):
+def _column_variants(col: list):
+    """The column reversed and its total moved to the first artist, each if new,
+    then the column scaled tenfold."""
     variants = []
-    rev = list(reversed(col))
-    if rev != list(col):
-        variants.append(rev)
-    total = sum(col)
-    spike = [0] * len(col)
-    spike[0] = total
-    if spike != list(col) and spike not in variants:
-        variants.append(spike)
-    scaled = [10 * x for x in col]
-    variants.append(scaled)
-    return variants
+    for v in (col[::-1], [sum(col)] + [0] * (len(col) - 1)):
+        if v != col and v not in variants:
+            variants.append(v)
+    return variants + [[10 * x for x in col]]
 
 
-def _column_changes(d: dict):
-    for j, u in enumerate(d["users"]):
-        for new_col in _column_variants([row[j] for row in d["streams"]]):
-            yield {"problem": d, "modified": _with_column(d, j, new_col), "user": u}
+def _column_changes(p: Problem):
+    for j, u in enumerate(p.users):
+        for new_col in _column_variants([row[j] for row in p.streams]):
+            yield {"problem": p, "modified": _with_column(p, j, new_col), "user": u}
+
+
+@lru_cache(maxsize=1)
+def _grid(axiom: str) -> tuple[dict, ...]:
+    """One axiom's exhaustive instances, in scan order."""
+    expand = _lookup(axiom).expand
+    return tuple(chain.from_iterable(map(expand, _grid_problems())))
 
 
 def grid_instances(axiom: str) -> tuple[dict, ...]:
     """Deterministic exhaustive instances for one axiom, as plain dicts."""
-    expand = _lookup(axiom).expand
-    return tuple(chain.from_iterable(expand(d) for d, _ in _grid_problems()))
+    return tuple(map(instance_to_dict, _grid(axiom)))
 
 
-@lru_cache(maxsize=1)
-def _prepared_grid(axiom: str) -> tuple[dict, ...]:
-    """``grid_instances(axiom)`` with every problem built."""
-    expand = _lookup(axiom).expand
-    out = []
-    for d, p in _grid_problems():
-        for inst in expand(d):
-            built = {**inst, "problem": p}
-            if "modified" in inst:
-                built["modified"] = _build(inst["modified"])
-            out.append(built)
-    return tuple(out)
-
-
-def _as_dicts(instance: dict) -> dict:
+def instance_to_dict(instance: dict) -> dict:
     """A plain copy of ``instance``, each built problem turned back into its dict.
 
     A copy, so that a caller who edits a witness cannot edit the cached grid.
@@ -498,11 +485,13 @@ def _as_dicts(instance: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Random instance generation
+#
+# Each generator draws and adjusts plain rows, then builds (which draws nothing).
 
 
-def _random_problem_dict(
+def _random_rows(
     rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
-) -> dict:
+) -> list[list[int]]:
     n = rng.randint(min_n, MAX_ARTISTS)
     m = rng.randint(min_m, MAX_USERS)
     max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
@@ -512,7 +501,7 @@ def _random_problem_dict(
     ]
     for j in _empty_columns(rows):
         rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
-    return _grid_dict(rows)
+    return rows
 
 
 def _empty_columns(rows):
@@ -544,77 +533,72 @@ def _refill_pair(rng, rows, i, k, partner):
 
 def _plain(**shape):
     """A generator of bare random problems of the given shape."""
-    return lambda rng: {"problem": _random_problem_dict(rng, **shape)}
+    return lambda rng: {"problem": _problem(_random_rows(rng, **shape))}
 
 
 def _generate_additivity(rng):
-    d = _random_problem_dict(rng, min_m=2)
-    users = d["users"]
+    p = _problem(_random_rows(rng, min_m=2))
     while True:
-        first = [u for u in users if rng.random() < 0.5]
-        second = [u for u in users if u not in first]
+        first = [u for u in p.users if rng.random() < 0.5]
+        second = [u for u in p.users if u not in first]
         if first and second:
-            return {"problem": d, "first_users": first, "second_users": second}
+            return {"problem": p, "first_users": first, "second_users": second}
 
 
 def _generate_symmetry_on_fans(rng):
-    d = _random_problem_dict(rng, min_n=2)
+    rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        rows = d["streams"]
         i, k = rng.sample(range(len(rows)), 2)
         rows[k] = [0 if x == 0 else rng.randint(1, MAX_ENTRY) for x in rows[i]]
         _refill_pair(rng, rows, i, k, lambda v: rng.randint(1, MAX_ENTRY))
-    return {"problem": d}
+    return {"problem": _problem(rows)}
 
 
 def _generate_order_preservation(rng):
-    d = _random_problem_dict(rng, min_n=2)
+    rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.6:
-        rows = d["streams"]
         i, k = rng.sample(range(len(rows)), 2)
         rows[k] = [x + rng.randint(0, 2) for x in rows[i]]
         for j in _empty_columns(rows):
             # bumping the dominating row keeps the domination intact
             rows[k][j] += rng.randint(1, 2)
-    return {"problem": d}
+    return {"problem": _problem(rows)}
 
 
 def _generate_non_unilateral_manipulability(rng):
-    d = _random_problem_dict(rng)
-    rows = d["streams"]
+    rows = _random_rows(rng)
     i = rng.choice([x for x in range(len(rows)) if any(rows[x])])
     new_row = [x + (rng.randint(0, MAX_ENTRY) if x else 0) for x in rows[i]]
-    return {"problem": d, "modified": _with_row(d, i, new_row), "artist": d["artists"][i]}
+    p = _problem(rows)
+    return {"problem": p, "modified": _with_row(p, i, new_row), "artist": p.artists[i]}
 
 
 def _generate_null_artists(rng):
-    d = _random_problem_dict(rng, min_n=2)
-    rows = d["streams"]
+    rows = _random_rows(rng, min_n=2)
     i = rng.randrange(len(rows))
     rows[i] = [0] * len(rows[i])
     for j in _empty_columns(rows):
         _bump_column(rng, rows, j, {i})
-    return {"problem": d}
+    return {"problem": _problem(rows)}
 
 
 def _generate_pairwise_homogeneity(rng):
-    d = _random_problem_dict(rng, min_n=2)
+    rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        rows = d["streams"]
         i, k = rng.sample(range(len(rows)), 2)
         if not any(rows[i]):
             rows[i] = [rng.randint(1, MAX_ENTRY) for _ in rows[i]]
         mult = rng.choice((2, 3))
         rows[k] = [mult * x for x in rows[i]]
         _refill_pair(rng, rows, i, k, lambda v: mult * v)
-    return {"problem": d}
+    return {"problem": _problem(rows)}
 
 
 def _generate_click_fraud_proofness(rng):
-    d = _random_problem_dict(rng)
-    n = len(d["artists"])
-    j = rng.randrange(len(d["users"]))
-    col = [row[j] for row in d["streams"]]
+    rows = _random_rows(rng)
+    n = len(rows)
+    j = rng.randrange(len(rows[0]))
+    col = [row[j] for row in rows]
     style = rng.random()
     if style < 0.4:
         new_col = [0] * n
@@ -624,11 +608,15 @@ def _generate_click_fraud_proofness(rng):
     else:
         scale = rng.randint(2, 50)
         new_col = [scale * x for x in col]
-    return {"problem": d, "modified": _with_column(d, j, new_col), "user": d["users"][j]}
+    p = _problem(rows)
+    return {"problem": p, "modified": _with_column(p, j, new_col), "user": p.users[j]}
 
 
 def generate_instance(axiom: str, rng: random.Random) -> dict:
-    """Draw one random instance of the shape the axiom expects."""
+    """Draw one random instance of the shape the axiom expects, its problems built.
+
+    :func:`instance_to_dict` turns it into plain data.
+    """
     return _lookup(axiom).generate(rng)
 
 
@@ -643,7 +631,7 @@ class Axiom:
 
     check: Callable[[IndexRule, dict], tuple[dict | None, int]]
     generate: Callable[[random.Random], dict]
-    expand: Callable[[dict], Iterable[dict]] = _single
+    expand: Callable[[Problem], Iterable[dict]] = _single
 
 
 AXIOMS: dict[str, Axiom] = {
@@ -688,7 +676,7 @@ def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Ver
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    grid = _prepared_grid(axiom)
+    grid = _grid(axiom)
     rng = random.Random(f"{seed}|{axiom}|{rule.name}")
     drawn = (generate_instance(axiom, rng) for _ in range(trials))
     skipped = 0
@@ -698,7 +686,7 @@ def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Ver
         if details is not None:
             grid_cases = min(k, len(grid))
             return Verdict(axiom, rule.name, "counterexample", k - grid_cases,
-                           grid_cases, skipped, seed, _as_dicts(instance), details)
+                           grid_cases, skipped, seed, instance_to_dict(instance), details)
     return Verdict(axiom, rule.name, "holds", trials, len(grid), skipped, seed)
 
 

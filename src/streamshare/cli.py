@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import axioms, reporting
 from .core import ProblemError
-from .game import MAX_TABLE_ARTISTS, TooManyArtists
+from .game import DEFAULT_TABLE_CAP, MAX_TABLE_ARTISTS, TooManyArtists
 from .indices import ALL_RULE_NAMES, TABLE_RULE_NAMES, UnknownRule, make_rule
 
 SEED_ENV_VAR = "STREAMSHARE_SEED"
@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--input", type=Path, required=True, help="CSV stream matrix")
     game.add_argument("--stance", choices=("pessimistic", "optimistic", "dual"),
                       default="pessimistic")
-    game.add_argument("--cap", type=int, default=None,
-                      help="artist enumeration cap override; no table is built for "
-                           f"more than {MAX_TABLE_ARTISTS} artists")
+    game.add_argument("--cap", type=int, default=DEFAULT_TABLE_CAP,
+                      help=f"artist enumeration cap (default {DEFAULT_TABLE_CAP}); no table "
+                           f"is built for more than {MAX_TABLE_ARTISTS} artists")
     common(game)
 
     audit = sub.add_parser("audit", help="search axioms for counterexamples")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import axioms
 from .core import Problem, build_sparse_problem
-from .game import dual_game, optimistic_game, pessimistic_game
+from .game import DEFAULT_TABLE_CAP, dual_game, optimistic_game, pessimistic_game
 from .indices import exact_sum, make_rule, rewards
 
 SCHEMA_VERSION = 1
@@ -174,26 +174,25 @@ def allocation_document(
     }
 
 
-def game_export_lines(p: Problem, stance: str, cap: int | None = None) -> list[str]:
+def game_export_lines(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> list[str]:
     """One "bitmask,worth" line per coalition, ascending bitmask order.
 
     Bit k of the mask is the artist at position k, so the mask string's
     rightmost character is the first artist.
     """
-    kwargs = {} if cap is None else {"cap": cap}
     if stance == "pessimistic":
-        g = pessimistic_game(p, **kwargs)
+        g = pessimistic_game(p, cap)
     elif stance == "optimistic":
-        g = optimistic_game(p, **kwargs)
+        g = optimistic_game(p, cap)
     elif stance == "dual":
-        g = dual_game(pessimistic_game(p, **kwargs))
+        g = dual_game(pessimistic_game(p, cap))
     else:
         raise ValueError(f"unknown stance {stance!r}")
     row = f"{{:0{p.n}b}},{{}}".format
     return list(map(row, range(len(g.worth)), g.worth))
 
 
-def game_document(p: Problem, stance: str, cap: int | None = None) -> dict:
+def game_document(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "game",
@@ -262,8 +261,7 @@ def render_text(doc: dict) -> str:
     if kind == "game":
         return "\n".join(doc["rows"]) + "\n"
     if kind == "audit":
-        lines = [_text_verdict(v) for v in doc["verdicts"]]
-        return "".join(lines)
+        return "".join(map(_text_verdict, doc["verdicts"]))
     if kind in ("table", "independence"):
         return _text_cells(doc)
     raise ValueError(f"unknown document kind {kind!r}")
@@ -287,16 +285,16 @@ def _text_allocation(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_matrix(d: dict, indent: str = "    ") -> list[str]:
-    lines = [indent + "artist," + ",".join(d["users"])]
+def _text_matrix(d: dict) -> list[str]:
+    lines = ["    artist," + ",".join(d["users"])]
     for a, row in zip(d["artists"], d["streams"]):
-        lines.append(indent + a + "," + ",".join(str(x) for x in row))
+        lines.append("    " + a + "," + ",".join(str(x) for x in row))
     return lines
 
 
-def _text_verdict(v: dict, prefix: str = "") -> str:
+def _text_verdict(v: dict) -> str:
     lines = [
-        f"{prefix}{v['axiom']} x {v['rule']}: {v['outcome']} "
+        f"{v['axiom']} x {v['rule']}: {v['outcome']} "
         f"(grid={v['grid_cases']}, trials={v['trials']}, "
         f"skipped={v['skipped']}, seed={v['seed']})"
     ]
@@ -316,13 +314,9 @@ def _text_verdict(v: dict, prefix: str = "") -> str:
 
 def _text_cells(doc: dict) -> str:
     head = "axiom satisfaction table" if doc["kind"] == "table" else "independence suite"
-    lines = [
-        f"{head}: trials={doc['trials']} seed={doc['seed']} "
-        f"all_match={doc['all_match']}",
-    ]
-    out = "".join(lines) + "\n"
+    out = f"{head}: trials={doc['trials']} seed={doc['seed']} all_match={doc['all_match']}\n"
     for c in doc["cells"]:
         mark = "ok " if c["matches"] else "MISMATCH "
         label = f"[{c['axiom_set']}] " if "axiom_set" in c else ""
-        out += mark + label + _text_verdict(c, prefix="")
+        out += mark + label + _text_verdict(c)
     return out

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,14 +11,16 @@ from streamshare.axioms import (
     THEOREM_AXIOM_SETS,
     ShapeMismatch,
     UnknownAxiom,
+    Verdict,
     audit,
     check_instance,
     generate_instance,
     grid_instances,
+    instance_to_dict,
     problem_to_dict,
     replay_witness,
 )
-from streamshare.axioms import _as_dicts, _grid_problems, _prepared_grid
+from streamshare.axioms import _grid, _grid_problems
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -119,6 +122,23 @@ class TestInstanceShapes:
         bad = {"artists": ["1"], "users": ["a"], "streams": [[0]]}
         with pytest.raises(ShapeMismatch):
             check_instance("null_artists", SHAPLEY, {"problem": bad})
+
+    @pytest.mark.parametrize("axiom, instance", [
+        ("null_artists", {"problem": [[1]]}),
+        ("null_artists", {"problem": {**EX1, "artists": 5}}),
+        ("null_artists", {"problem": {**EX1, "streams": None}}),
+        ("null_artists", [{"problem": EX1}]),
+        ("reasonable_lower_bound", {"problem": EX1, "user_subsets": 5}),
+        ("additivity", {"problem": EX1, "first_users": None, "second_users": ["b", "c"]}),
+    ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
+            "user-subsets-int", "first-users-none"])
+    def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):
+        with pytest.raises(ShapeMismatch):
+            check_instance(axiom, SHAPLEY, instance)
+        hand_edited = Verdict(axiom, "shapley", "counterexample", 1, 0, 0, 1,
+                              instance, {"artist": "1"})
+        with pytest.raises(ShapeMismatch):
+            replay_witness(hand_edited, SHAPLEY)
 
     def test_supplied_user_subsets_are_checked(self):
         # pro-rata pays user "a" only 2/101 on this problem; the subsets that
@@ -292,16 +312,26 @@ class TestIndependence:
 
 
 class TestGrid:
-    def test_prepared_grid_is_the_dict_grid_built_once(self):
-        bases = {id(p) for _, p in _grid_problems()}
+    def test_grid_is_built_once(self):
+        bases = {id(p) for p in _grid_problems()}
         assert len(bases) == 505
         for axiom in AXIOM_IDS:
-            prepared = _prepared_grid(axiom)
-            assert [_as_dicts(i) for i in prepared] == list(grid_instances(axiom))
+            grid = _grid(axiom)
+            assert grid is _grid(axiom)
             # every instance shares its base problem; only modified ones are new
-            assert {id(i["problem"]) for i in prepared} <= bases
-            assert all(type(i.get("modified", i["problem"])) is Problem for i in prepared)
-        assert _prepared_grid.cache_info().currsize == 1
+            assert {id(i["problem"]) for i in grid} <= bases
+            assert all(type(i.get("modified", i["problem"])) is Problem for i in grid)
+        assert _grid.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("axiom", AXIOM_IDS)
+    def test_built_and_plain_instances_check_alike(self, axiom):
+        rng = random.Random(f"alike|{axiom}")
+        drawn = [generate_instance(axiom, rng) for _ in range(40)]
+        for instance in _grid(axiom) + tuple(drawn):
+            plain = instance_to_dict(instance)
+            for rule in (SHAPLEY, PRO_RATA, USER_CENTRIC):
+                assert (check_instance(axiom, rule, instance)
+                        == check_instance(axiom, rule, plain)), (rule.name, plain)
 
     def test_grid_witnesses_are_plain_grid_instances(self, table_run, independence_run):
         grids = {}

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamshare import cli
+from streamshare.axioms import AXIOM_IDS
 from streamshare.cli import SEED_ENV_VAR, main
+from streamshare.indices import ALL_RULE_NAMES
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"
 
@@ -185,6 +187,31 @@ def test_allocate_on_any_input_exits_with_a_message(fuzz_input, data, index, pri
         code = main(argv)
     assert code in (0, 1, 2)
     assert code == 0 or err.getvalue().strip()
+
+
+@settings(max_examples=100, deadline=None)
+@given(axiom=st.sampled_from([*AXIOM_IDS, "all", "bogus"]),
+       index=st.sampled_from([*ALL_RULE_NAMES, "all", "bogus"]),
+       trials=st.integers(-2, 3), seed=st.integers(-(2 ** 70), 2 ** 70),
+       suite=st.sampled_from([[], ["--table"], ["--independence"],
+                              ["--table", "--independence"]]),
+       to_missing_dir=st.booleans(), as_json=st.booleans())
+def test_audit_flags_exit_with_a_message(tmp_path_factory, axiom, index, trials, seed, suite,
+                                         to_missing_dir, as_json):
+    # --axiom and --index are always given, so every suite flag is refused
+    # before an audit runs
+    argv = ["audit", "--axiom", axiom, "--index", index, "--trials", str(trials),
+            "--seed", str(seed), *suite]
+    if to_missing_dir:
+        argv += ["--output", str(tmp_path_factory.getbasetemp() / "missing" / "out")]
+    argv += ["--format", "json"] if as_json else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert code not in (1, 2) or err.getvalue().strip()
+    assert (code == 0) == (not suite and trials >= 1 and not to_missing_dir
+                           and "bogus" not in (axiom, index))
 
 
 class TestErrorsAndUsage:

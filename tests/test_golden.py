@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances
+from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances, instance_to_dict
 from streamshare.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,7 +67,7 @@ def _digest(obj) -> str:
 def test_instances_match_pinned_digests(axiom):
     pinned = json.loads((GOLDEN / "instances.json").read_text(encoding="utf-8"))[axiom]
     rng = random.Random(f"pin|{axiom}")
-    draws = [generate_instance(axiom, rng) for _ in range(400)]
+    draws = [instance_to_dict(generate_instance(axiom, rng)) for _ in range(400)]
     assert _digest(list(grid_instances(axiom))) == pinned["grid"]
     assert _digest(draws) == pinned["random"]
 
