@@ -38,9 +38,8 @@ from .core import (
 from .indices import (
     TABLE_RULE_NAMES,
     IndexRule,
-    common_numerators,
     make_rule,
-    rewards,
+    reward_shares,
 )
 
 SUBSET_ENUMERATION_CAP = 10
@@ -97,6 +96,12 @@ def problem_to_dict(p: Problem) -> dict:
 # counts quantified cases whose reduced problem falls outside the model (only
 # relevant to the artist-removal axiom). Each docstring says what a violation
 # means.
+#
+# Index values are compared as integers (``IndexVector.nums`` over
+# ``common``) by artist position: values of one vector share its common
+# denominator, so they compare as their ``nums``, and values of two vectors
+# are cross-multiplied. A ``Fraction`` is built only for a violation's
+# ``details``.
 
 
 def check_instance(axiom: str, rule: IndexRule, instance: dict):
@@ -104,9 +109,10 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
 
     Returns ``(details, skipped)``; ``details`` is ``None`` when the axiom's
     condition holds on the instance. The ``problem`` (and ``modified``) entry
-    is a dict of ``artists``, ``users`` and ``streams``, built and validated
-    here, or a ``Problem`` that is already built (generated instances hold
-    built ones). Malformed data raises :class:`ShapeMismatch`.
+    is a dict of ``artists`` and ``users`` (lists of ids) and ``streams``,
+    built and validated here, or a ``Problem`` that is already built
+    (generated instances hold built ones). Malformed data raises
+    :class:`ShapeMismatch`.
     """
     return _lookup(axiom).check(rule, instance)
 
@@ -114,7 +120,14 @@ def check_instance(axiom: str, rule: IndexRule, instance: dict):
 def _get_problem(instance: dict, key: str = "problem") -> Problem:
     try:
         d = instance[key]
-        return d if type(d) is Problem else build_problem(d["artists"], d["users"], d["streams"])
+        if type(d) is Problem:
+            return d
+        artists, users, streams = d["artists"], d["users"], d["streams"]
+        for field, ids in (("artists", artists), ("users", users)):
+            # a string is iterable too, and would be read as one id per character
+            if not isinstance(ids, (list, tuple)):
+                raise TypeError(f"{field!r} must be a list of ids, got {ids!r}")
+        return build_problem(artists, users, streams)
     except KeyError as exc:
         raise ShapeMismatch(f"instance is missing {exc}") from None
     except (ProblemError, TypeError) as exc:
@@ -141,13 +154,16 @@ def _check_additivity(rule: IndexRule, instance: dict):
     except (KeyError, ProblemError, TypeError) as exc:
         raise ShapeMismatch(f"invalid user split: {exc}") from None
     whole, part1, part2 = rule(p), rule(p1), rule(p2)
-    for a in p.artists:
-        if whole[a] != part1[a] + part2[a]:
+    # w / cw == x / c1 + y / c2, multiplied out by cw * c1 * c2
+    cw, c1, c2 = whole.common, part1.common, part2.common
+    c12 = c1 * c2
+    for i, (w, x, y) in enumerate(zip(whole.nums, part1.nums, part2.nums)):
+        if w * c12 != (x * c2 + y * c1) * cw:
             return {
-                "artist": a,
-                "whole": str(whole[a]),
-                "first_part": str(part1[a]),
-                "second_part": str(part2[a]),
+                "artist": p.artists[i],
+                "whole": str(whole.values[i]),
+                "first_part": str(part1.values[i]),
+                "second_part": str(part2.values[i]),
             }, 0
     return None, 0
 
@@ -162,8 +178,10 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     """Artists streamed by a user group receive less than the group paid."""
     p = _get_problem(instance)
     listening = {u: idx for u, (idx, _) in zip(p.users, p.columns)}
-    # payout i is nums[i] / common: group sums compare as integers
-    common, nums = common_numerators(rewards(rule(p), p))
+    # payout i is m * nums[i] / total, so a group's payout sum is below its
+    # size exactly when m * (the sum of its nums) < size * total
+    nums, total = reward_shares(rule(p))
+    m = p.m
     subsets = instance.get("user_subsets")
     if subsets is None:
         if p.m > SUBSET_ENUMERATION_CAP:
@@ -183,12 +201,12 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
         streamed = set()
         for u in group:
             streamed.update(listening[u])
-        got = sum([nums[i] for i in streamed])
-        if got < len(group) * common:
+        got = m * sum([nums[i] for i in streamed])
+        if got < len(group) * total:
             return {
                 "user_group": sorted(group),
                 "streamed_artists": sorted(p.artists[i] for i in streamed),
-                "reward_sum": str(Fraction(got, common)),
+                "reward_sum": str(Fraction(got, total)),
                 "amount_paid": len(group),
             }, 0
     return None, 0
@@ -199,15 +217,15 @@ def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
     p = _get_problem(instance)
     if p.m < 2:
         return None, 0
-    totals = {u: rule(remove_user(p, u)).total for u in p.users}
-    base = p.users[0]
-    for u in p.users[1:]:
-        if totals[u] != totals[base]:
+    base, *others = [rule(remove_user(p, u)) for u in p.users]
+    t0, c0 = sum(base.nums), base.common
+    for u, vec in zip(p.users[1:], others):
+        if sum(vec.nums) * c0 != t0 * vec.common:
             return {
-                "user": base,
+                "user": p.users[0],
                 "other_user": u,
-                "total_without_user": str(totals[base]),
-                "total_without_other": str(totals[u]),
+                "total_without_user": str(base.total),
+                "total_without_other": str(vec.total),
             }, 0
     return None, 0
 
@@ -215,17 +233,18 @@ def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
 def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
     """Two artists with identical fan sets get different index values."""
     p = _get_problem(instance)
-    fans = {a: frozenset(compress(p.users, row)) for a, row in zip(p.artists, p.streams)}
+    fans = [frozenset(compress(p.users, row)) for row in p.streams]
     vec = rule(p)
-    for x, a in enumerate(p.artists):
-        for b in p.artists[x + 1:]:
-            if fans[a] == fans[b] and vec[a] != vec[b]:
+    nums = vec.nums
+    for x in range(p.n):
+        for y in range(x + 1, p.n):
+            if fans[x] == fans[y] and nums[x] != nums[y]:
                 return {
-                    "artist": a,
-                    "other_artist": b,
-                    "fans": sorted(fans[a]),
-                    "value": str(vec[a]),
-                    "other_value": str(vec[b]),
+                    "artist": p.artists[x],
+                    "other_artist": p.artists[y],
+                    "fans": sorted(fans[x]),
+                    "value": str(vec.values[x]),
+                    "other_value": str(vec.values[y]),
                 }, 0
     return None, 0
 
@@ -234,18 +253,16 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
     """An artist dominated stream-by-stream outranks the dominating artist."""
     p = _get_problem(instance)
     vec = rule(p)
-    for x, a in enumerate(p.artists):
-        for y, b in enumerate(p.artists):
-            if x == y:
-                continue
-            if all(p.streams[x][j] <= p.streams[y][j] for j in range(p.m)):
-                if vec[a] > vec[b]:
-                    return {
-                        "dominated_artist": a,
-                        "dominating_artist": b,
-                        "dominated_value": str(vec[a]),
-                        "dominating_value": str(vec[b]),
-                    }, 0
+    nums, rows = vec.nums, p.streams
+    for x in range(p.n):
+        for y in range(p.n):
+            if nums[x] > nums[y] and all(s <= t for s, t in zip(rows[x], rows[y])):
+                return {
+                    "dominated_artist": p.artists[x],
+                    "dominating_artist": p.artists[y],
+                    "dominated_value": str(vec.values[x]),
+                    "dominating_value": str(vec.values[y]),
+                }, 0
     return None, 0
 
 
@@ -262,13 +279,12 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
             raise ShapeMismatch(
                 "modified row must weakly increase streams without changing the fan set"
             )
-    before = rule(p)[artist]
-    after = rule(q)[artist]
-    if after > before:
+    before, after = rule(p), rule(q)
+    if after.nums[i] * before.common > before.nums[i] * after.common:
         return {
             "artist": artist,
-            "value_before": str(before),
-            "value_after": str(after),
+            "value_before": str(before.values[i]),
+            "value_after": str(after.values[i]),
         }, 0
     return None, 0
 
@@ -279,27 +295,32 @@ def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
     if p.n < 2:
         return None, 0
     vec = rule(p)
-    reduced: dict[str, object] = {}
+    reduced = []
     for a in p.artists:
         try:
-            reduced[a] = rule(remove_artist(p, a))
+            reduced.append(rule(remove_artist(p, a)))
         except SilentUser:
-            reduced[a] = None
+            reduced.append(None)
+    v, c = vec.nums, vec.common
     skipped = 0
-    for x, a in enumerate(p.artists):
-        for b in p.artists[x + 1:]:
+    for x in range(p.n):
+        ra = reduced[x]
+        for y in range(x + 1, p.n):
+            rb = reduced[y]
             # removal outside the model (a silenced user): not pass, not fail
-            if reduced[a] is None or reduced[b] is None:
+            if ra is None or rb is None:
                 skipped += 1
                 continue
-            lhs = vec[a] - reduced[b][a]
-            rhs = vec[b] - reduced[a][b]
-            if lhs != rhs:
+            # without artist y, artist x keeps position x; without x, y moves
+            # to y - 1. v[x]/c - rb[x]/cb == v[y]/c - ra[y-1]/ca, multiplied
+            # out by c * ca * cb:
+            ca, cb = ra.common, rb.common
+            if (v[x] * cb - rb.nums[x] * c) * ca != (v[y] * ca - ra.nums[y - 1] * c) * cb:
                 return {
-                    "artist": a,
-                    "other_artist": b,
-                    "change_for_artist": str(lhs),
-                    "change_for_other": str(rhs),
+                    "artist": p.artists[x],
+                    "other_artist": p.artists[y],
+                    "change_for_artist": str(vec.values[x] - rb.values[x]),
+                    "change_for_other": str(vec.values[y] - ra.values[y - 1]),
                 }, skipped
     return None, skipped
 
@@ -308,23 +329,23 @@ def _check_null_artists(rule: IndexRule, instance: dict):
     """An artist with zero streams has a nonzero index."""
     p = _get_problem(instance)
     vec = rule(p)
-    for a, row in zip(p.artists, p.streams):
-        if not any(row) and vec[a] != 0:
-            return {"artist": a, "value": str(vec[a])}, 0
+    for i, (x, row) in enumerate(zip(vec.nums, p.streams)):
+        if x and not any(row):
+            return {"artist": p.artists[i], "value": str(vec.values[i])}, 0
     return None, 0
 
 
-def _row_ratio(row, other) -> Fraction | None:
-    """The positive constant ratio other/row, or None when no such ratio exists."""
+def _row_ratio(row, other) -> tuple[int, int] | None:
+    """The positive constant ratio other/row as ``(num, den)``, or None when
+    no such ratio exists."""
     ratio = None
     for x, y in zip(row, other):
         if (x == 0) != (y == 0):
             return None
         if x:
-            r = Fraction(y, x)
             if ratio is None:
-                ratio = r
-            elif r != ratio:
+                ratio = (y, x)
+            elif y * ratio[1] != ratio[0] * x:
                 return None
     return ratio  # None when the base row is all zero
 
@@ -333,20 +354,22 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
     """A constant per-user stream ratio between two artists is not preserved."""
     p = _get_problem(instance)
     vec = rule(p)
-    for x, a in enumerate(p.artists):
-        for y, b in enumerate(p.artists):
+    nums, rows = vec.nums, p.streams
+    for x in range(p.n):
+        for y in range(p.n):
             if x == y:
                 continue
-            ratio = _row_ratio(p.streams[x], p.streams[y])
+            ratio = _row_ratio(rows[x], rows[y])
             if ratio is None:
                 continue
-            if vec[b] != ratio * vec[a]:
+            num, den = ratio
+            if nums[y] * den != num * nums[x]:
                 return {
-                    "artist": a,
-                    "other_artist": b,
-                    "ratio": str(ratio),
-                    "value": str(vec[a]),
-                    "other_value": str(vec[b]),
+                    "artist": p.artists[x],
+                    "other_artist": p.artists[y],
+                    "ratio": str(Fraction(num, den)),
+                    "value": str(vec.values[x]),
+                    "other_value": str(vec.values[y]),
                 }, 0
     return None, 0
 
@@ -355,21 +378,20 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
     """One user's altered streams moved an artist's payout by more than that user's subscription."""
     p, q, user = _modified_pair(instance, "user")
     j = p.users.index(user)
-    for x in range(p.n):
-        row_p = p.streams[x][:j] + p.streams[x][j + 1:]
-        row_q = q.streams[x][:j] + q.streams[x][j + 1:]
-        if row_p != row_q:
-            raise ShapeMismatch("problems differ outside the manipulating user's column")
-    before = dict(zip(p.artists, rewards(rule(p), p)))
-    after = dict(zip(q.artists, rewards(rule(q), q)))
-    for a in p.artists:
-        delta = after[a] - before[a]
-        if delta > 1 or delta < -1:
+    if p.columns[:j] + p.columns[j + 1:] != q.columns[:j] + q.columns[j + 1:]:
+        raise ShapeMismatch("problems differ outside the manipulating user's column")
+    before, tp = reward_shares(rule(p))
+    after, tq = reward_shares(rule(q))
+    m, bound = p.m, tp * tq
+    # payout i moves by m * (y / tq - x / tp): by more than 1 exactly when
+    # |m * (y * tp - x * tq)| > tp * tq
+    for i, (x, y) in enumerate(zip(before, after)):
+        if abs(m * (y * tp - x * tq)) > bound:
             return {
-                "artist": a,
+                "artist": p.artists[i],
                 "user": user,
-                "reward_before": str(before[a]),
-                "reward_after": str(after[a]),
+                "reward_before": str(Fraction(x * m, tp)),
+                "reward_after": str(Fraction(y * m, tq)),
             }, 0
     return None, 0
 

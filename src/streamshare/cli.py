@@ -107,6 +107,19 @@ def _emit(doc: dict, args) -> None:
         raise ValueError(f"cannot write {args.output}: {exc}") from None
 
 
+def _check_output(path: Path) -> None:
+    """Refuse an ``--output`` path that cannot be written, before any work.
+
+    Its directory must exist and the path must not be a directory. The file
+    is neither created nor truncated here: it is written only once the run
+    has succeeded (:func:`_emit`).
+    """
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write {path}: no directory {str(path.parent)!r}")
+
+
 def _read_problem(path: Path):
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -186,6 +199,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         if args.command == "allocate":
             return _run_allocate(args)
         if args.command == "game":

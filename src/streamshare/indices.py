@@ -1,7 +1,8 @@
 """Popularity indices and the proportional reward map.
 
-All arithmetic is exact (``fractions.Fraction``), so equalities such as
-budget balance hold with zero tolerance. Indices are returned in their
+All arithmetic is exact (integers and ``fractions.Fraction``), so
+equalities such as budget balance hold with zero tolerance. Indices are
+returned in their
 canonical un-normalized form; normalization to the revenue total happens
 only in :func:`rewards`.
 
@@ -10,9 +11,10 @@ by a per-user denominator: the listening-set size (shapley, user-weighted),
 the stream total (user-centric) or the weight sum (artist-weighted). The
 kernels walk the sparse columns ``Problem.columns`` once, user by user, so
 they cost O(nnz); they add the integer numerators of users that share a
-denominator, and build one ``Fraction`` per artist over the lcm of the
-distinct denominators. Nothing goes through floats, which would break the
-exact equalities the axiom checks rely on.
+denominator, and return the per-artist numerators over the lcm of the
+distinct denominators (:class:`IndexVector`), building no ``Fraction``.
+Nothing goes through floats, which would break the exact equalities the
+axiom checks rely on.
 """
 
 from __future__ import annotations
@@ -45,19 +47,71 @@ class UnknownRule(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IndexVector:
-    """Per-artist importance scores, aligned with ``Problem.artists``."""
+    """Per-artist importance scores, aligned with ``Problem.artists``.
 
-    artists: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    Held as integers over one common denominator: value ``i`` is
+    ``nums[i] / common`` exactly, with ``common`` positive. The kernels build
+    the vector from those integers; ``values``, the same scores as
+    ``Fraction``s, is built on first use. ``IndexVector(artists, values)``
+    takes the ``Fraction``s and finds the integers. Immutable; equality,
+    hashing and ``repr`` go by ``artists`` and ``values``.
+    """
+
+    __slots__ = ("artists", "nums", "common", "_values")
+
+    def __init__(self, artists: tuple[str, ...], values: tuple[Fraction, ...]):
+        common, nums = common_numerators(values)
+        _set(self, "artists", artists)
+        _set(self, "nums", tuple(nums))
+        _set(self, "common", common)
+        _set(self, "_values", values)
+
+    @classmethod
+    def from_numerators(cls, artists: tuple[str, ...], nums: tuple[int, ...],
+                        common: int) -> IndexVector:
+        """The vector whose value ``i`` is ``nums[i] / common``; no ``Fraction`` is built."""
+        vec = _new(cls)
+        _set(vec, "artists", artists)
+        _set(vec, "nums", nums)
+        _set(vec, "common", common)
+        _set(vec, "_values", None)
+        return vec
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            common = self.common
+            _set(self, "_values", tuple([Fraction(x, common) for x in self.nums]))
+        return self._values
 
     def __getitem__(self, artist: str) -> Fraction:
         return self.values[self.artists.index(artist)]
 
     @property
     def total(self) -> Fraction:
-        return exact_sum(self.values)
+        return Fraction(sum(self.nums), self.common)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.artists == other.artists and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.artists, self.values))
+
+    def __repr__(self):
+        return f"IndexVector(artists={self.artists!r}, values={self.values!r})"
+
+
+# the frozen class's own writes
+_new, _set = object.__new__, object.__setattr__
 
 
 def exact_sum(values) -> Fraction:
@@ -86,31 +140,32 @@ def pro_rata_index(p: Problem) -> IndexVector:
     for idx, counts in p.columns:
         for i, x in zip(idx, counts):
             totals[i] += x
-    return IndexVector(p.artists, tuple(map(Fraction, totals)))
+    return IndexVector.from_numerators(p.artists, tuple(totals), 1)
 
 
 def user_centric_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split in proportion to that user's streams."""
-    groups = defaultdict(lambda: [0] * p.n)
+    n = p.n
+    groups = defaultdict(lambda: [0] * n)
     for idx, counts in p.columns:
         acc = groups[sum(counts)]
         for i, x in zip(idx, counts):
             acc[i] += x
-    return _combine(p, groups)
+    return _combine(p, n, groups)
 
 
 def active_uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among the artists with at least one fan."""
     active = set(chain.from_iterable(idx for idx, _ in p.columns))
-    share = Fraction(p.m, len(active))
-    zero = Fraction(0)
-    return IndexVector(p.artists, tuple(share if i in active else zero for i in range(p.n)))
+    m = p.m
+    nums = tuple([m if i in active else 0 for i in range(p.n)])
+    return IndexVector.from_numerators(p.artists, nums, len(active))
 
 
 def uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among all artists, streamed or not."""
-    share = Fraction(p.m, p.n)
-    return IndexVector(p.artists, tuple(share for _ in p.artists))
+    n = p.n
+    return IndexVector.from_numerators(p.artists, (p.m,) * n, n)
 
 
 def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
@@ -124,38 +179,40 @@ def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexV
     """Each user's unit split among streamed artists in proportion to artist weights."""
     w = _check_weights(weights, p.artists, "artist")
     _, iw = common_numerators([w[a] for a in p.artists])
-    groups = defaultdict(lambda: [0] * p.n)
+    n = p.n
+    groups = defaultdict(lambda: [0] * n)
     for idx, _ in p.columns:
         ws = [iw[i] for i in idx]
         acc = groups[sum(ws)]
         for i, w in zip(idx, ws):
             acc[i] += w
-    return _combine(p, groups)
+    return _combine(p, n, groups)
 
 
 def _equal_split(p: Problem, numerators: list[int], scale: int) -> IndexVector:
     """Split ``numerators[j] / scale`` equally among the artists user ``j`` streamed."""
-    groups = defaultdict(lambda: [0] * p.n)
+    n = p.n
+    groups = defaultdict(lambda: [0] * n)
     for (idx, _), num in zip(p.columns, numerators):
         acc = groups[len(idx) * scale]
         for i in idx:
             acc[i] += num
-    return _combine(p, groups)
+    return _combine(p, n, groups)
 
 
-def _combine(p: Problem, groups: Mapping[int, list[int]]) -> IndexVector:
-    """Sum ``groups[d][i] / d`` over ``d`` for each artist ``i``, exactly.
+def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector:
+    """Sum ``groups[d][i] / d`` over ``d`` for each of the ``n`` artists, exactly.
 
-    The numerators are brought over the lcm of the denominators, so the only
-    ``Fraction`` built is the final one per artist.
+    The numerators are brought over the lcm of the denominators, which
+    becomes the vector's ``common``, so no ``Fraction`` is built.
     """
     common = math.lcm(*groups)
-    totals = [0] * p.n
+    totals = [0] * n
     for denom, acc in groups.items():
         scale = common // denom
-        for i in compress(range(p.n), acc):
+        for i in compress(range(n), acc):
             totals[i] += acc[i] * scale
-    return IndexVector(p.artists, tuple(Fraction(t, common) for t in totals))
+    return IndexVector.from_numerators(p.artists, tuple(totals), common)
 
 
 def _check_weights(weights, ids, kind: str) -> dict[str, Fraction]:
@@ -176,17 +233,26 @@ def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
     """Distribute the revenue total ``m`` proportionally to index values.
 
     The payouts align with ``index.artists`` and sum to ``p.m``; they are
-    invariant under positive scaling of the index vector. Over the lcm of
-    the denominators, value ``i`` is ``nums[i]`` and the total is
-    ``sum(nums)``, so payout ``i`` is ``nums[i] * m / sum(nums)``: one
-    ``Fraction`` per artist.
+    invariant under positive scaling of the index vector. Value ``i`` is
+    ``nums[i] / common``, so payout ``i`` is ``nums[i] * m / sum(nums)``:
+    one ``Fraction`` per artist.
     """
-    _, nums = common_numerators(index.values)
+    nums, total = reward_shares(index)
+    m = p.m
+    return tuple([Fraction(x * m, total) for x in nums])
+
+
+def reward_shares(index: IndexVector) -> tuple[tuple[int, ...], int]:
+    """``(nums, total)`` of ``index``: payout ``i`` is ``nums[i] * m / total``.
+
+    Raises :class:`ZeroTotalIndex` unless ``total`` is positive, as
+    :func:`rewards` does.
+    """
+    nums = index.nums
     total = sum(nums)
     if total <= 0:
         raise ZeroTotalIndex("index values sum to zero")
-    m = p.m
-    return tuple([Fraction(x * m, total) for x in nums])
+    return nums, total
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,12 @@ class TestInstanceShapes:
         ("null_artists", [{"problem": EX1}]),
         ("reasonable_lower_bound", {"problem": EX1, "user_subsets": 5}),
         ("additivity", {"problem": EX1, "first_users": None, "second_users": ["b", "c"]}),
+        # a string of ids would otherwise be read as one id per character
+        ("null_artists", {"problem": {**EX1, "artists": "12"}}),
+        ("null_artists", {"problem": {**EX1, "users": "abc"}}),
+        ("null_artists", {"problem": {**EX1, "users": b"abc"}}),
     ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
-            "user-subsets-int", "first-users-none"])
+            "user-subsets-int", "first-users-none", "artists-str", "users-str", "users-bytes"])
     def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):
         with pytest.raises(ShapeMismatch):
             check_instance(axiom, SHAPLEY, instance)

@@ -240,14 +240,34 @@ class TestErrorsAndUsage:
         assert run(capsys, "allocate", "--input", str(path))[0] == 2
 
     @pytest.mark.parametrize("command", [["allocate"], ["game"],
-                                         ["audit", "--axiom", "additivity"]], ids=" ".join)
+                                         ["audit", "--axiom", "additivity"],
+                                         ["audit", "--table"], ["audit", "--independence"]],
+                             ids=" ".join)
     @pytest.mark.parametrize("dest", ["missing/out.txt", "."])
-    def test_unwritable_output_is_data_error(self, command, dest, matrix, tmp_path, capsys):
+    def test_unwritable_output_is_data_error(self, command, dest, matrix, tmp_path, capsys,
+                                             monkeypatch):
+        # refused before any parsing or audit work
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --output was checked")
+        for module, name in [(cli.reporting, "parse_matrix"), (cli.axioms, "audit"),
+                             (cli.axioms, "reproduce_table"),
+                             (cli.axioms, "independence_suite")]:
+            monkeypatch.setattr(module, name, no_work)
         argv = [*command, "--output", str(tmp_path / dest)]
         argv += ["--trials", "1"] if command[0] == "audit" else ["--input", str(matrix)]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"streamshare: error: cannot write {tmp_path / dest}" in err
+
+    def test_output_is_written_only_after_a_successful_run(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("artist,a\nx,oops\n", encoding="utf-8")
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("earlier report", encoding="utf-8")
+        for dest in (kept, fresh):
+            assert run(capsys, "allocate", "--input", str(bad), "--output", str(dest))[0] == 2
+        assert kept.read_text(encoding="utf-8") == "earlier report"
+        assert not fresh.exists()
 
     def test_usage_errors(self, matrix, capsys):
         assert run(capsys, "allocate")[0] == 1  # --input is required
