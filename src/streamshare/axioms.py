@@ -13,7 +13,7 @@ Quantified axioms ("for each pair", "for each subset") are checked over
 every applicable pair or subset inside each instance. Random problems have
 at most 5 artists and 5 users, so their user subsets are always enumerated
 exhaustively; a supplied instance may list its own ``user_subsets``, and
-must above 10 users.
+must list them when it has more than 10 users.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     Problem,
     ProblemError,
     SilentUser,
+    _problem_from_rows,
     build_problem,
     remove_artist,
     remove_user,
@@ -409,44 +410,38 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 # problems are built once per process and shared by every instance expanded
 # from them, and each modified problem is built once per axiom. Only the last
 # axiom's grid is kept, so a suite that runs axiom by axiom builds each grid
-# once and shares it among all its rules. Plain dicts appear only at the
-# edges: a supplied instance is built by :func:`check_instance`, and a witness
-# is reported through :func:`instance_to_dict`.
+# once and shares it among all its rules. Generated rows, valid by construction,
+# are built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
+# validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 
 
 @lru_cache(maxsize=1)
 def _grid_problems() -> tuple[Problem, ...]:
     """The 505 base grid problems."""
-    out = []
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
-            for combo in product((0, 1), repeat=n * m):
-                rows = [combo[i * m:(i + 1) * m] for i in range(n)]
-                if all(any(rows[i][j] for i in range(n)) for j in range(m)):
-                    out.append(_problem(rows))
-    for combo in product((0, 1, 3), repeat=4):
-        rows = [combo[:2], combo[2:]]
-        if all(any(rows[i][j] for i in range(2)) for j in range(2)):
-            out.append(_problem(rows))
-    return tuple(out)
+    shapes = [((0, 1), n, m) for n in (1, 2, 3) for m in (1, 2, 3)] + [((0, 1, 3), 2, 2)]
+    grids = ([combo[i * m:(i + 1) * m] for i in range(n)]
+             for entries, n, m in shapes for combo in product(entries, repeat=n * m))
+    return tuple(_problem(rows) for rows in grids if all(map(any, zip(*rows))))  # no silent user
+
+
+_ids = lru_cache(None)(lambda prefix, k: tuple([f"{prefix}{i + 1}" for i in range(k)]))
 
 
 def _problem(rows) -> Problem:
-    """The problem of ``rows``, its artists named a1.. and its users u1..."""
-    return build_problem([f"a{i + 1}" for i in range(len(rows))],
-                         [f"u{j + 1}" for j in range(len(rows[0]))], rows)
+    """The problem of generated ``rows``, its artists named a1.. and its users u1..."""
+    rows = tuple(map(tuple, rows))
+    return _problem_from_rows(_ids("a", len(rows)), _ids("u", len(rows[0])), rows)
 
 
 def _with_row(p: Problem, i: int, row) -> Problem:
-    """``p`` with row ``i`` of its streams replaced."""
-    return build_problem(p.artists, p.users,
-                         [row if x == i else r for x, r in enumerate(p.streams)])
+    """``p`` with row ``i`` of its streams replaced by generated ``row``."""
+    return _problem_from_rows(p.artists, p.users, p.streams[:i] + (tuple(row),) + p.streams[i + 1:])
 
 
 def _with_column(p: Problem, j: int, col) -> Problem:
-    """``p`` with column ``j`` of its streams replaced."""
-    return build_problem(p.artists, p.users,
-                         [r[:j] + (x,) + r[j + 1:] for r, x in zip(p.streams, col)])
+    """``p`` with column ``j`` of its streams replaced by generated ``col``."""
+    return _problem_from_rows(p.artists, p.users, tuple(
+        [r[:j] + (x,) + r[j + 1:] for r, x in zip(p.streams, col)]))
 
 
 def _single(p: Problem):
@@ -508,21 +503,24 @@ def instance_to_dict(instance: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Random instance generation
 #
-# Each generator draws and adjusts plain rows, then builds (which draws nothing).
+# Each generator draws and adjusts plain rows, then builds them unvalidated.
 
 
 def _random_rows(
     rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
 ) -> list[list[int]]:
-    n = rng.randint(min_n, MAX_ARTISTS)
-    m = rng.randint(min_m, MAX_USERS)
+    # a + below(b - a + 1) is the body of randint(a, b), and below(n) of randrange(n),
+    # on Python 3.10-3.13 at half the cost; instances.json pins these draws.
+    below = rng._randbelow
+    n = min_n + below(MAX_ARTISTS - min_n + 1)
+    m = min_m + below(MAX_USERS - min_m + 1)
     max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
     rows = [
-        [0 if rng.random() < zero_chance else rng.randint(1, max_entry) for _ in range(m)]
+        [0 if rng.random() < zero_chance else 1 + below(max_entry) for _ in range(m)]
         for _ in range(n)
     ]
     for j in _empty_columns(rows):
-        rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
+        rows[below(n)][j] = 1 + below(max_entry)
     return rows
 
 

@@ -138,6 +138,8 @@ def _run_allocate(args) -> int:
             raise UnknownRule("no index selected")
         for n in names:
             make_rule(n)  # validate early
+            if names.count(n) > 1:
+                raise ValueError(f"index rule {n!r} is listed more than once")
     price = _parse_price(args.price)
     _emit(reporting.allocation_document(p, names, price=price, seed=args.seed), args)
     return EXIT_OK

@@ -130,6 +130,12 @@ def build_problem(artists, users, streams) -> Problem:
         for a, row in zip(artists, rows):
             for x in row:
                 _check_count(x, a)
+    return _problem_from_rows(artists, users, rows)
+
+
+def _problem_from_rows(artists: tuple[str, ...], users: tuple[str, ...], rows: Matrix) -> Problem:
+    """The problem of ``rows``, checked only for a silent user: the rest of
+    :func:`build_problem`'s checks must hold already, as for generated rows."""
     positions = range(len(artists))
     columns = tuple([
         (tuple(compress(positions, col)), tuple(filter(None, col)))

@@ -170,19 +170,22 @@ def uniform_index(p: Problem) -> IndexVector:
 
 def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Equal split of a per-user weight among the artists that user streamed."""
-    w = _check_weights(weights, p.users, "user")
-    scale, iw = common_numerators([w[u] for u in p.users])
+    scale, iw = common_numerators(_check_weights(weights, p.users, "user"))
     return _equal_split(p, iw, scale)
 
 
 def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
     """Each user's unit split among streamed artists in proportion to artist weights."""
-    w = _check_weights(weights, p.artists, "artist")
-    _, iw = common_numerators([w[a] for a in p.artists])
+    _, iw = common_numerators(_check_weights(weights, p.artists, "artist"))
+    return _weighted_split(p, iw)
+
+
+def _weighted_split(p: Problem, weights) -> IndexVector:
+    """Each user's unit split among streamed artists in proportion to integer ``weights[i]``."""
     n = p.n
     groups = defaultdict(lambda: [0] * n)
     for idx, _ in p.columns:
-        ws = [iw[i] for i in idx]
+        ws = [weights[i] for i in idx]
         acc = groups[sum(ws)]
         for i, w in zip(idx, ws):
             acc[i] += w
@@ -215,17 +218,17 @@ def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector
     return IndexVector.from_numerators(p.artists, tuple(totals), common)
 
 
-def _check_weights(weights, ids, kind: str) -> dict[str, Fraction]:
+def _check_weights(weights, ids, kind: str) -> list[Fraction]:
     if weights is None:
         raise MissingWeights(f"{kind} weights are required")
-    out = {}
+    out = []
     for ident in ids:
         if ident not in weights:
             raise MissingWeights(f"missing weight for {kind} {ident!r}")
         w = Fraction(weights[ident])
         if w <= 0:
             raise NonpositiveWeight(f"weight for {kind} {ident!r} must be positive")
-        out[ident] = w
+        out.append(w)
     return out
 
 
@@ -290,8 +293,8 @@ def default_weight(seed: int, kind: str, ident: str) -> int:
 
 def make_rule(name: str, seed: int = 0, weights: Mapping[str, Fraction] | None = None) -> IndexRule:
     """Build a named rule; ``weights`` overrides the seeded defaults where applicable."""
-    # Looked up at call time, so a kernel rebound on the module (for
-    # instance by a tracer) is the one the rule calls.
+    # Looked up at call time, so a kernel rebound on the module (for instance
+    # by a tracer) is the one the rule calls, bar the seeded weighted rules.
     fn = {
         "shapley": shapley_index,
         "pro-rata": pro_rata_index,
@@ -308,7 +311,8 @@ def make_rule(name: str, seed: int = 0, weights: Mapping[str, Fraction] | None =
         return IndexRule(name, fn)
     if weights is not None:
         return IndexRule(name, lambda p: fn(p, weights))
-    return IndexRule(name, lambda p: fn(p, {
-        ident: default_weight(seed, kind, ident)
-        for ident in (p.users if kind == "user" else p.artists)
-    }))
+    # seeded defaults are positive ints, bound once per id tuple: nothing to check or scale
+    defaults = lru_cache(256)(lambda ids: tuple([default_weight(seed, kind, i) for i in ids]))
+    if kind == "user":
+        return IndexRule(name, lambda p: _equal_split(p, defaults(p.users), 1))
+    return IndexRule(name, lambda p: _weighted_split(p, defaults(p.artists)))

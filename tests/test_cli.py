@@ -70,6 +70,12 @@ class TestAllocate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("index", ["shapley,shapley", "pro-rata, shapley ,shapley"])
+    def test_repeated_index_is_data_error(self, matrix, capsys, index):
+        code, out, err = run(capsys, "allocate", "--input", str(matrix), "--index", index)
+        assert code == 2 and out == ""
+        assert err == "streamshare: error: index rule 'shapley' is listed more than once\n"
+
     def test_bad_price(self, matrix, capsys):
         assert run(capsys, "allocate", "--input", str(matrix), "--price", "0")[0] == 2
         assert run(capsys, "allocate", "--input", str(matrix), "--price", "x")[0] == 2
