@@ -198,6 +198,9 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
         for u in chain.from_iterable(subsets):
             if u not in p.users:
                 raise ShapeMismatch(f"unknown user {u!r} in 'user_subsets'")
+        # a repeated user would count twice in the group's amount paid
+        if any(len(set(group)) < len(group) for group in subsets):
+            raise ShapeMismatch("a 'user_subsets' group lists a user more than once")
     for group in subsets:
         streamed = set()
         for u in group:
@@ -525,10 +528,8 @@ def _random_rows(
 
 
 def _empty_columns(rows):
-    """Positions of the all-zero columns, each tested once the earlier ones are refilled."""
-    for j in range(len(rows[0])):
-        if not any(row[j] for row in rows):
-            yield j
+    """Positions of the all-zero columns; refilling column ``j`` leaves the others as they are."""
+    return [j for j, col in enumerate(zip(*rows)) if not any(col)]
 
 
 def _bump_column(rng, rows, j, avoid):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .core import Problem
@@ -148,8 +147,7 @@ def _shapley_permutations(g: CoalitionGame) -> IndexVector:
             w = worth[mask]
             totals[i] += w - prev
             prev = w
-    fact = math.factorial(n)
-    return IndexVector(g.players, tuple(Fraction(t, fact) for t in totals))
+    return IndexVector(g.players, tuple(totals), math.factorial(n))
 
 
 def _shapley_subsets(g: CoalitionGame) -> IndexVector:
@@ -165,11 +163,8 @@ def _shapley_subsets(g: CoalitionGame) -> IndexVector:
             bit = 1 << i
             if not s & bit:
                 sums[i][size] += worth[s | bit] - ws
-    nfact = fact(n)
-    values = []
-    for i in range(n):
-        total = sum(
-            fact(size) * fact(n - size - 1) * sums[i][size] for size in range(n)
-        )
-        values.append(Fraction(total, nfact))
-    return IndexVector(g.players, tuple(values))
+    nums = tuple(
+        sum(fact(size) * fact(n - size - 1) * sums[i][size] for size in range(n))
+        for i in range(n)
+    )
+    return IndexVector(g.players, nums, fact(n))

@@ -47,56 +47,31 @@ class UnknownRule(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
 class IndexVector:
     """Per-artist importance scores, aligned with ``Problem.artists``.
 
     Held as integers over one common denominator: value ``i`` is
-    ``nums[i] / common`` exactly, with ``common`` positive. The kernels build
-    the vector from those integers; ``values``, the same scores as
-    ``Fraction``s, is built on first use. ``IndexVector(artists, values)``
-    takes the ``Fraction``s and finds the integers. Immutable; equality,
-    hashing and ``repr`` go by ``artists`` and ``values``.
+    ``nums[i] / common`` exactly, with ``common`` positive; ``values`` gives
+    the same scores as ``Fraction``s. The numerators are not reduced, so
+    equality, hashing and ``repr`` go by ``artists`` and ``values``.
     """
 
-    __slots__ = ("artists", "nums", "common", "_values")
-
-    def __init__(self, artists: tuple[str, ...], values: tuple[Fraction, ...]):
-        common, nums = common_numerators(values)
-        _set(self, "artists", artists)
-        _set(self, "nums", tuple(nums))
-        _set(self, "common", common)
-        _set(self, "_values", values)
-
-    @classmethod
-    def from_numerators(cls, artists: tuple[str, ...], nums: tuple[int, ...],
-                        common: int) -> IndexVector:
-        """The vector whose value ``i`` is ``nums[i] / common``; no ``Fraction`` is built."""
-        vec = _new(cls)
-        _set(vec, "artists", artists)
-        _set(vec, "nums", nums)
-        _set(vec, "common", common)
-        _set(vec, "_values", None)
-        return vec
+    artists: tuple[str, ...]
+    nums: tuple[int, ...]
+    common: int
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        if self._values is None:
-            common = self.common
-            _set(self, "_values", tuple([Fraction(x, common) for x in self.nums]))
-        return self._values
+        common = self.common
+        return tuple([Fraction(x, common) for x in self.nums])
 
     def __getitem__(self, artist: str) -> Fraction:
-        return self.values[self.artists.index(artist)]
+        return Fraction(self.nums[self.artists.index(artist)], self.common)
 
     @property
     def total(self) -> Fraction:
         return Fraction(sum(self.nums), self.common)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -108,10 +83,6 @@ class IndexVector:
 
     def __repr__(self):
         return f"IndexVector(artists={self.artists!r}, values={self.values!r})"
-
-
-# the frozen class's own writes
-_new, _set = object.__new__, object.__setattr__
 
 
 def exact_sum(values) -> Fraction:
@@ -140,7 +111,7 @@ def pro_rata_index(p: Problem) -> IndexVector:
     for idx, counts in p.columns:
         for i, x in zip(idx, counts):
             totals[i] += x
-    return IndexVector.from_numerators(p.artists, tuple(totals), 1)
+    return IndexVector(p.artists, tuple(totals), 1)
 
 
 def user_centric_index(p: Problem) -> IndexVector:
@@ -159,13 +130,13 @@ def active_uniform_index(p: Problem) -> IndexVector:
     active = set(chain.from_iterable(idx for idx, _ in p.columns))
     m = p.m
     nums = tuple([m if i in active else 0 for i in range(p.n)])
-    return IndexVector.from_numerators(p.artists, nums, len(active))
+    return IndexVector(p.artists, nums, len(active))
 
 
 def uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among all artists, streamed or not."""
     n = p.n
-    return IndexVector.from_numerators(p.artists, (p.m,) * n, n)
+    return IndexVector(p.artists, (p.m,) * n, n)
 
 
 def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
@@ -215,7 +186,7 @@ def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector
         scale = common // denom
         for i in compress(range(n), acc):
             totals[i] += acc[i] * scale
-    return IndexVector.from_numerators(p.artists, tuple(totals), common)
+    return IndexVector(p.artists, tuple(totals), common)
 
 
 def _check_weights(weights, ids, kind: str) -> list[Fraction]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import axioms
@@ -203,18 +204,9 @@ def game_document(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> dict
 
 
 def verdict_to_dict(v: axioms.Verdict) -> dict:
-    out = {
-        "axiom": v.axiom,
-        "rule": v.rule,
-        "outcome": v.outcome,
-        "trials": v.trials,
-        "grid_cases": v.grid_cases,
-        "skipped": v.skipped,
-        "seed": v.seed,
-    }
-    if v.witness is not None:
-        out["witness"] = v.witness
-        out["details"] = v.details
+    out = asdict(v)
+    if v.witness is None:
+        del out["witness"], out["details"]
     return out
 
 

@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from streamshare import build_problem
+from streamshare.indices import IndexVector, common_numerators
 
 
 def random_problem(rng, max_n=5, max_m=5, max_entry=5, zero_chance=0.35):
@@ -39,6 +40,12 @@ def problems(draw, max_n=4, max_m=4, max_entry=4):
         [f"u{j}" for j in range(1, m + 1)],
         rows,
     )
+
+
+def vector(artists, values):
+    """The ``IndexVector`` whose values are the ``Fraction``s ``values``."""
+    common, nums = common_numerators(values)
+    return IndexVector(tuple(artists), tuple(nums), common)
 
 
 EXAMPLE_1 = (["1", "2"], ["a", "b", "c"], [[200, 0, 0], [0, 100, 100]])

@@ -10,7 +10,9 @@ formulas, which the integer sums over one common denominator replaced.
 
 from fractions import Fraction
 
-from streamshare.indices import IndexVector, ZeroTotalIndex, default_weight
+from streamshare.indices import ZeroTotalIndex, default_weight
+
+from helpers import vector
 
 
 def total(index):
@@ -45,11 +47,11 @@ def shapley_index(p):
         share = Fraction(1, len(listened))
         for a in listened:
             acc[a] += share
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    return vector(p.artists, tuple(acc[a] for a in p.artists))
 
 
 def pro_rata_index(p):
-    return IndexVector(p.artists, tuple(Fraction(sum(row)) for row in p.streams))
+    return vector(p.artists, tuple(Fraction(sum(row)) for row in p.streams))
 
 
 def user_centric_index(p):
@@ -60,13 +62,13 @@ def user_centric_index(p):
             x = p.streams[i][j]
             if x:
                 acc[a] += Fraction(x, total)
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    return vector(p.artists, tuple(acc[a] for a in p.artists))
 
 
 def active_uniform_index(p):
     active = [a for a, row in zip(p.artists, p.streams) if any(row)]
     share = Fraction(p.m, len(active))
-    return IndexVector(
+    return vector(
         p.artists,
         tuple(share if a in set(active) else Fraction(0) for a in p.artists),
     )
@@ -74,7 +76,7 @@ def active_uniform_index(p):
 
 def uniform_index(p):
     share = Fraction(p.m, p.n)
-    return IndexVector(p.artists, tuple(share for _ in p.artists))
+    return vector(p.artists, tuple(share for _ in p.artists))
 
 
 def user_weighted_index(p, weights):
@@ -83,7 +85,7 @@ def user_weighted_index(p, weights):
         share = Fraction(weights[u], len(listened))
         for a in listened:
             acc[a] += share
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    return vector(p.artists, tuple(acc[a] for a in p.artists))
 
 
 def artist_weighted_index(p, weights):
@@ -92,7 +94,7 @@ def artist_weighted_index(p, weights):
         denom = sum(Fraction(weights[a]) for a in listened)
         for a in listened:
             acc[a] += Fraction(weights[a], denom)
-    return IndexVector(p.artists, tuple(acc[a] for a in p.artists))
+    return vector(p.artists, tuple(acc[a] for a in p.artists))
 
 
 def reference_rule(name, seed=0, weights=None):

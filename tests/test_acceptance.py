@@ -29,9 +29,8 @@ from streamshare import (
 )
 from streamshare.axioms import independence_suite, replay_witness, reproduce_table
 from streamshare.cli import main
-from streamshare.indices import IndexVector
 
-from helpers import example_1, example_2, random_problem
+from helpers import example_1, example_2, random_problem, vector
 
 
 def _report(num, label, ok):
@@ -145,7 +144,7 @@ def test_criterion_7_exact_invariants():
         if sh.total != p.m or uc.total != p.m:
             ok = False
             break
-        scaled = IndexVector(sh.artists, tuple(F(7, 3) * v for v in sh.values))
+        scaled = vector(sh.artists, tuple(F(7, 3) * v for v in sh.values))
         if rewards(sh, p) != rewards(scaled, p):
             ok = False
             break

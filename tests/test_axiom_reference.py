@@ -43,7 +43,7 @@ from streamshare.indices import (
     shapley_index,
 )
 
-from helpers import random_problem
+from helpers import random_problem, vector
 from reference_indices import reference_rule
 
 SEED = 3
@@ -56,7 +56,7 @@ FRACTION_WEIGHTS = {ident: F(7 * k % 11 + 1, k % 4 + 2) for k, ident in enumerat
 def _rescaled_shapley(p):
     """Shapley values times (k + 2) / 3 for artist k, as ``Fraction``s."""
     values = shapley_index(p).values
-    return IndexVector(p.artists, tuple(F(k + 2, 3) * v for k, v in enumerate(values)))
+    return vector(p.artists, tuple(F(k + 2, 3) * v for k, v in enumerate(values)))
 
 
 def _rules():
@@ -147,7 +147,7 @@ def test_violation_details_match_reference(axiom, name, instance):
 
 @pytest.mark.parametrize("axiom", ["reasonable_lower_bound", "click_fraud_proofness"])
 def test_zero_index_total_raises_as_in_reference(axiom):
-    zero = IndexRule("zero", lambda p: IndexVector.from_numerators(p.artists, (0,) * p.n, 1))
+    zero = IndexRule("zero", lambda p: IndexVector(p.artists, (0,) * p.n, 1))
     for check in (check_instance, ref.check_instance):
         with pytest.raises(ZeroTotalIndex):
             check(axiom, zero, _grid(axiom)[0])
@@ -170,10 +170,9 @@ def test_kernel_numerators_are_the_reference_values(name, weights):
 def test_vectors_built_from_values_or_numerators_are_equal():
     p = _grid_problems()[-1]
     vec = shapley_index(p)
-    same = IndexVector(p.artists, vec.values)
+    same = vector(p.artists, vec.values)
     assert vec == same and hash(vec) == hash(same) and repr(vec) == repr(same)
-    assert IndexVector.from_numerators(p.artists, tuple(2 * x for x in vec.nums),
-                                       2 * vec.common) == vec
+    assert IndexVector(p.artists, tuple(2 * x for x in vec.nums), 2 * vec.common) == vec
     assert vec.total == sum(vec.values, F(0))
     with pytest.raises(AttributeError):
         vec.nums = ()

@@ -129,13 +129,18 @@ class TestInstanceShapes:
         ("null_artists", {"problem": {**EX1, "streams": None}}),
         ("null_artists", [{"problem": EX1}]),
         ("reasonable_lower_bound", {"problem": EX1, "user_subsets": 5}),
+        # a group naming u1 twice would be owed both users' payment
+        ("reasonable_lower_bound", {"problem": {"artists": ["a1", "a2"], "users": ["u1", "u2"],
+                                                "streams": [[1, 0], [0, 1]]},
+                                    "user_subsets": [["u1", "u1"]]}),
         ("additivity", {"problem": EX1, "first_users": None, "second_users": ["b", "c"]}),
         # a string of ids would otherwise be read as one id per character
         ("null_artists", {"problem": {**EX1, "artists": "12"}}),
         ("null_artists", {"problem": {**EX1, "users": "abc"}}),
         ("null_artists", {"problem": {**EX1, "users": b"abc"}}),
     ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
-            "user-subsets-int", "first-users-none", "artists-str", "users-str", "users-bytes"])
+            "user-subsets-int", "user-subsets-repeat", "first-users-none", "artists-str",
+            "users-str", "users-bytes"])
     def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):
         with pytest.raises(ShapeMismatch):
             check_instance(axiom, SHAPLEY, instance)

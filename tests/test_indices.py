@@ -14,7 +14,6 @@ from streamshare import (
     user_centric_index,
 )
 from streamshare.indices import (
-    IndexVector,
     MissingWeights,
     NonpositiveWeight,
     ZeroTotalIndex,
@@ -25,7 +24,7 @@ from streamshare.indices import (
     user_weighted_index,
 )
 
-from helpers import example_1, example_2, problems, random_problem
+from helpers import example_1, example_2, problems, random_problem, vector
 
 
 class TestShapleyIndex:
@@ -144,12 +143,12 @@ class TestRewards:
     def test_scale_invariance_exact(self):
         p = example_1()
         vec = shapley_index(p)
-        doubled = IndexVector(vec.artists, tuple(2 * v for v in vec.values))
+        doubled = vector(vec.artists, tuple(2 * v for v in vec.values))
         assert rewards(vec, p) == rewards(doubled, p) == (F(1), F(2))
 
     def test_zero_total_rejected(self):
         p = example_1()
-        zero = IndexVector(p.artists, (F(0), F(0)))
+        zero = vector(p.artists, (F(0), F(0)))
         with pytest.raises(ZeroTotalIndex):
             rewards(zero, p)
 
@@ -162,7 +161,7 @@ class TestRewards:
     @given(problems())
     def test_scale_invariance_random_scalar(self, p):
         vec = pro_rata_index(p)
-        scaled = IndexVector(vec.artists, tuple(F(7, 3) * v for v in vec.values))
+        scaled = vector(vec.artists, tuple(F(7, 3) * v for v in vec.values))
         assert rewards(vec, p) == rewards(scaled, p)
 
 
