@@ -193,6 +193,8 @@ def main(argv=None) -> int:
             args.seed = _default_seed(parser)
         if args.command == "audit" and args.trials < 1:
             parser.error(f"audit: --trials must be at least 1, got {args.trials}")
+        if args.command == "game" and args.cap < 1:
+            parser.error(f"game: --cap must be at least 1, got {args.cap}")
         if args.command == "audit" and (args.table or args.independence):
             suite = "--table" if args.table else "--independence"
             for flag, value in (("--axiom", args.axiom), ("--index", args.index)):

@@ -195,10 +195,11 @@ def _check_ids(artists, users) -> tuple[tuple[str, ...], tuple[str, ...]]:
         raise EmptyArtists("at least one artist is required")
     if not users:
         raise EmptyUsers("at least one user is required")
-    if len(set(artists)) != len(artists):
-        raise DuplicateId("duplicate artist identifier")
-    if len(set(users)) != len(users):
-        raise DuplicateId("duplicate user identifier")
+    for kind, ids in (("artist", artists), ("user", users)):
+        if len(set(ids)) != len(ids):
+            seen = set()
+            repeated = next(x for x in ids if x in seen or seen.add(x))
+            raise DuplicateId(f"duplicate {kind} identifier {repeated!r}")
     return artists, users
 
 

@@ -1,10 +1,10 @@
 """Coalition games over artists: pessimistic and optimistic worth, duality,
-and a definition-level Shapley oracle.
+and one definition-level Shapley oracle that averages over all player orders.
 
 Coalitions are bitmasks over artist positions (artist at position ``k`` is bit
 ``k``); the worth function is materialized eagerly as a table of length 2^n.
 Worth tables are exact integers for the constructed games, and the Shapley
-oracle returns exact fractions.
+oracle returns exact integer numerators over n!.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .core import Problem
 from .indices import IndexVector
 
 DEFAULT_TABLE_CAP = 20
-DEFAULT_PERMUTATION_CAP = 10
+# The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
+MAX_PERMUTATION_ARTISTS = 10
 # No cap override builds a worth table for more artists than this. An export
 # costs about 130 bytes per coalition (55 MB peak for the dual game of 18
 # artists, CPython 3.11), so 2^22 coalitions already take about half a GB.
@@ -33,18 +34,6 @@ class TooManyArtists(ValueError):
 class CoalitionGame:
     players: tuple[str, ...]
     worth: tuple[int, ...]
-    stance: str
-
-    @property
-    def n(self) -> int:
-        return len(self.players)
-
-    def value(self, members) -> int:
-        """Worth of a coalition given as an iterable of player identifiers."""
-        mask = 0
-        for a in members:
-            mask |= 1 << self.players.index(a)
-        return self.worth[mask]
 
 
 def _user_mask_counts(p: Problem) -> list[int]:
@@ -86,7 +75,7 @@ def _check_cap(p: Problem, cap: int):
 def pessimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
     """worth(S) = number of users who streamed only artists in S."""
     _check_cap(p, cap)
-    return CoalitionGame(p.artists, tuple(_user_mask_counts(p)), "pessimistic")
+    return CoalitionGame(p.artists, tuple(_user_mask_counts(p)))
 
 
 def optimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
@@ -96,47 +85,24 @@ def optimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
     # up; counts[N] == m, so the empty coalition gets 0.
     m = p.m
     worth = tuple(m - c for c in reversed(_user_mask_counts(p)))
-    return CoalitionGame(p.artists, worth, "optimistic")
+    return CoalitionGame(p.artists, worth)
 
 
 def dual_game(g: CoalitionGame) -> CoalitionGame:
     """worth*(S) = worth(N) - worth(N \\ S); an involution on games."""
     grand = g.worth[-1]
     worth = tuple(grand - w for w in reversed(g.worth))  # N \ S, S ascending
-    return CoalitionGame(g.players, worth, f"dual-of-{g.stance}")
+    return CoalitionGame(g.players, worth)
 
 
-def shapley_value_brute_force(
-    g: CoalitionGame,
-    method: str = "auto",
-    permutation_cap: int = DEFAULT_PERMUTATION_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> IndexVector:
-    """Shapley value straight from the definition.
-
-    ``permutation`` averages marginal contributions over all n! player orders
-    (the literal definition); ``subset`` uses the equivalent subset-weighted
-    sum, which reaches larger n. ``auto`` picks permutation up to
-    ``permutation_cap`` and subset up to ``table_cap``.
-    """
-    n = g.n
-    if method == "auto":
-        method = "permutation" if n <= permutation_cap else "subset"
-    if method == "permutation":
-        if n > permutation_cap:
-            raise TooManyArtists(
-                f"{n} artists exceeds the permutation cap {permutation_cap}"
-            )
-        return _shapley_permutations(g)
-    if method == "subset":
-        if n > table_cap:
-            raise TooManyArtists(f"{n} artists exceeds the enumeration cap {table_cap}")
-        return _shapley_subsets(g)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _shapley_permutations(g: CoalitionGame) -> IndexVector:
-    n = g.n
+def shapley_value_brute_force(g: CoalitionGame) -> IndexVector:
+    """Shapley value straight from the definition: each player's marginal
+    contribution averaged over all n! player orders."""
+    n = len(g.players)
+    if n > MAX_PERMUTATION_ARTISTS:
+        raise TooManyArtists(
+            f"{n} artists exceeds the permutation cap {MAX_PERMUTATION_ARTISTS}"
+        )
     totals = [0] * n
     worth = g.worth
     for order in permutations(range(n)):
@@ -148,23 +114,3 @@ def _shapley_permutations(g: CoalitionGame) -> IndexVector:
             totals[i] += w - prev
             prev = w
     return IndexVector(g.players, tuple(totals), math.factorial(n))
-
-
-def _shapley_subsets(g: CoalitionGame) -> IndexVector:
-    n = g.n
-    worth = g.worth
-    fact = math.factorial
-    # per-player, per-coalition-size integer sums of marginal contributions
-    sums = [[0] * n for _ in range(n)]
-    for s in range(1 << n):
-        size = s.bit_count()
-        ws = worth[s]
-        for i in range(n):
-            bit = 1 << i
-            if not s & bit:
-                sums[i][size] += worth[s | bit] - ws
-    nums = tuple(
-        sum(fact(size) * fact(n - size - 1) * sums[i][size] for size in range(n))
-        for i in range(n)
-    )
-    return IndexVector(g.players, nums, fact(n))

@@ -81,7 +81,7 @@ def test_criterion_3_closed_form_equals_brute_force():
     for _ in range(200):
         p = random_problem(rng, max_n=8, max_m=8, max_entry=5)
         closed = shapley_index(p)
-        brute = shapley_value_brute_force(pessimistic_game(p), method="permutation")
+        brute = shapley_value_brute_force(pessimistic_game(p))
         if closed.values != brute.values:
             ok = False
             break

@@ -125,6 +125,14 @@ class TestGame:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_usage_error(self, tmp_path, cap, capsys):
+        # refused before the input is read: this file does not exist
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, "game", "--input", str(missing), "--cap", cap)
+        assert code == 1 and out == ""
+        assert f"--cap must be at least 1, got {cap}" in err
+
     def test_cap_cannot_lift_the_table_ceiling(self, tmp_path, capsys):
         # 25 artists: the check must refuse before any 2^25 table is built
         path = tmp_path / "wide.csv"

@@ -55,10 +55,12 @@ class TestBuildProblem:
             build_problem(["1"], ["a"], [[True]])
 
     def test_duplicate_ids(self):
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match="duplicate artist identifier '1'"):
             build_problem(["1", "1"], ["a"], [[1], [1]])
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match="duplicate user identifier 'a'"):
             build_problem(["1"], ["a", "a"], [[1, 1]])
+        with pytest.raises(DuplicateId, match="duplicate user identifier 'c'"):
+            build_problem(["1"], ["a", "c", "b", "c", "a"], [[1] * 5])
 
 
 class TestRemoveArtist:

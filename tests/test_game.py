@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import chain, combinations
 
 import pytest
 
@@ -17,47 +16,43 @@ from streamshare.game import CoalitionGame, TooManyArtists
 from helpers import example_1, random_problem
 
 
-def subsets(items):
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
 def listening(p, j):
     """The artists user ``j`` streamed, read off the dense rows."""
     return {a for i, a in enumerate(p.artists) if p.streams[i][j] > 0}
 
 
-def naive_pessimistic_worth(p, coalition):
+def members(p, mask):
+    """The artists in coalition ``mask``: bit k is the artist at position k."""
+    return {a for k, a in enumerate(p.artists) if mask >> k & 1}
+
+
+def naive_pessimistic_worth(p, s):
     """Direct set-inclusion count, independent of the table construction."""
-    s = set(coalition)
     return sum(1 for j in range(p.m) if listening(p, j) <= s)
 
 
-def naive_optimistic_worth(p, coalition):
-    s = set(coalition)
+def naive_optimistic_worth(p, s):
     return sum(1 for j in range(p.m) if listening(p, j) & s)
 
 
 class TestGameConstruction:
     def test_example_1_pessimistic(self):
         g = pessimistic_game(example_1())
-        assert g.value([]) == 0
-        assert g.value(["1"]) == 1
-        assert g.value(["2"]) == 2
-        assert g.value(["1", "2"]) == 3
+        assert g.worth == (0, 1, 2, 3)
 
     def test_example_1_optimistic(self):
         g = optimistic_game(example_1())
-        assert g.value(["1"]) == 1
-        assert g.value(["2"]) == 2
-        assert g.value(["1", "2"]) == 3
+        assert g.worth[0b01] == 1
+        assert g.worth[0b10] == 2
+        assert g.worth[0b11] == 3
 
     def test_everyone_streams_both(self):
         p = build_problem(["1", "2"], ["a", "b"], [[1, 1], [1, 1]])
         g = pessimistic_game(p)
-        assert g.value(["1"]) == g.value(["2"]) == 0
-        assert g.value(["1", "2"]) == 2
+        assert g.worth[0b01] == g.worth[0b10] == 0
+        assert g.worth[0b11] == 2
         go = optimistic_game(p)
-        assert go.value(["1"]) == go.value(["2"]) == 2
+        assert go.worth[0b01] == go.worth[0b10] == 2
 
     def test_grand_coalition_and_empty(self):
         rng = random.Random(11)
@@ -73,9 +68,10 @@ class TestGameConstruction:
             p = random_problem(rng, max_n=5, max_m=5)
             g = pessimistic_game(p)
             go = optimistic_game(p)
-            for coalition in subsets(p.artists):
-                assert g.value(coalition) == naive_pessimistic_worth(p, coalition)
-                assert go.value(coalition) == naive_optimistic_worth(p, coalition)
+            for mask in range(1 << p.n):
+                s = members(p, mask)
+                assert g.worth[mask] == naive_pessimistic_worth(p, s)
+                assert go.worth[mask] == naive_optimistic_worth(p, s)
 
     def test_monotonicity(self):
         rng = random.Random(17)
@@ -110,7 +106,7 @@ class TestDuality:
     def test_hand_evaluated_identity(self):
         p = build_problem(["1", "2"], ["a", "b"], [[1, 1], [1, 1]])
         dual = dual_game(pessimistic_game(p))
-        assert dual.value(["1"]) == 2 == optimistic_game(p).value(["1"])
+        assert dual.worth[0b01] == 2 == optimistic_game(p).worth[0b01]
 
     def test_duality_on_random_problems(self):
         rng = random.Random(23)
@@ -122,18 +118,18 @@ class TestDuality:
 class TestBruteForceShapley:
     def test_example_1_matches_closed_form(self):
         p = example_1()
-        vec = shapley_value_brute_force(pessimistic_game(p), method="permutation")
+        vec = shapley_value_brute_force(pessimistic_game(p))
         assert vec.values == (F(1), F(2))
 
     def test_optimistic_game_same_value(self):
         p = example_1()
-        vec = shapley_value_brute_force(optimistic_game(p), method="permutation")
+        vec = shapley_value_brute_force(optimistic_game(p))
         assert vec.values == (F(1), F(2))
 
     def test_additive_game(self):
         players = ("x", "y", "z")
         worth = tuple(s.bit_count() for s in range(8))
-        g = CoalitionGame(players, worth, "additive")
+        g = CoalitionGame(players, worth)
         vec = shapley_value_brute_force(g)
         assert vec.values == (F(1), F(1), F(1))
 
@@ -142,16 +138,7 @@ class TestBruteForceShapley:
         for _ in range(30):
             p = random_problem(rng, max_n=5, max_m=5)
             g = pessimistic_game(p)
-            assert shapley_value_brute_force(g, method="permutation").values \
-                == shapley_index(p).values
-
-    def test_subset_mode_agrees_with_permutation_mode(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            p = random_problem(rng, max_n=6, max_m=5)
-            g = pessimistic_game(p)
-            assert shapley_value_brute_force(g, method="subset").values \
-                == shapley_value_brute_force(g, method="permutation").values
+            assert shapley_value_brute_force(g).values == shapley_index(p).values
 
     def test_dual_invariance(self):
         rng = random.Random(37)
@@ -170,11 +157,7 @@ class TestBruteForceShapley:
             assert vec.total == g.worth[-1]
 
     def test_caps(self):
-        p = build_problem(["1", "2"], ["a"], [[1], [1]])
-        g = pessimistic_game(p)
-        with pytest.raises(TooManyArtists):
-            shapley_value_brute_force(g, method="permutation", permutation_cap=1)
-        with pytest.raises(TooManyArtists):
-            shapley_value_brute_force(g, method="subset", table_cap=1)
-        with pytest.raises(ValueError):
-            shapley_value_brute_force(g, method="bogus")
+        artists = [str(k) for k in range(11)]
+        g = pessimistic_game(build_problem(artists, ["a"], [[1]] * 11))
+        with pytest.raises(TooManyArtists, match="11 artists"):
+            shapley_value_brute_force(g)

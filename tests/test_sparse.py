@@ -113,9 +113,9 @@ class TestSparseConstructorChecks:
             self.build([], artists=())
         with pytest.raises(EmptyUsers):
             self.build([], users=())
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match="duplicate artist identifier 'x'"):
             self.build([([0], [1]), ([1], [1])], artists=("x", "x"))
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match="duplicate user identifier 'a'"):
             self.build([([0], [1]), ([1], [1])], users=("a", "a"))
 
     def test_shape(self):
