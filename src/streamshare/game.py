@@ -2,17 +2,19 @@
 and one definition-level Shapley oracle that averages over all player orders.
 
 Coalitions are bitmasks over artist positions (artist at position ``k`` is bit
-``k``); the worth function is materialized eagerly as a table of length 2^n.
-Worth tables are exact integers for the constructed games, and the Shapley
-oracle returns exact integer numerators over n!.
+``k``); the worth function is materialized eagerly as a table of length 2^n,
+built by n whole-integer passes over one packed integer (pessimistic) and read
+backwards (optimistic, dual). Worth tables are exact integers for the
+constructed games, and the Shapley oracle returns exact numerators over n!.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 from .core import Problem
 from .indices import IndexVector
@@ -21,8 +23,8 @@ DEFAULT_TABLE_CAP = 20
 # The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
 # No cap override builds a worth table for more artists than this. An export
-# costs about 130 bytes per coalition (55 MB peak for the dual game of 18
-# artists, CPython 3.11), so 2^22 coalitions already take about half a GB.
+# costs about 145 bytes per coalition (CLI peak RSS, CPython 3.11: 55 MB for
+# the dual game of 18 artists, 167 MB for 20), so 2^22 take about 0.6 GB.
 MAX_TABLE_ARTISTS = 22
 
 
@@ -39,27 +41,27 @@ class CoalitionGame:
 def _user_mask_counts(p: Problem) -> list[int]:
     """counts[S] = number of users whose whole listening list lies inside S."""
     size = 1 << p.n
-    counts = [0] * size
-    for idx, _ in p.columns:
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        counts[mask] += 1
-    # subset-sum (zeta) transform: for each bit, add every coalition without
-    # the bit into the one with it, by slices: ``bit`` strided slices or
-    # ``size / (2 * bit)`` contiguous blocks, whichever are fewer.
+    # counts[S] is a field of ``width`` bytes in one packed integer, the
+    # narrowest width that holds m (no Problem has 2^64 users). No count
+    # exceeds m, so no field ever carries into the next. Read in native byte
+    # order, buffer field i is packed field i on a little-endian host and
+    # field size - 1 - i on a big-endian one, hence ``flip``.
+    width = next(w for w in (1, 2, 4, 8) if p.m < 1 << 8 * w)
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    flip = size - 1 if sys.byteorder == "big" else 0
+    buf = bytearray(size * width)
+    fields = memoryview(buf).cast(code)
+    for idx, _ in p.columns:  # distinct positions, so their bits sum to the mask
+        fields[flip ^ sum(map((1).__lshift__, idx))] += 1
+    t = int.from_bytes(buf, sys.byteorder)
+    # subset-sum (zeta) transform: the pass for bit b adds the fields of the
+    # coalitions without the bit, shifted 2^b fields up, into those with it.
     for b in range(p.n):
-        bit = 1 << b
-        step = bit << 1
-        if bit <= size // step:
-            for lo in range(bit):
-                hi = slice(lo + bit, size, step)
-                counts[hi] = map(operator.add, counts[hi], counts[lo:size:step])
-        else:
-            for lo in range(0, size, step):
-                hi = slice(lo + bit, lo + step)
-                counts[hi] = map(operator.add, counts[hi], counts[lo:lo + bit])
-    return counts
+        half = width << b
+        clear = int.from_bytes((b"\xff" * half + bytes(half)) * (size >> b + 1), "little")
+        t += (t & clear) << 8 * half
+    counts = memoryview(t.to_bytes(size * width, sys.byteorder)).cast(code).tolist()
+    return counts[::-1] if flip else counts
 
 
 def _check_cap(p: Problem, cap: int):
@@ -83,15 +85,14 @@ def optimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
     _check_cap(p, cap)
     # worth(S) = m - counts[N \ S], and N \ S runs down the table as S runs
     # up; counts[N] == m, so the empty coalition gets 0.
-    m = p.m
-    worth = tuple(m - c for c in reversed(_user_mask_counts(p)))
+    worth = tuple(map(operator.sub, repeat(p.m), reversed(_user_mask_counts(p))))
     return CoalitionGame(p.artists, worth)
 
 
 def dual_game(g: CoalitionGame) -> CoalitionGame:
     """worth*(S) = worth(N) - worth(N \\ S); an involution on games."""
     grand = g.worth[-1]
-    worth = tuple(grand - w for w in reversed(g.worth))  # N \ S, S ascending
+    worth = tuple(map(operator.sub, repeat(grand), reversed(g.worth)))  # N \ S, S ascending
     return CoalitionGame(g.players, worth)
 
 

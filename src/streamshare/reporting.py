@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 
 from . import axioms
 from .core import Problem, build_sparse_problem
@@ -189,8 +191,12 @@ def game_export_lines(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> 
         g = dual_game(pessimistic_game(p, cap))
     else:
         raise ValueError(f"unknown stance {stance!r}")
-    row = f"{{:0{p.n}b}},{{}}".format
-    return list(map(row, range(len(g.worth)), g.worth))
+    # Each mask string is the string of its n - k high bits joined to the
+    # one of its k low bits; both halves are formatted once and streamed.
+    k = p.n // 2
+    highs = [format(h, f"0{p.n - k}b") for h in range(1 << p.n - k)]
+    lows = [format(l, f"0{k}b") + "," for l in range(1 << k)] if k else [","]
+    return list(map(operator.add, map("".join, product(highs, lows)), map(str, g.worth)))
 
 
 def game_document(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> dict:

@@ -1,8 +1,8 @@
 """Reference worth tables: the per-bit zeta transform and the literal
 optimistic and dual definitions.
 
-``user_mask_counts`` is the interpreted loop that the slice-based transform in
-``streamshare.game._user_mask_counts`` replaced: one ``if s & bit`` step per
+``user_mask_counts`` is the interpreted loop that the packed-integer transform
+in ``streamshare.game._user_mask_counts`` replaced: one ``if s & bit`` step per
 coalition and bit. The two worth functions read the table at ``N \\ S`` for
 each coalition ``S``, exactly as the definitions say. They are kept here, slow
 and obviously correct, so tests can require the fast tables to equal them.

@@ -5,7 +5,8 @@ The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical:
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
 (24 artists x 40 users) and a seeded dense one (6 x 30), ``game --seed 7``
-under each of the three stances on a 6 x 25 input, and ``audit --table`` /
+under each of the three stances on a 6 x 25 input (the dual one in JSON
+too), and ``audit --table`` /
 ``audit --independence`` with ``--trials 60 --seed 7`` in JSON, and the
 latter in text too.
 
@@ -40,6 +41,8 @@ CASES = {  # file name: (argv, exit code)
     **{f"game_{stance}.txt": (["game", "--input", "game.csv", "--stance", stance,
                                "--seed", "7"], 0)
        for stance in ("pessimistic", "optimistic", "dual")},
+    "game_dual.json": (["game", "--input", "game.csv", "--stance", "dual",
+                        "--format", "json", "--seed", "7"], 0),
     "audit_table.json": (["audit", "--table", "--format", "json", *AUDIT], 0),
     "audit_independence.json": (["audit", "--independence", "--format", "json", *AUDIT], 3),
     "audit_independence.txt": (["audit", "--independence", *AUDIT], 3),
