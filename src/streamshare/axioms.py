@@ -44,6 +44,7 @@ from .indices import (
 )
 
 SUBSET_ENUMERATION_CAP = 10
+DEFAULT_TRIALS = 500
 
 # Random problems: up to MAX_ARTISTS x MAX_USERS, entries up to MAX_ENTRY. A
 # HEAVY_CHANCE share of trials caps entries at HEAVY_ENTRY instead, which is
@@ -689,7 +690,7 @@ def _lookup(axiom: str) -> Axiom:
 # Audits
 
 
-def audit(axiom: str, rule: IndexRule, trials: int = 500, seed: int = 42) -> Verdict:
+def audit(axiom: str, rule: IndexRule, trials: int = DEFAULT_TRIALS, seed: int = 42) -> Verdict:
     """Search for a counterexample: exhaustive grid first, then seeded trials.
 
     Deterministic in ``seed``; the earliest counterexample in the fixed scan
@@ -780,7 +781,7 @@ TABLE1_EXPECTED: dict[str, dict[str, bool]] = {
 }
 
 
-def reproduce_table(trials: int = 500, seed: int = 42) -> SuiteResult:
+def reproduce_table(trials: int = DEFAULT_TRIALS, seed: int = 42) -> SuiteResult:
     """Audit every (axiom, rule) cell of the expected satisfaction table."""
     cells = tuple(
         AuditCell(audit(axiom, make_rule(name, seed=seed), trials, seed),
@@ -838,7 +839,7 @@ INDEPENDENCE_CLAIMS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-def independence_suite(trials: int = 200, seed: int = 42) -> SuiteResult:
+def independence_suite(trials: int = DEFAULT_TRIALS, seed: int = 42) -> SuiteResult:
     """Audit every deviant rule against its characterization axiom set.
 
     Each distinct (axiom, rule) pair is audited once, axiom by axiom so that

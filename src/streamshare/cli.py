@@ -7,18 +7,14 @@ Exit codes: 0 success (and, for audits, everything matches), 1 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import axioms, reporting
-from .core import ProblemError
-from .game import DEFAULT_TABLE_CAP, MAX_TABLE_ARTISTS, TooManyArtists
+from .game import MAX_TABLE_ARTISTS, STANCES
 from .indices import ALL_RULE_NAMES, TABLE_RULE_NAMES, UnknownRule, make_rule
-
-SEED_ENV_VAR = "STREAMSHARE_SEED"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{SEED_ENV_VAR}={raw!r} is not an integer")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="streamshare")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,35 +44,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=Path, default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"seed for audits and default weights "
-                            f"(default: env {SEED_ENV_VAR}, else 42)")
+        p.add_argument("--seed", type=int, default=42,
+                       help="seed for audits and default weights (default 42)")
 
     alloc = sub.add_parser("allocate", help="compute index values and payouts")
+    alloc.set_defaults(run=_run_allocate)
     alloc.add_argument("--input", type=Path, required=True, help="CSV stream matrix")
-    alloc.add_argument("--index", default="shapley,pro-rata,user-centric",
+    alloc.add_argument("--index", default=",".join(TABLE_RULE_NAMES),
                        help="comma-separated index names, or 'all'")
     alloc.add_argument("--price", default="1",
                        help="display multiplier for payouts (exact fraction)")
     common(alloc)
 
     game = sub.add_parser("game", help="export a coalition game worth table")
-    game.add_argument("--input", type=Path, required=True, help="CSV stream matrix")
-    game.add_argument("--stance", choices=("pessimistic", "optimistic", "dual"),
-                      default="pessimistic")
-    game.add_argument("--cap", type=int, default=DEFAULT_TABLE_CAP,
-                      help=f"artist enumeration cap (default {DEFAULT_TABLE_CAP}); no table "
-                           f"is built for more than {MAX_TABLE_ARTISTS} artists")
+    game.set_defaults(run=_run_game)
+    game.add_argument("--input", type=Path, required=True,
+                      help=f"CSV stream matrix of at most {MAX_TABLE_ARTISTS} artists")
+    game.add_argument("--stance", choices=tuple(STANCES), default="pessimistic")
     common(game)
 
     audit = sub.add_parser("audit", help="search axioms for counterexamples")
+    audit.set_defaults(run=_run_audit)
     audit.add_argument("--axiom", default=None,
                        help="axiom name or 'all' (" + ", ".join(axioms.AXIOM_IDS) + "; "
                             "default all, not with --table or --independence)")
     audit.add_argument("--index", default=None,
                        help="index name or 'all' (the three table indices; default all, "
                             "not with --table or --independence)")
-    audit.add_argument("--trials", type=int, default=500)
+    audit.add_argument("--trials", type=int, default=axioms.DEFAULT_TRIALS)
     suite = audit.add_mutually_exclusive_group()
     suite.add_argument("--table", action="store_true",
                        help="reproduce the full rules-vs-axioms table")
@@ -164,7 +149,7 @@ def _parse_price(text: str) -> Fraction:
 
 def _run_game(args) -> int:
     p = _read_problem(args.input)
-    _emit(reporting.game_document(p, args.stance, cap=args.cap), args)
+    _emit(reporting.game_document(p, args.stance), args)
     return EXIT_OK
 
 
@@ -189,12 +174,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = _default_seed(parser)
         if args.command == "audit" and args.trials < 1:
             parser.error(f"audit: --trials must be at least 1, got {args.trials}")
-        if args.command == "game" and args.cap < 1:
-            parser.error(f"game: --cap must be at least 1, got {args.cap}")
         if args.command == "audit" and (args.table or args.independence):
             suite = "--table" if args.table else "--independence"
             for flag, value in (("--axiom", args.axiom), ("--index", args.index)):
@@ -205,17 +186,10 @@ def main(argv=None) -> int:
     try:
         if args.output is not None:
             _check_output(args.output)
-        if args.command == "allocate":
-            return _run_allocate(args)
-        if args.command == "game":
-            return _run_game(args)
-        if args.command == "audit":
-            return _run_audit(args)
-    except (ProblemError, reporting.ParseError, TooManyArtists,
-            axioms.UnknownAxiom, UnknownRule, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # every data error the package raises is one
         print(f"streamshare: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

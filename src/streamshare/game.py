@@ -19,13 +19,12 @@ from itertools import permutations, repeat
 from .core import Problem
 from .indices import IndexVector
 
-DEFAULT_TABLE_CAP = 20
 # The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
-# No cap override builds a worth table for more artists than this. An export
-# costs about 145 bytes per coalition (CLI peak RSS, CPython 3.11: 55 MB for
-# the dual game of 18 artists, 167 MB for 20), so 2^22 take about 0.6 GB.
-MAX_TABLE_ARTISTS = 22
+# No worth table is built for more artists than this. An export costs about
+# 145 bytes per coalition (CLI peak RSS, CPython 3.11: 55 MB for the dual
+# game of 18 artists, 167 MB for 20), and each artist more doubles it.
+MAX_TABLE_ARTISTS = 20
 
 
 class TooManyArtists(ValueError):
@@ -40,6 +39,8 @@ class CoalitionGame:
 
 def _user_mask_counts(p: Problem) -> list[int]:
     """counts[S] = number of users whose whole listening list lies inside S."""
+    if p.n > MAX_TABLE_ARTISTS:
+        raise TooManyArtists(f"{p.n} artists exceeds the enumeration cap {MAX_TABLE_ARTISTS}")
     size = 1 << p.n
     # counts[S] is a field of ``width`` bytes in one packed integer, the
     # narrowest width that holds m (no Problem has 2^64 users). No count
@@ -64,25 +65,13 @@ def _user_mask_counts(p: Problem) -> list[int]:
     return counts[::-1] if flip else counts
 
 
-def _check_cap(p: Problem, cap: int):
-    if p.n > MAX_TABLE_ARTISTS:
-        raise TooManyArtists(
-            f"{p.n} artists exceeds the ceiling of {MAX_TABLE_ARTISTS} artists "
-            f"for a 2^n worth table, whatever the cap"
-        )
-    if p.n > cap:
-        raise TooManyArtists(f"{p.n} artists exceeds the enumeration cap {cap}")
-
-
-def pessimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
+def pessimistic_game(p: Problem) -> CoalitionGame:
     """worth(S) = number of users who streamed only artists in S."""
-    _check_cap(p, cap)
     return CoalitionGame(p.artists, tuple(_user_mask_counts(p)))
 
 
-def optimistic_game(p: Problem, cap: int = DEFAULT_TABLE_CAP) -> CoalitionGame:
+def optimistic_game(p: Problem) -> CoalitionGame:
     """worth(S) = number of users who streamed at least one artist in S."""
-    _check_cap(p, cap)
     # worth(S) = m - counts[N \ S], and N \ S runs down the table as S runs
     # up; counts[N] == m, so the empty coalition gets 0.
     worth = tuple(map(operator.sub, repeat(p.m), reversed(_user_mask_counts(p))))
@@ -94,6 +83,14 @@ def dual_game(g: CoalitionGame) -> CoalitionGame:
     grand = g.worth[-1]
     worth = tuple(map(operator.sub, repeat(grand), reversed(g.worth)))  # N \ S, S ascending
     return CoalitionGame(g.players, worth)
+
+
+# Stance name -> game; the builders are looked up per call, so wrappers set on them see it.
+STANCES = {
+    "pessimistic": lambda p: pessimistic_game(p),
+    "optimistic": lambda p: optimistic_game(p),
+    "dual": lambda p: dual_game(pessimistic_game(p)),
+}
 
 
 def shapley_value_brute_force(g: CoalitionGame) -> IndexVector:

@@ -19,10 +19,11 @@ from itertools import product
 
 from . import axioms
 from .core import Problem, build_sparse_problem
-from .game import DEFAULT_TABLE_CAP, dual_game, optimistic_game, pessimistic_game
+from .game import STANCES
 from .indices import exact_sum, make_rule, rewards
 
 SCHEMA_VERSION = 1
+MAX_COUNT_DIGITS = 4300  # the interpreter's default int-from-str limit, fixed for every run
 
 
 class ParseError(ValueError):
@@ -44,10 +45,12 @@ def parse_matrix(text: str) -> Problem:
     physical line. Each cell costs one comparison with ``"0"``;
     only the other cells are converted and stored, user by user. A count is
     ASCII digits after stripping, with an optional leading ``-`` (negative
-    counts then fail validation); ids must be nonempty.
+    counts then fail validation) of at most ``MAX_COUNT_DIGITS`` digits; ids
+    must be nonempty.
     """
     reader = csv.reader(_lines(text))
-    header = next(filter(None, reader), None)
+    rows = _rows(reader)
+    header = next(rows, None)
     if header is None:
         raise ParseError("empty input")
     if header[0].strip() != "artist":
@@ -62,7 +65,7 @@ def parse_matrix(text: str) -> Problem:
     artists = []
     idx_lists = [[] for _ in users]
     count_lists = [[] for _ in users]
-    for row in filter(None, reader):
+    for row in rows:
         line = reader.line_num
         if len(row) != width:
             raise ParseError(
@@ -77,7 +80,8 @@ def parse_matrix(text: str) -> Problem:
         nonzero = [j for j, cell in enumerate(cells) if cell != "0"]
         texts = [cells[j] for j in nonzero]
         joined = "".join(texts)
-        if joined.isascii() and joined.isdigit() and all(texts):  # plain counts only
+        if (joined.isascii() and joined.isdigit() and all(texts)  # plain counts only
+                and max(map(len, texts)) <= MAX_COUNT_DIGITS):
             values = map(int, texts)
         else:
             values = [_count(t, line, j + 2) for j, t in zip(nonzero, texts)]
@@ -103,6 +107,14 @@ def _lines(text: str):
         start = end
 
 
+def _rows(reader):
+    """The nonblank rows of ``reader``; a ``csv.Error`` names its line."""
+    try:
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def _count(cell: str, line: int, column: int) -> int:
     """One stream count: ASCII digits with an optional leading "-"."""
     text = cell.strip()
@@ -111,6 +123,9 @@ def _count(cell: str, line: int, column: int) -> int:
         raise ParseError(
             f"stream count {text!r} is not an integer", line=line, column=column,
         )
+    if len(digits) > MAX_COUNT_DIGITS:
+        raise ParseError(f"stream count has {len(digits)} digits, more than "
+                         f"{MAX_COUNT_DIGITS}", line=line, column=column)
     return int(text)
 
 
@@ -177,20 +192,15 @@ def allocation_document(
     }
 
 
-def game_export_lines(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> list[str]:
+def game_export_lines(p: Problem, stance: str) -> list[str]:
     """One "bitmask,worth" line per coalition, ascending bitmask order.
 
     Bit k of the mask is the artist at position k, so the mask string's
     rightmost character is the first artist.
     """
-    if stance == "pessimistic":
-        g = pessimistic_game(p, cap)
-    elif stance == "optimistic":
-        g = optimistic_game(p, cap)
-    elif stance == "dual":
-        g = dual_game(pessimistic_game(p, cap))
-    else:
+    if stance not in STANCES:
         raise ValueError(f"unknown stance {stance!r}")
+    g = STANCES[stance](p)
     # Each mask string is the string of its n - k high bits joined to the
     # one of its k low bits; both halves are formatted once and streamed.
     k = p.n // 2
@@ -199,13 +209,13 @@ def game_export_lines(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> 
     return list(map(operator.add, map("".join, product(highs, lows)), map(str, g.worth)))
 
 
-def game_document(p: Problem, stance: str, cap: int = DEFAULT_TABLE_CAP) -> dict:
+def game_document(p: Problem, stance: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "game",
         "stance": stance,
         "players": list(p.artists),
-        "rows": game_export_lines(p, stance, cap),
+        "rows": game_export_lines(p, stance),
     }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from streamshare import cli
 from streamshare.axioms import AXIOM_IDS
-from streamshare.cli import SEED_ENV_VAR, main
+from streamshare.cli import main
 from streamshare.indices import ALL_RULE_NAMES
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"
@@ -120,27 +120,15 @@ class TestGame:
         _, opt, _ = run(capsys, "game", "--input", str(matrix), "--stance", "optimistic")
         assert dual == opt
 
-    def test_cap_exceeded(self, matrix, capsys):
-        code, _, err = run(capsys, "game", "--input", str(matrix), "--cap", "1")
-        assert code == 2
-        assert "error" in err
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_cap_below_one_is_usage_error(self, tmp_path, cap, capsys):
-        # refused before the input is read: this file does not exist
-        missing = tmp_path / "missing.csv"
-        code, out, err = run(capsys, "game", "--input", str(missing), "--cap", cap)
-        assert code == 1 and out == ""
-        assert f"--cap must be at least 1, got {cap}" in err
-
-    def test_cap_cannot_lift_the_table_ceiling(self, tmp_path, capsys):
-        # 25 artists: the check must refuse before any 2^25 table is built
+    @pytest.mark.parametrize("n", [21, 25])
+    def test_table_limit_is_data_error(self, tmp_path, n, capsys):
+        # the check must refuse before any 2^n table is built
         path = tmp_path / "wide.csv"
-        rows = [f"a{i},{i + 1}" for i in range(25)]
+        rows = [f"a{i},{i + 1}" for i in range(n)]
         path.write_text("artist,u\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        code, out, err = run(capsys, "game", "--input", str(path), "--cap", "30")
+        code, out, err = run(capsys, "game", "--input", str(path))
         assert code == 2 and out == ""
-        assert "25 artists exceeds the ceiling of 22 artists" in err
+        assert err == f"streamshare: error: {n} artists exceeds the enumeration cap 20\n"
 
 
 @st.composite
@@ -166,14 +154,13 @@ def fuzz_input(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(data=st.one_of(csv_texts(), st.text(max_size=80), st.binary(max_size=80)),
        stance=st.sampled_from(["pessimistic", "optimistic", "dual"]),
-       cap=st.none() | st.integers(-2, 3), as_json=st.booleans())
-def test_game_on_any_input_exits_with_a_message(fuzz_input, data, stance, cap, as_json):
+       as_json=st.booleans())
+def test_game_on_any_input_exits_with_a_message(fuzz_input, data, stance, as_json):
     if isinstance(data, bytes):
         fuzz_input.write_bytes(data)
     else:
         fuzz_input.write_text(data, encoding="utf-8", errors="surrogatepass")
     argv = ["game", "--input", str(fuzz_input), "--stance", stance]
-    argv += [] if cap is None else ["--cap", str(cap)]
     argv += ["--format", "json"] if as_json else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -241,6 +228,18 @@ class TestErrorsAndUsage:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["allocate", "game"])
+    @pytest.mark.parametrize("text, where", [
+        ("artist,u1\na1," + "1" * 140000 + "\n", "(line 2)"),
+        ("artist,u1,u2\na1,1," + "1" * 5000 + "\n", "(line 2, column 3)"),
+    ], ids=["long-field", "long-count"])
+    def test_oversized_cell_is_data_error(self, tmp_path, capsys, command, text, where):
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("streamshare: error: ") and err.endswith(f" {where}\n")
+
     def test_byte_order_mark_input(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_text(EXAMPLE_1_CSV, encoding="utf-8-sig")
@@ -287,6 +286,7 @@ class TestErrorsAndUsage:
         assert run(capsys, "allocate")[0] == 1  # --input is required
         assert run(capsys, "nonsense")[0] == 1
         assert run(capsys, "game", "--input", str(matrix), "--stance", "hopeful")[0] == 1
+        assert run(capsys, "game", "--input", str(matrix), "--cap", "30")[0] == 1
 
     def test_table_and_independence_conflict(self, capsys):
         code, out, err = run(capsys, "audit", "--table", "--independence", "--trials", "1")
@@ -342,20 +342,12 @@ class TestAudit:
         _, second, _ = run(capsys, *args)
         assert first == second and first
 
-    def test_seed_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        _, out_env, _ = run(capsys, "audit", "--axiom", "additivity",
-                            "--index", "shapley", "--trials", "5", "--format", "json")
-        monkeypatch.delenv(SEED_ENV_VAR)
-        _, out_flag, _ = run(capsys, "audit", "--axiom", "additivity",
-                             "--index", "shapley", "--trials", "5",
-                             "--seed", "99", "--format", "json")
-        assert out_env == out_flag
-        assert '"seed": 99' in out_env
-
-    def test_invalid_seed_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "forty-two")
-        code, out, err = run(capsys, "audit", "--axiom", "additivity",
-                             "--index", "shapley", "--trials", "5")
-        assert code == 1 and out == ""
-        assert SEED_ENV_VAR in err and "'forty-two'" in err
+    def test_seed_env_has_no_effect(self, capsys, monkeypatch):
+        # the seed is --seed, default 42; a STREAMSHARE_SEED variable is ignored
+        args = ("audit", "--axiom", "additivity", "--index", "shapley", "--trials", "5",
+                "--format", "json")
+        expected = run(capsys, *args, "--seed", "42")
+        assert expected[0] == 0 and '"seed": 42' in expected[1]
+        for value in ("99", "forty-two"):
+            monkeypatch.setenv("STREAMSHARE_SEED", value)
+            assert run(capsys, *args) == expected

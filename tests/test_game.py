@@ -83,12 +83,12 @@ class TestGameConstruction:
                         if not s >> b & 1:
                             assert g.worth[s] <= g.worth[s | 1 << b]
 
-    def test_cap(self):
-        p = build_problem(["1", "2"], ["a"], [[1], [1]])
-        with pytest.raises(TooManyArtists):
-            pessimistic_game(p, cap=1)
-        with pytest.raises(TooManyArtists):
-            optimistic_game(p, cap=1)
+    @pytest.mark.parametrize("n", [21, 25])
+    def test_table_limit(self, n):
+        p = build_problem([f"a{i}" for i in range(n)], ["u"], [[1]] * n)
+        for build in (pessimistic_game, optimistic_game):
+            with pytest.raises(TooManyArtists, match=f"^{n} artists exceeds the enumeration cap 20$"):
+                build(p)
 
 
 class TestDuality:

@@ -29,8 +29,8 @@ def random_listening_problem(rng, n, max_m=40):
 def assert_tables_match(p):
     counts = user_mask_counts(p)
     assert game._user_mask_counts(p) == counts
-    pessimistic = pessimistic_game(p, cap=p.n)
-    optimistic = optimistic_game(p, cap=p.n)
+    pessimistic = pessimistic_game(p)
+    optimistic = optimistic_game(p)
     assert pessimistic.worth == tuple(counts)
     assert optimistic.worth == optimistic_worth(p)
     for g in (pessimistic, optimistic):

@@ -1,5 +1,5 @@
 """Golden CLI reports, pinned instance generators, and the reports'
-independence from the interpreter's hash seed.
+independence from the interpreter's hash seed and from the environment.
 
 The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical:
@@ -78,13 +78,13 @@ def test_instances_match_pinned_digests(axiom):
 def test_reports_independent_of_hash_seed():
     commands = [
         _argv(CASES["sparse_allocate.json"][0]),
-        ["audit", "--independence", "--trials", "20", "--format", "json", "--seed", "5"],
+        ["audit", "--independence", "--trials", "20", "--format", "json"],  # default seed
     ]
     runs = []
     for hash_seed in ("1", "2024"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        env.pop("STREAMSHARE_SEED", None)
+        env["STREAMSHARE_SEED"] = "not a seed"  # ignored: reports depend on argv alone
         runs.append([
             subprocess.run([sys.executable, "-m", "streamshare.cli", *argv], env=env,
                            capture_output=True, timeout=300)

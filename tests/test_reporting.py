@@ -8,6 +8,7 @@ from streamshare import build_problem, make_rule
 from streamshare.axioms import audit
 from streamshare.core import DuplicateId, NegativeStream, SilentUser
 from streamshare.reporting import (
+    MAX_COUNT_DIGITS,
     ParseError,
     allocation_document,
     audit_document,
@@ -105,6 +106,28 @@ class TestParseMatrix:
         with pytest.raises(ParseError) as exc:
             parse_matrix("artist,a,b\nx,\u0663,1\n")  # ARABIC-INDIC DIGIT THREE
         assert (exc.value.line, exc.value.column) == (2, 2)
+
+    @pytest.mark.parametrize("row", ["x,1,{}", "x, 1 ,{}", "x,-1,-{}"],
+                             ids=["plain", "spaced", "negative"])
+    def test_count_digit_limit(self, row):
+        # the plain-digit fast path and the per-cell path refuse alike
+        longest = "9" * MAX_COUNT_DIGITS
+        assert parse_matrix(f"artist,a,b\nx,1,{longest}\n").streams == ((1, int(longest)),)
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("artist,a,b\n" + row.format("1" * 5000) + "\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert str(exc.value) == "stream count has 5000 digits, more than 4300 (line 2, column 3)"
+
+    @pytest.mark.parametrize("text, line", [
+        ("artist,u1\na1," + "1" * 140000 + "\n", 2),
+        ("artist,u" + "1" * 140000 + "\na1,1\n", 1),
+        ("artist,u1\n\na1,1\rx\n", 3),
+    ], ids=["long-field", "long-header", "lone-cr"])
+    def test_csv_error_reports_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith("malformed CSV: ")
 
     def test_plus_sign_rejected(self):
         with pytest.raises(ParseError):
