@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
@@ -76,10 +76,16 @@ class Verdict:
     seed: int
     witness: dict | None = None
     details: dict | None = None
+    expected: str | None = None  # a suite cell's expected outcome
+    axiom_set: str | None = None  # an independence cell's characterization
 
     @property
     def holds(self) -> bool:
         return self.outcome == "holds"
+
+    @property
+    def matches(self) -> bool:
+        return self.outcome == self.expected
 
 
 def problem_to_dict(p: Problem) -> dict:
@@ -510,21 +516,29 @@ def instance_to_dict(instance: dict) -> dict:
 # Each generator draws and adjusts plain rows, then builds them unvalidated.
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from ``range(n)`` as ``randrange(n)`` makes it on Python 3.10-3.12, at half its
+    cost; ``a + _below(bits, b - a + 1)`` draws as ``randint(a, b)``. instances.json pins both."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_rows(
     rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
 ) -> list[list[int]]:
-    # a + below(b - a + 1) is the body of randint(a, b), and below(n) of randrange(n),
-    # on Python 3.10-3.13 at half the cost; instances.json pins these draws.
-    below = rng._randbelow
-    n = min_n + below(MAX_ARTISTS - min_n + 1)
-    m = min_m + below(MAX_USERS - min_m + 1)
+    bits = rng.getrandbits
+    n = min_n + _below(bits, MAX_ARTISTS - min_n + 1)
+    m = min_m + _below(bits, MAX_USERS - min_m + 1)
     max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
     rows = [
-        [0 if rng.random() < zero_chance else 1 + below(max_entry) for _ in range(m)]
+        [0 if rng.random() < zero_chance else 1 + _below(bits, max_entry) for _ in range(m)]
         for _ in range(n)
     ]
     for j in _empty_columns(rows):
-        rows[below(n)][j] = 1 + below(max_entry)
+        rows[_below(bits, n)][j] = 1 + _below(bits, max_entry)
     return rows
 
 
@@ -724,43 +738,35 @@ def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
 
 
 @dataclass(frozen=True)
-class AuditCell:
-    """One audited (axiom, rule) pair and the outcome it is expected to have.
-
-    ``axiom_set`` names the characterization of an independence-suite cell.
-    """
-
-    verdict: Verdict
-    expected_holds: bool
-    axiom_set: str | None = None
-
-    @property
-    def axiom(self) -> str:
-        return self.verdict.axiom
-
-    @property
-    def rule(self) -> str:
-        return self.verdict.rule
-
-    @property
-    def matches(self) -> bool:
-        return self.verdict.holds == self.expected_holds
-
-
-@dataclass(frozen=True)
 class SuiteResult:
     kind: str  # "table" or "independence"
     trials: int
     seed: int
-    cells: tuple[AuditCell, ...]
+    cells: tuple[Verdict, ...]
 
     @property
     def all_match(self) -> bool:
         return all(c.matches for c in self.cells)
 
     @property
-    def mismatches(self) -> tuple[AuditCell, ...]:
+    def mismatches(self) -> tuple[Verdict, ...]:
         return tuple(c for c in self.cells if not c.matches)
+
+
+def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:
+    """One cell per claim ``(axiom_set, axiom, rule, expected_holds)``, in claim order.
+
+    Each distinct (axiom, rule) pair is audited once, axiom by axiom so that
+    every axiom's grid is built once.
+    """
+    pairs = sorted(dict.fromkeys((axiom, rule) for _, axiom, rule, _ in claims),
+                   key=lambda pair: AXIOM_IDS.index(pair[0]))
+    verdicts = {(axiom, rule): audit(axiom, make_rule(rule, seed=seed), trials, seed)
+                for axiom, rule in pairs}
+    return SuiteResult(kind, trials, seed, tuple(
+        replace(verdicts[axiom, rule], expected="holds" if holds else "counterexample",
+                axiom_set=set_name)
+        for set_name, axiom, rule, holds in claims))
 
 
 # ---------------------------------------------------------------------------
@@ -783,13 +789,9 @@ TABLE1_EXPECTED: dict[str, dict[str, bool]] = {
 
 def reproduce_table(trials: int = DEFAULT_TRIALS, seed: int = 42) -> SuiteResult:
     """Audit every (axiom, rule) cell of the expected satisfaction table."""
-    cells = tuple(
-        AuditCell(audit(axiom, make_rule(name, seed=seed), trials, seed),
-                  TABLE1_EXPECTED[axiom][name])
-        for axiom in AXIOM_IDS
-        for name in TABLE_RULE_NAMES
-    )
-    return SuiteResult("table", trials, seed, cells)
+    return _run_suite("table", [(None, axiom, name, TABLE1_EXPECTED[axiom][name])
+                                for axiom in AXIOM_IDS for name in TABLE_RULE_NAMES],
+                      trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -840,18 +842,8 @@ INDEPENDENCE_CLAIMS: tuple[tuple[str, str, str], ...] = (
 
 
 def independence_suite(trials: int = DEFAULT_TRIALS, seed: int = 42) -> SuiteResult:
-    """Audit every deviant rule against its characterization axiom set.
-
-    Each distinct (axiom, rule) pair is audited once, axiom by axiom so that
-    every axiom's grid is built once; the cells then follow the claims.
-    """
-    claimed = [(set_name, axiom, rule, axiom != fails)
-               for set_name, rule, fails in INDEPENDENCE_CLAIMS
-               for axiom in THEOREM_AXIOM_SETS[set_name]]
-    pairs = sorted({(axiom, rule) for _, axiom, rule, _ in claimed},
-                   key=lambda pair: (AXIOM_IDS.index(pair[0]), pair[1]))
-    verdicts = {(axiom, rule): audit(axiom, make_rule(rule, seed=seed), trials, seed)
-                for axiom, rule in pairs}
-    cells = tuple(AuditCell(verdicts[axiom, rule], holds, set_name)
-                  for set_name, axiom, rule, holds in claimed)
-    return SuiteResult("independence", trials, seed, cells)
+    """Audit every deviant rule against its characterization axiom set."""
+    return _run_suite("independence", [(set_name, axiom, rule, axiom != fails)
+                                       for set_name, rule, fails in INDEPENDENCE_CLAIMS
+                                       for axiom in THEOREM_AXIOM_SETS[set_name]],
+                      trials, seed)

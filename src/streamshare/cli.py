@@ -22,8 +22,8 @@ EXIT_DATA = 2
 EXIT_MISMATCH = 3
 
 # A --price is refused on its text, before ``Fraction`` parses it: ``Fraction``
-# builds 10**exp for an exponent of any size, and a price or payout past the
-# interpreter's 4300-digit limit on int-to-str conversion cannot be printed.
+# builds 10**exp for an exponent of any size. These are the program's own input
+# bounds; they keep one option from making every payout thousands of digits long.
 MAX_PRICE_CHARS = 1000
 MAX_PRICE_EXPONENT = 1000
 _PRICE_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled on first use, not on import
@@ -183,13 +183,21 @@ def main(argv=None) -> int:
                     parser.error(f"audit: {flag} cannot be used with {suite}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values are printed whole: the interpreter's int-to-str digit limit
+    # (PYTHONINTMAXSTRDIGITS; Python 3.10.7 and later) is lifted for the run.
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
         if args.output is not None:
             _check_output(args.output)
         return args.run(args)
     except ValueError as exc:  # every data error the package raises is one
         print(f"streamshare: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .game import STANCES
 from .indices import exact_sum, make_rule, rewards
 
 SCHEMA_VERSION = 1
-MAX_COUNT_DIGITS = 4300  # the interpreter's default int-from-str limit, fixed for every run
+MAX_COUNT_DIGITS = 4300  # the program's own bound on one stream count's length
 
 
 class ParseError(ValueError):
@@ -220,10 +220,8 @@ def game_document(p: Problem, stance: str) -> dict:
 
 
 def verdict_to_dict(v: axioms.Verdict) -> dict:
-    out = asdict(v)
-    if v.witness is None:
-        del out["witness"], out["details"]
-    return out
+    """The verdict's fields, leaving out each one that is ``None``."""
+    return {k: val for k, val in asdict(v).items() if val is not None}
 
 
 def audit_document(verdicts) -> dict:
@@ -242,15 +240,7 @@ def suite_document(result: axioms.SuiteResult) -> dict:
         "trials": result.trials,
         "seed": result.seed,
         "all_match": result.all_match,
-        "cells": [
-            {
-                **({} if c.axiom_set is None else {"axiom_set": c.axiom_set}),
-                "expected": "holds" if c.expected_holds else "counterexample",
-                "matches": c.matches,
-                **verdict_to_dict(c.verdict),
-            }
-            for c in result.cells
-        ],
+        "cells": [{**verdict_to_dict(c), "matches": c.matches} for c in result.cells],
     }
 
 

@@ -108,9 +108,9 @@ def test_criterion_5_satisfaction_table():
     start = time.perf_counter()
     result = reproduce_table(trials=500, seed=42)
     witnesses_ok = all(
-        replay_witness(c.verdict, make_rule(c.rule, seed=42))
+        replay_witness(c, make_rule(c.rule, seed=42))
         for c in result.cells
-        if not c.expected_holds
+        if c.expected == "counterexample"
     )
     elapsed = time.perf_counter() - start
     ok = result.all_match and witnesses_ok and elapsed < 300.0

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -245,15 +246,15 @@ class TestTable:
     def test_full_table_matches(self, table_run):
         result = table_run
         assert result.all_match, [
-            (c.axiom, c.rule, c.verdict.outcome) for c in result.mismatches
+            (c.axiom, c.rule, c.outcome) for c in result.mismatches
         ]
 
     def test_every_no_cell_has_replayable_witness(self, table_run):
         result = table_run
         for cell in result.cells:
-            if not cell.expected_holds:
-                assert cell.verdict.outcome == "counterexample"
-                assert replay_witness(cell.verdict, make_rule(cell.rule, seed=2))
+            if cell.expected == "counterexample":
+                assert cell.outcome == "counterexample"
+                assert replay_witness(cell, make_rule(cell.rule, seed=2))
 
     def test_shapley_column_has_one_no(self):
         fails = [a for a in AXIOM_IDS if not TABLE1_EXPECTED[a]["shapley"]]
@@ -310,7 +311,7 @@ class TestIndependence:
         }
         for cell in result.cells:
             if (cell.axiom_set, cell.rule, cell.axiom) in designated:
-                assert cell.verdict.outcome == "counterexample"
+                assert cell.outcome == "counterexample"
                 assert cell.matches
 
     def test_uniform_rule_fails_only_lower_bound(self):
@@ -345,8 +346,7 @@ class TestGrid:
     def test_grid_witnesses_are_plain_grid_instances(self, table_run, independence_run):
         grids = {}
         on_grid = 0
-        for cell in table_run.cells + independence_run.cells:
-            v = cell.verdict
+        for v in table_run.cells + independence_run.cells:
             if v.holds or v.trials:
                 continue  # held, or found by a random trial
             on_grid += 1
@@ -374,7 +374,7 @@ class TestGrid:
             if key not in standalone:
                 rule = make_rule(cell.rule, seed=result.seed)
                 standalone[key] = audit(cell.axiom, rule, result.trials, result.seed)
-            assert cell.verdict == standalone[key]
+            assert replace(cell, expected=None, axiom_set=None) == standalone[key]
 
     def test_suite_cells_follow_the_claims(self, independence_run):
         assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [

@@ -1,13 +1,14 @@
-"""``axioms._random_rows`` draws through ``Random._randbelow``, a private API:
-``a + _randbelow(b - a + 1)`` for ``randint(a, b)`` and ``_randbelow(n)`` for
-``randrange(n)``. On a Python whose ``randint`` or ``randrange`` draws
-otherwise, these tests fail by name, ahead of the pinned instance digests."""
+"""``axioms._random_rows`` draws through its own rejection loop ``_below``:
+``a + _below(getrandbits, b - a + 1)`` for ``randint(a, b)`` and
+``_below(getrandbits, n)`` for ``randrange(n)``. On a Python whose ``randint``
+or ``randrange`` draws otherwise, these tests fail by name, ahead of the pinned
+instance digests."""
 
 import random
 
 import pytest
 
-from streamshare.axioms import HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS
+from streamshare.axioms import HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS, _below
 
 # every randint(a, b) in _random_rows: the shape, with min_n and min_m of 1
 # or 2 as the generators ask, and the entries, light and heavy
@@ -25,7 +26,7 @@ def twins(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_randbelow_draws_as_randint(a, b, seed):
     ours, reference = twins(seed)
-    assert [a + ours._randbelow(b - a + 1) for _ in range(DRAWS)] == \
+    assert [a + _below(ours.getrandbits, b - a + 1) for _ in range(DRAWS)] == \
         [reference.randint(a, b) for _ in range(DRAWS)]
     assert ours.getstate() == reference.getstate()
 
@@ -34,6 +35,6 @@ def test_randbelow_draws_as_randint(a, b, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_randbelow_draws_as_randrange(n, seed):
     ours, reference = twins(seed)
-    assert [ours._randbelow(n) for _ in range(DRAWS)] == \
+    assert [_below(ours.getrandbits, n) for _ in range(DRAWS)] == \
         [reference.randrange(n) for _ in range(DRAWS)]
     assert ours.getstate() == reference.getstate()

@@ -6,9 +6,9 @@ cover was restructured, and reports must stay byte-identical:
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
 (24 artists x 40 users) and a seeded dense one (6 x 30), ``game --seed 7``
 under each of the three stances on a 6 x 25 input (the dual one in JSON
-too), and ``audit --table`` /
-``audit --independence`` with ``--trials 60 --seed 7`` in JSON, and the
-latter in text too.
+too), and plain ``audit`` (every axiom against the three table indices),
+``audit --table`` and ``audit --independence`` with ``--trials 60 --seed 7``
+in JSON, and the last in text too.
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
 not pin the random instance generators. ``instances.json`` does: for each
@@ -43,6 +43,7 @@ CASES = {  # file name: (argv, exit code)
        for stance in ("pessimistic", "optimistic", "dual")},
     "game_dual.json": (["game", "--input", "game.csv", "--stance", "dual",
                         "--format", "json", "--seed", "7"], 0),
+    "audit_plain.json": (["audit", "--format", "json", *AUDIT], 0),
     "audit_table.json": (["audit", "--table", "--format", "json", *AUDIT], 0),
     "audit_independence.json": (["audit", "--independence", "--format", "json", *AUDIT], 3),
     "audit_independence.txt": (["audit", "--independence", *AUDIT], 3),
@@ -75,21 +76,52 @@ def test_instances_match_pinned_digests(axiom):
     assert _digest(draws) == pinned["random"]
 
 
+def _runs(commands, **variables):
+    """Each command's CLI subprocess, with ``variables`` set in its environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env.update(variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return [subprocess.run([sys.executable, "-m", "streamshare.cli", *argv], env=env,
+                           capture_output=True, timeout=300)
+            for argv in commands]
+
+
 def test_reports_independent_of_hash_seed():
     commands = [
         _argv(CASES["sparse_allocate.json"][0]),
         ["audit", "--independence", "--trials", "20", "--format", "json"],  # default seed
     ]
-    runs = []
-    for hash_seed in ("1", "2024"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        env["STREAMSHARE_SEED"] = "not a seed"  # ignored: reports depend on argv alone
-        runs.append([
-            subprocess.run([sys.executable, "-m", "streamshare.cli", *argv], env=env,
-                           capture_output=True, timeout=300)
-            for argv in commands
-        ])
+    # STREAMSHARE_SEED is ignored: reports depend on argv alone
+    runs = [_runs(commands, PYTHONHASHSEED=hash_seed, STREAMSHARE_SEED="not a seed")
+            for hash_seed in ("1", "2024")]
     for first, second in zip(*runs):
         assert first.stdout  # a report was written
         assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+
+def test_reports_independent_of_int_digit_limit(tmp_path):
+    users = range(1, 10501)
+    inputs = {  # file name: (CSV text, index)
+        # user j streams a1 once and a2 j times: denominators near lcm(2..10501)
+        "wide.csv": ("artist," + ",".join(f"u{j}" for j in users) + "\n"
+                     + "a1" + ",1" * len(users) + "\n"
+                     + "a2," + ",".join(map(str, users)) + "\n", "user-centric"),
+        "nines.csv": (f"artist,u1,u2\na1,{'9' * 4300},1\na2,1,{'9' * 4300}\n", "pro-rata"),
+        "long.csv": (f"artist,u1,u2\na1,{'9' * 1000},1\na2,1,2\n", "shapley"),
+    }
+    commands = []
+    for name, (text, index) in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        commands.append(["allocate", "--input", str(tmp_path / name), "--index", index])
+    default, limited = _runs(commands), _runs(commands, PYTHONINTMAXSTRDIGITS="640")
+    for first, second in zip(default, limited):
+        assert first.returncode == 0, first.stderr
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(commands[1]) == 0
+            assert sys.get_int_max_str_digits() == 640  # restored for in-process callers
+        finally:
+            sys.set_int_max_str_digits(old)
