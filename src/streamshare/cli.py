@@ -7,6 +7,7 @@ Exit codes: 0 success (and, for audits, everything matches), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -82,14 +83,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, args) -> None:
-    text = reporting.render_json(doc) if args.format == "json" else reporting.render_text(doc)
-    if args.output is None:
-        sys.stdout.write(text)
-        return
+    render = reporting.render_json if args.format == "json" else reporting.render_text
+    _write(render(doc), args)
+
+
+def _write(text: str, args) -> None:
+    """Write the report to ``--output`` or stdout; a failed write is a data error."""
     try:
-        args.output.write_text(text, encoding="utf-8")
+        if args.output is not None:
+            args.output.write_text(text, encoding="utf-8")
+        else:
+            print(text, end="", flush=True)  # a failed write raises here, not at exit
     except OSError as exc:
-        raise ValueError(f"cannot write {args.output}: {exc}") from None
+        if args.output is None:  # fd 1 to devnull, so the flush at exit cannot fail too
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write {args.output or 'stdout'}: {exc}") from None
 
 
 def _check_output(path: Path) -> None:
@@ -97,7 +106,7 @@ def _check_output(path: Path) -> None:
 
     Its directory must exist and the path must not be a directory. The file
     is neither created nor truncated here: it is written only once the run
-    has succeeded (:func:`_emit`).
+    has succeeded (:func:`_write`).
     """
     if path.is_dir():
         raise ValueError(f"cannot write {path}: it is a directory")
@@ -149,7 +158,10 @@ def _parse_price(text: str) -> Fraction:
 
 def _run_game(args) -> int:
     p = _read_problem(args.input)
-    _emit(reporting.game_document(p, args.stance), args)
+    if args.format == "json":
+        _emit(reporting.game_document(p, args.stance), args)
+    else:  # the rows straight from their template, not through a document
+        _write(reporting.game_export_text(p, args.stance), args)
     return EXIT_OK
 
 
@@ -172,23 +184,23 @@ def _run_audit(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "audit" and args.trials < 1:
-            parser.error(f"audit: --trials must be at least 1, got {args.trials}")
-        if args.command == "audit" and (args.table or args.independence):
-            suite = "--table" if args.table else "--independence"
-            for flag, value in (("--axiom", args.axiom), ("--index", args.index)):
-                if value is not None:
-                    parser.error(f"audit: {flag} cannot be used with {suite}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # Exact values are printed whole: the interpreter's int-to-str digit limit
-    # (PYTHONINTMAXSTRDIGITS; Python 3.10.7 and later) is lifted for the run.
+    # Integer options are read and exact values printed whole: the interpreter's
+    # int-to-str digit limit (PYTHONINTMAXSTRDIGITS; 3.10.7 and later) is lifted.
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     try:
         if limit:
             sys.set_int_max_str_digits(0)
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "audit" and args.trials < 1:
+                parser.error(f"audit: --trials must be at least 1, got {args.trials}")
+            if args.command == "audit" and (args.table or args.independence):
+                suite = "--table" if args.table else "--independence"
+                for flag, value in (("--axiom", args.axiom), ("--index", args.index)):
+                    if value is not None:
+                        parser.error(f"audit: {flag} cannot be used with {suite}")
+        except SystemExit as exc:
+            return int(exc.code or 0)
         if args.output is not None:
             _check_output(args.output)
         return args.run(args)

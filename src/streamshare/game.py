@@ -21,9 +21,9 @@ from .indices import IndexVector
 
 # The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
-# No worth table is built for more artists than this. An export costs about
-# 145 bytes per coalition (CLI peak RSS, CPython 3.11: 55 MB for the dual
-# game of 18 artists, 167 MB for 20), and each artist more doubles it.
+# No worth table is built for more artists than this. A text export costs
+# about 100 bytes per coalition (CLI peak RSS, CPython 3.11: 42 MB for the
+# dual game of 18 artists, 118 MB for 20), and each artist more doubles it.
 MAX_TABLE_ARTISTS = 20
 
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import product
 
 from . import axioms
 from .core import Problem, build_sparse_problem
@@ -192,7 +190,7 @@ def allocation_document(
     }
 
 
-def game_export_lines(p: Problem, stance: str) -> list[str]:
+def game_export_text(p: Problem, stance: str) -> str:
     """One "bitmask,worth" line per coalition, ascending bitmask order.
 
     Bit k of the mask is the artist at position k, so the mask string's
@@ -200,13 +198,15 @@ def game_export_lines(p: Problem, stance: str) -> list[str]:
     """
     if stance not in STANCES:
         raise ValueError(f"unknown stance {stance!r}")
-    g = STANCES[stance](p)
-    # Each mask string is the string of its n - k high bits joined to the
-    # one of its k low bits; both halves are formatted once and streamed.
+    g = STANCES[stance](p)  # refuses too many artists before any template is built
+    # A mask string is its n - k high bits joined to its k low bits. The
+    # template holds one block per high half, each mask in it followed by
+    # ",%d\n", and one % fills in every worth: only mask digits reach it.
     k = p.n // 2
-    highs = [format(h, f"0{p.n - k}b") for h in range(1 << p.n - k)]
-    lows = [format(l, f"0{k}b") + "," for l in range(1 << k)] if k else [","]
-    return list(map(operator.add, map("".join, product(highs, lows)), map(str, g.worth)))
+    lows = [format(l, f"0{k}b") for l in range(1 << k)] if k else [""]
+    highs = (format(h, f"0{p.n - k}b") for h in range(1 << p.n - k))
+    template = "".join(h + (",%d\n" + h).join(lows) + ",%d\n" for h in highs)
+    return template % g.worth
 
 
 def game_document(p: Problem, stance: str) -> dict:
@@ -215,7 +215,7 @@ def game_document(p: Problem, stance: str) -> dict:
         "kind": "game",
         "stance": stance,
         "players": list(p.artists),
-        "rows": game_export_lines(p, stance),
+        "rows": game_export_text(p, stance).splitlines(),
     }
 
 
@@ -256,8 +256,6 @@ def render_text(doc: dict) -> str:
     kind = doc["kind"]
     if kind == "allocation":
         return _text_allocation(doc)
-    if kind == "game":
-        return "\n".join(doc["rows"]) + "\n"
     if kind == "audit":
         return "".join(map(_text_verdict, doc["verdicts"]))
     if kind in ("table", "independence"):

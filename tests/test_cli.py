@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +285,28 @@ class TestErrorsAndUsage:
             assert run(capsys, "allocate", "--input", str(bad), "--output", str(dest))[0] == 2
         assert kept.read_text(encoding="utf-8") == "earlier report"
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["audit", "--axiom", "null_artists", "--index", "shapley", "--trials", "2"],
+        ["game"], ["game", "--format", "json"],
+    ], ids=" ".join)
+    def test_closed_stdout_is_data_error(self, command, matrix):
+        if command[0] == "game":
+            command = [*command, "--input", str(matrix)]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        read, write = os.pipe()
+        os.close(read)  # the pipe has no reader before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "streamshare.cli", *command],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2, err
+        assert err.startswith("streamshare: error: cannot write stdout: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_usage_errors(self, matrix, capsys):
         assert run(capsys, "allocate")[0] == 1  # --input is required

@@ -1,7 +1,7 @@
 """The zeta transform on one packed integer and the reversed-read optimistic
 and dual tables equal the per-bit reference and the literal definitions
 exactly, at every size and at each boundary of the packed field width, and
-the export rows equal one ``format`` per coalition. Both byte-order branches
+the export text equals one ``format`` per coalition. Both byte-order branches
 of the packing run on any host."""
 
 import random
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from streamshare import build_sparse_problem, dual_game, game, optimistic_game, pessimistic_game
-from streamshare.reporting import game_export_lines
+from streamshare.reporting import game_export_text
 
 from reference_game import dual_worth, optimistic_worth, user_mask_counts
 
@@ -85,4 +85,5 @@ def test_export_rows_equal_one_format_per_coalition(n):
     tables = {"pessimistic": counts, "optimistic": optimistic_worth(p),
               "dual": dual_worth(counts)}
     for stance, worth in tables.items():
-        assert game_export_lines(p, stance) == [f"{s:0{n}b},{w}" for s, w in enumerate(worth)]
+        expected = "".join(f"{s:0{n}b},{w}\n" for s, w in enumerate(worth))
+        assert game_export_text(p, stance) == expected

@@ -113,6 +113,9 @@ def test_reports_independent_of_int_digit_limit(tmp_path):
     for name, (text, index) in inputs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
         commands.append(["allocate", "--input", str(tmp_path / name), "--index", index])
+    # an integer option longer than the limit
+    commands.append(["audit", "--axiom", "null_artists", "--index", "shapley", "--trials", "2",
+                     "--seed", "1" * 700])
     default, limited = _runs(commands), _runs(commands, PYTHONINTMAXSTRDIGITS="640")
     for first, second in zip(default, limited):
         assert first.returncode == 0, first.stderr

@@ -13,7 +13,7 @@ from streamshare.reporting import (
     allocation_document,
     audit_document,
     game_document,
-    game_export_lines,
+    game_export_text,
     parse_matrix,
     render_json,
     render_text,
@@ -196,28 +196,36 @@ class TestAllocationDocument:
 class TestGameExport:
     def test_example_1_lines(self):
         p = example_1()
-        assert game_export_lines(p, "pessimistic") == ["00,0", "01,1", "10,2", "11,3"]
-        assert game_export_lines(p, "optimistic") == ["00,0", "01,1", "10,2", "11,3"]
+        assert game_export_text(p, "pessimistic") == "00,0\n01,1\n10,2\n11,3\n"
+        assert game_export_text(p, "optimistic") == "00,0\n01,1\n10,2\n11,3\n"
 
     def test_disjoint_interest_case(self):
         p = build_problem(["1", "2"], ["a", "b"], [[1, 1], [1, 1]])
-        assert game_export_lines(p, "pessimistic") == ["00,0", "01,0", "10,0", "11,2"]
-        assert game_export_lines(p, "optimistic") == ["00,0", "01,2", "10,2", "11,2"]
+        assert game_export_text(p, "pessimistic") == "00,0\n01,0\n10,0\n11,2\n"
+        assert game_export_text(p, "optimistic") == "00,0\n01,2\n10,2\n11,2\n"
 
     def test_dual_equals_optimistic_bytes(self):
         rng = random.Random(12)
         for _ in range(20):
             p = random_problem(rng, max_n=5, max_m=5)
-            assert game_export_lines(p, "dual") == game_export_lines(p, "optimistic")
+            assert game_export_text(p, "dual") == game_export_text(p, "optimistic")
 
     def test_unknown_stance(self):
         with pytest.raises(ValueError):
-            game_export_lines(example_1(), "hopeful")
+            game_export_text(example_1(), "hopeful")
 
     def test_document_shape(self):
         doc = game_document(example_1(), "pessimistic")
         assert doc["players"] == ["1", "2"]
         assert doc["rows"][-1] == "11,3"
+
+    def test_document_rows_are_the_text_lines(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            p = random_problem(rng, max_n=6, max_m=5)
+            for stance in ("pessimistic", "optimistic", "dual"):
+                doc = game_document(p, stance)
+                assert "\n".join(doc["rows"]) + "\n" == game_export_text(p, stance)
 
 
 class TestRendering:
@@ -235,7 +243,7 @@ class TestRendering:
         assert "reward total: 3" in text
 
     def test_text_game_is_raw_rows(self):
-        text = render_text(game_document(example_1(), "pessimistic"))
+        text = game_export_text(example_1(), "pessimistic")
         assert text == "00,0\n01,1\n10,2\n11,3\n"
 
     def test_audit_document_includes_witness(self):
