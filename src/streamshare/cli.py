@@ -7,8 +7,10 @@ Exit codes: 0 success (and, for audits, everything matches), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -91,7 +93,7 @@ def _write(text: str, args) -> None:
     """Write the report to ``--output`` or stdout; a failed write is a data error."""
     try:
         if args.output is not None:
-            args.output.write_text(text, encoding="utf-8")
+            _replace_file(args.output, text)
         else:
             print(text, end="", flush=True)  # a failed write raises here, not at exit
     except OSError as exc:
@@ -99,6 +101,37 @@ def _write(text: str, args) -> None:
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise ValueError(f"cannot write {args.output or 'stdout'}: {exc}") from None
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole, or leave what was there.
+
+    The text goes to a new file beside the file a symlink resolves to, with
+    the mode a plain write leaves, and is renamed over it. An existing target
+    that is not a regular file (``/dev/null``, a FIFO) is written directly.
+    """
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        st = None
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            path.write_text(text, encoding="utf-8")
+            return
+        if not os.access(path, os.W_OK):  # a plain write would be refused too
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    target = path.resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _check_output(path: Path) -> None:

@@ -3,9 +3,10 @@ and one definition-level Shapley oracle that averages over all player orders.
 
 Coalitions are bitmasks over artist positions (artist at position ``k`` is bit
 ``k``); the worth function is materialized eagerly as a table of length 2^n,
-built by n whole-integer passes over one packed integer (pessimistic) and read
-backwards (optimistic, dual). Worth tables are exact integers for the
-constructed games, and the Shapley oracle returns exact numerators over n!.
+built by n whole-integer passes over one packed integer (pessimistic), then
+taken from m and read big-endian (optimistic, which equals the dual). Worth
+tables are exact integers for the constructed games, and the Shapley oracle
+returns exact numerators over n!.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import permutations, repeat
 
@@ -22,8 +24,8 @@ from .indices import IndexVector
 # The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
 # No worth table is built for more artists than this. A text export costs
-# about 100 bytes per coalition (CLI peak RSS, CPython 3.11: 42 MB for the
-# dual game of 18 artists, 118 MB for 20), and each artist more doubles it.
+# about 100 bytes per coalition (CLI peak RSS, CPython 3.11: 40 MB for the
+# dual game of 18 artists, 110 MB for 20), and each artist more doubles it.
 MAX_TABLE_ARTISTS = 20
 
 
@@ -37,32 +39,41 @@ class CoalitionGame:
     worth: tuple[int, ...]
 
 
-def _user_mask_counts(p: Problem) -> list[int]:
-    """counts[S] = number of users whose whole listening list lies inside S."""
+def _user_mask_counts(p: Problem, complement: bool = False) -> array:
+    """counts[S] = number of users whose whole listening list lies inside S;
+    with ``complement``, m - counts[N \\ S] (the optimistic worth of S)."""
     if p.n > MAX_TABLE_ARTISTS:
         raise TooManyArtists(f"{p.n} artists exceeds the enumeration cap {MAX_TABLE_ARTISTS}")
     size = 1 << p.n
     # counts[S] is a field of ``width`` bytes in one packed integer, the
     # narrowest width that holds m (no Problem has 2^64 users). No count
-    # exceeds m, so no field ever carries into the next. Read in native byte
-    # order, buffer field i is packed field i on a little-endian host and
-    # field size - 1 - i on a big-endian one, hence ``flip``.
+    # exceeds m, so no field ever carries into the next. The packed integer
+    # is little-endian by field: a big-endian host swaps each field's bytes
+    # on the way in and out of it.
     width = next(w for w in (1, 2, 4, 8) if p.m < 1 << 8 * w)
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
-    flip = size - 1 if sys.byteorder == "big" else 0
-    buf = bytearray(size * width)
-    fields = memoryview(buf).cast(code)
+    fields = array({1: "B", 2: "H", 4: "I", 8: "Q"}[width], bytes(width * size))
     for idx, _ in p.columns:  # distinct positions, so their bits sum to the mask
-        fields[flip ^ sum(map((1).__lshift__, idx))] += 1
-    t = int.from_bytes(buf, sys.byteorder)
+        fields[sum(map((1).__lshift__, idx))] += 1
+    if sys.byteorder == "big":
+        fields.byteswap()
+    t = int.from_bytes(fields, "little")
     # subset-sum (zeta) transform: the pass for bit b adds the fields of the
     # coalitions without the bit, shifted 2^b fields up, into those with it.
     for b in range(p.n):
-        half = width << b
-        clear = int.from_bytes((b"\xff" * half + bytes(half)) * (size >> b + 1), "little")
-        t += (t & clear) << 8 * half
-    counts = memoryview(t.to_bytes(size * width, sys.byteorder)).cast(code).tolist()
-    return counts[::-1] if flip else counts
+        half = 8 * width << b
+        clear, period = (1 << half) - 1, 2 * half  # a run of ones, doubled to full length
+        while period < 8 * width * size:
+            clear, period = clear | clear << period, 2 * period
+        t += (t & clear) << half
+    order = "big" if complement else "little"
+    if complement:
+        # Every field is at most m, so taking it from m never borrows; read
+        # big-endian, the fields come out last first: N \ S as S runs up.
+        t = int.from_bytes(p.m.to_bytes(width, "little") * size, "little") - t
+    fields = array(fields.typecode, t.to_bytes(width * size, order))
+    if order != sys.byteorder:
+        fields.byteswap()
+    return fields
 
 
 def pessimistic_game(p: Problem) -> CoalitionGame:
@@ -72,10 +83,8 @@ def pessimistic_game(p: Problem) -> CoalitionGame:
 
 def optimistic_game(p: Problem) -> CoalitionGame:
     """worth(S) = number of users who streamed at least one artist in S."""
-    # worth(S) = m - counts[N \ S], and N \ S runs down the table as S runs
-    # up; counts[N] == m, so the empty coalition gets 0.
-    worth = tuple(map(operator.sub, repeat(p.m), reversed(_user_mask_counts(p))))
-    return CoalitionGame(p.artists, worth)
+    # worth(S) = m - counts[N \ S]; counts[N] == m, so the empty coalition gets 0.
+    return CoalitionGame(p.artists, tuple(_user_mask_counts(p, complement=True)))
 
 
 def dual_game(g: CoalitionGame) -> CoalitionGame:
@@ -89,7 +98,7 @@ def dual_game(g: CoalitionGame) -> CoalitionGame:
 STANCES = {
     "pessimistic": lambda p: pessimistic_game(p),
     "optimistic": lambda p: optimistic_game(p),
-    "dual": lambda p: dual_game(pessimistic_game(p)),
+    "dual": lambda p: optimistic_game(p),  # dual(pessimistic) = optimistic (TestDuality)
 }
 
 

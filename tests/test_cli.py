@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,82 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, "audit", *mode, "--trials", trials)
         assert code == 1 and out == ""
         assert f"--trials must be at least 1, got {trials}" in err
+
+
+class TestOutputFile:
+    """An --output report replaces the earlier one whole, or leaves it as it was."""
+
+    EXPORT = "00,0\n01,1\n10,2\n11,3\n"
+
+    def test_failed_write_keeps_the_earlier_report(self, tmp_path):
+        # The dual export of 10 artists (1024 rows) outgrows a 4096-byte file
+        # size limit; with SIGXFSZ ignored the write fails with EFBIG.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("artist,u\n" + "".join(f"a{i},1\n" for i in range(10)),
+                        encoding="utf-8")
+        dest = tmp_path / "report.txt"
+        dest.write_text("earlier report\n", encoding="utf-8")
+        child = ("import resource, signal, sys\n"
+                 "from streamshare.cli import main\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, "game", "--stance", "dual",
+                               "--input", str(wide), "--output", str(dest)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2, err
+        assert err.startswith(f"streamshare: error: cannot write {dest}: ")
+        assert "File too large" in err and err.count("\n") == 1
+        assert dest.read_text(encoding="utf-8") == "earlier report\n"
+        assert sorted(os.listdir(tmp_path)) == ["report.txt", "wide.csv"]
+
+    def test_symlink_keeps_pointing_at_its_updated_target(self, matrix, tmp_path, capsys):
+        (tmp_path / "reports").mkdir()
+        real = tmp_path / "reports" / "real.txt"
+        real.write_text("earlier report\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert run(capsys, "game", "--input", str(matrix), "--output", str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text(encoding="utf-8") == self.EXPORT
+        assert sorted(os.listdir(tmp_path / "reports")) == ["real.txt"]
+
+    def test_mode_is_what_a_plain_write_leaves(self, matrix, tmp_path, capsys):
+        # an existing file keeps its permission bits; a new one gets 0o666 & ~umask
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("earlier report\n", encoding="utf-8")
+        kept.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            for dest in (kept, fresh):
+                argv = ["game", "--input", str(matrix), "--output", str(dest)]
+                assert run(capsys, *argv) == (0, "", "")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+        assert kept.read_text(encoding="utf-8") == fresh.read_text(encoding="utf-8") == self.EXPORT
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_file_is_refused_as_a_plain_write_would_be(self, matrix, tmp_path,
+                                                                  capsys):
+        dest = tmp_path / "report.txt"
+        dest.write_text("earlier report\n", encoding="utf-8")
+        dest.chmod(0o444)
+        code, out, err = run(capsys, "game", "--input", str(matrix), "--output", str(dest))
+        assert code == 2 and out == ""
+        assert err == f"streamshare: error: cannot write {dest}: [Errno 13] Permission denied: " \
+                      f"'{dest}'\n"
+        assert dest.read_text(encoding="utf-8") == "earlier report\n"
+
+    def test_device_is_written_directly(self, matrix, capsys):
+        assert run(capsys, "game", "--input", str(matrix), "--output", os.devnull) == (0, "", "")
 
 
 class TestAudit:

@@ -1,8 +1,8 @@
-"""The zeta transform on one packed integer and the reversed-read optimistic
-and dual tables equal the per-bit reference and the literal definitions
-exactly, at every size and at each boundary of the packed field width, and
-the export text equals one ``format`` per coalition. Both byte-order branches
-of the packing run on any host."""
+"""The zeta transform on one packed integer, and the optimistic and dual
+tables read big-endian off its complement, equal the per-bit reference and
+the literal definitions exactly, at every size and at each boundary of the
+packed field width, and the export text equals one ``format`` per
+coalition. Both byte-order branches of the packing run on any host."""
 
 import random
 from types import SimpleNamespace
@@ -28,7 +28,7 @@ def random_listening_problem(rng, n, max_m=40):
 
 def assert_tables_match(p):
     counts = user_mask_counts(p)
-    assert game._user_mask_counts(p) == counts
+    assert list(game._user_mask_counts(p)) == counts
     pessimistic = pessimistic_game(p)
     optimistic = optimistic_game(p)
     assert pessimistic.worth == tuple(counts)
@@ -68,12 +68,14 @@ def test_tables_equal_reference_at_field_width_boundaries(n, m):
 @pytest.mark.parametrize("byteorder", ["little", "big"])
 def test_tables_equal_reference_in_either_host_byte_order(byteorder, monkeypatch):
     # One-byte fields read the same in either byte order, so both hosts'
-    # placements of the fields in the packed integer run on any host.
+    # byte swaps into and out of the packed integer, for the counts and for
+    # their complement, run on any host.
     monkeypatch.setattr(game, "sys", SimpleNamespace(byteorder=byteorder))
     rng = random.Random(f"order|{byteorder}")
     for n in range(1, 9):
         p = random_listening_problem(rng, n)
-        assert game._user_mask_counts(p) == user_mask_counts(p)
+        assert list(game._user_mask_counts(p)) == user_mask_counts(p)
+        assert tuple(game._user_mask_counts(p, complement=True)) == optimistic_worth(p)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
