@@ -11,9 +11,9 @@ the seed.
 
 Quantified axioms ("for each pair", "for each subset") are checked over
 every applicable pair or subset inside each instance. Random problems have
-at most 5 artists and 5 users, so their user subsets are always enumerated
-exhaustively; a supplied instance may list its own ``user_subsets``, and
-must list them when it has more than 10 users.
+at most 5 artists and 5 users. The lower bound enumerates every user group,
+so it refuses an instance with more than 10 users; a ``user_subsets`` key
+in an instance is ignored.
 """
 
 from __future__ import annotations
@@ -190,25 +190,9 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     # size exactly when m * (the sum of its nums) < size * total
     nums, total = reward_shares(rule(p))
     m = p.m
-    subsets = instance.get("user_subsets")
-    if subsets is None:
-        if p.m > SUBSET_ENUMERATION_CAP:
-            raise ShapeMismatch(
-                f"{p.m} users requires sampled subsets in the instance"
-            )
-        subsets = _nonempty_subsets(list(p.users))
-    else:
-        try:
-            subsets = [list(group) for group in subsets]
-        except TypeError:
-            raise ShapeMismatch("'user_subsets' must be a list of user lists") from None
-        for u in chain.from_iterable(subsets):
-            if u not in p.users:
-                raise ShapeMismatch(f"unknown user {u!r} in 'user_subsets'")
-        # a repeated user would count twice in the group's amount paid
-        if any(len(set(group)) < len(group) for group in subsets):
-            raise ShapeMismatch("a 'user_subsets' group lists a user more than once")
-    for group in subsets:
+    if p.m > SUBSET_ENUMERATION_CAP:
+        raise ShapeMismatch(f"{p.m} users; groups are enumerated up to {SUBSET_ENUMERATION_CAP}")
+    for group in _nonempty_subsets(p.users):
         streamed = set()
         for u in group:
             streamed.update(listening[u])

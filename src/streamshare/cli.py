@@ -150,7 +150,7 @@ def _check_output(path: Path) -> None:
 def _read_problem(path: Path):
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise reporting.ParseError(f"cannot read {path}: {exc}") from None
     return reporting.parse_matrix(text)
 

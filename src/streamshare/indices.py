@@ -35,14 +35,6 @@ class ZeroTotalIndex(ValueError):
     pass
 
 
-class MissingWeights(ValueError):
-    pass
-
-
-class NonpositiveWeight(ValueError):
-    pass
-
-
 class UnknownRule(ValueError):
     pass
 
@@ -139,19 +131,12 @@ def uniform_index(p: Problem) -> IndexVector:
     return IndexVector(p.artists, (p.m,) * n, n)
 
 
-def user_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
-    """Equal split of a per-user weight among the artists that user streamed."""
-    scale, iw = common_numerators(_check_weights(weights, p.users, "user"))
-    return _equal_split(p, iw, scale)
+def user_weighted_index(p: Problem, weights) -> IndexVector:
+    """Equal split of positive integer ``weights[j]`` among the artists user ``j`` streamed."""
+    return _equal_split(p, weights, 1)
 
 
-def artist_weighted_index(p: Problem, weights: Mapping[str, Fraction]) -> IndexVector:
-    """Each user's unit split among streamed artists in proportion to artist weights."""
-    _, iw = common_numerators(_check_weights(weights, p.artists, "artist"))
-    return _weighted_split(p, iw)
-
-
-def _weighted_split(p: Problem, weights) -> IndexVector:
+def artist_weighted_index(p: Problem, weights) -> IndexVector:
     """Each user's unit split among streamed artists in proportion to integer ``weights[i]``."""
     n = p.n
     groups = defaultdict(lambda: [0] * n)
@@ -187,20 +172,6 @@ def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector
         for i in compress(range(n), acc):
             totals[i] += acc[i] * scale
     return IndexVector(p.artists, tuple(totals), common)
-
-
-def _check_weights(weights, ids, kind: str) -> list[Fraction]:
-    if weights is None:
-        raise MissingWeights(f"{kind} weights are required")
-    out = []
-    for ident in ids:
-        if ident not in weights:
-            raise MissingWeights(f"missing weight for {kind} {ident!r}")
-        w = Fraction(weights[ident])
-        if w <= 0:
-            raise NonpositiveWeight(f"weight for {kind} {ident!r} must be positive")
-        out.append(w)
-    return out
 
 
 def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
@@ -262,10 +233,10 @@ def default_weight(seed: int, kind: str, ident: str) -> int:
     return random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
 
 
-def make_rule(name: str, seed: int = 0, weights: Mapping[str, Fraction] | None = None) -> IndexRule:
-    """Build a named rule; ``weights`` overrides the seeded defaults where applicable."""
-    # Looked up at call time, so a kernel rebound on the module (for instance
-    # by a tracer) is the one the rule calls, bar the seeded weighted rules.
+def make_rule(name: str, seed: int = 0) -> IndexRule:
+    """Build a named rule; the weighted ones use the seeded :func:`default_weight`s."""
+    # Looked up when the rule is made, so a kernel rebound on the module (for
+    # instance by a tracer) before then is the one the rule calls.
     fn = {
         "shapley": shapley_index,
         "pro-rata": pro_rata_index,
@@ -280,10 +251,8 @@ def make_rule(name: str, seed: int = 0, weights: Mapping[str, Fraction] | None =
     kind = {"user-weighted": "user", "artist-weighted": "artist"}.get(name)
     if kind is None:
         return IndexRule(name, fn)
-    if weights is not None:
-        return IndexRule(name, lambda p: fn(p, weights))
-    # seeded defaults are positive ints, bound once per id tuple: nothing to check or scale
-    defaults = lru_cache(256)(lambda ids: tuple([default_weight(seed, kind, i) for i in ids]))
+    # the seeded weights of an id tuple, bound once
+    weights = lru_cache(256)(lambda ids: tuple([default_weight(seed, kind, i) for i in ids]))
     if kind == "user":
-        return IndexRule(name, lambda p: _equal_split(p, defaults(p.users), 1))
-    return IndexRule(name, lambda p: _weighted_split(p, defaults(p.artists)))
+        return IndexRule(name, lambda p: fn(p, weights(p.users)))
+    return IndexRule(name, lambda p: fn(p, weights(p.artists)))

@@ -12,7 +12,7 @@ validating an instance (``_get_problem``, ``_modified_pair``) is shared with
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 
 from streamshare.axioms import (
     SUBSET_ENUMERATION_CAP,
@@ -66,22 +66,9 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     listening = {u: idx for u, (idx, _) in zip(p.users, p.columns)}
     # payout i is nums[i] / common: group sums compare as integers
     common, nums = common_numerators(rewards(rule(p), p))
-    subsets = instance.get("user_subsets")
-    if subsets is None:
-        if p.m > SUBSET_ENUMERATION_CAP:
-            raise ShapeMismatch(
-                f"{p.m} users requires sampled subsets in the instance"
-            )
-        subsets = _nonempty_subsets(list(p.users))
-    else:
-        try:
-            subsets = [list(group) for group in subsets]
-        except TypeError:
-            raise ShapeMismatch("'user_subsets' must be a list of user lists") from None
-        for u in chain.from_iterable(subsets):
-            if u not in p.users:
-                raise ShapeMismatch(f"unknown user {u!r} in 'user_subsets'")
-    for group in subsets:
+    if p.m > SUBSET_ENUMERATION_CAP:
+        raise ShapeMismatch(f"{p.m} users; groups are enumerated up to {SUBSET_ENUMERATION_CAP}")
+    for group in _nonempty_subsets(p.users):
         streamed = set()
         for u in group:
             streamed.update(listening[u])

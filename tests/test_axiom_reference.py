@@ -13,9 +13,10 @@ checkers that compared ``Fraction`` values. Both must return the same
 - on one hand-built violation per checker, so every ``details`` branch runs.
 
 The rules are the seven named ones with their seeded weights, the two
-weighted ones with fractional weights, and a rule whose vectors are built
-from ``Fraction`` values rather than by a kernel. The kernels' integer form
-is checked against the reference kernels too.
+reference weighted kernels with fractional weights, and a rule whose vectors
+are built from ``Fraction`` values rather than by a kernel. The kernels'
+integer form is checked against the reference kernels too, the weighted ones
+also on integer weights other than the seeded ones.
 """
 
 import random
@@ -25,6 +26,7 @@ from functools import lru_cache
 import pytest
 
 import reference_axioms as ref
+import reference_indices
 from streamshare.axioms import (
     AXIOM_IDS,
     MAX_ENTRY,
@@ -39,8 +41,10 @@ from streamshare.indices import (
     IndexRule,
     IndexVector,
     ZeroTotalIndex,
+    artist_weighted_index,
     make_rule,
     shapley_index,
+    user_weighted_index,
 )
 
 from helpers import random_problem, vector
@@ -51,6 +55,8 @@ DRAWS = 40
 # ids of every grid and random problem, with weights of several denominators
 FRACTION_WEIGHTS = {ident: F(7 * k % 11 + 1, k % 4 + 2) for k, ident in enumerate(
     [f"a{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 6)])}
+# integer weights for the same ids, which the public weighted kernels take by position
+INTEGER_WEIGHTS = {ident: 7 * k % 11 + 1 for k, ident in enumerate(FRACTION_WEIGHTS)}
 
 
 def _rescaled_shapley(p):
@@ -62,8 +68,9 @@ def _rescaled_shapley(p):
 def _rules():
     """Fresh rules, each memoizing its vectors so the two checkers share them."""
     rules = [make_rule(name, seed=SEED) for name in ALL_RULE_NAMES]
-    rules += [make_rule(name, weights=FRACTION_WEIGHTS)
-              for name in ("user-weighted", "artist-weighted")]
+    rules += [IndexRule(name, lambda p, kernel=kernel: kernel(p, FRACTION_WEIGHTS))
+              for name, kernel in (("user-weighted", reference_indices.user_weighted_index),
+                                   ("artist-weighted", reference_indices.artist_weighted_index))]
     rules.append(IndexRule("rescaled-shapley", _rescaled_shapley))
     return [IndexRule(rule.name, lru_cache(maxsize=1024)(rule.fn)) for rule in rules]
 
@@ -110,9 +117,8 @@ VIOLATIONS = [  # (axiom, rule, instance): each instance violates the axiom
         "first_users": ["u", "w"], "second_users": ["v"]}),
     ("reasonable_lower_bound", "pro-rata", {
         "problem": _problem([[1, 0, 4], [0, 7, 0], [2, 0, 3]])}),
-    ("reasonable_lower_bound", "pro-rata", {
-        "problem": _problem([[1, 0, 4], [0, 7, 0], [2, 0, 3]]),
-        "user_subsets": [["v"], ["w", "u"]]}),
+    # u and v alone are paid for by a's 6/5; the pair {u, v} is not
+    ("reasonable_lower_bound", "pro-rata", {"problem": _problem([[1, 1, 0], [0, 0, 3]])}),
     ("equal_global_impact_of_users", "user-weighted", {
         "problem": _problem([[1, 2, 0], [3, 0, 1]])}),
     ("symmetry_on_fans", "user-centric", {
@@ -153,10 +159,17 @@ def test_zero_index_total_raises_as_in_reference(axiom):
             check(axiom, zero, _grid(axiom)[0])
 
 
+def _kernel_rule(name, weights):
+    """The public weighted kernel of rule ``name``, given ``weights[id]`` by position."""
+    if name == "user-weighted":
+        return IndexRule(name, lambda p: user_weighted_index(p, [weights[u] for u in p.users]))
+    return IndexRule(name, lambda p: artist_weighted_index(p, [weights[a] for a in p.artists]))
+
+
 @pytest.mark.parametrize("name,weights", [(name, None) for name in ALL_RULE_NAMES] + [
-    ("user-weighted", FRACTION_WEIGHTS), ("artist-weighted", FRACTION_WEIGHTS)])
+    ("user-weighted", INTEGER_WEIGHTS), ("artist-weighted", INTEGER_WEIGHTS)])
 def test_kernel_numerators_are_the_reference_values(name, weights):
-    rule = make_rule(name, seed=SEED, weights=weights)
+    rule = make_rule(name, seed=SEED) if weights is None else _kernel_rule(name, weights)
     want = reference_rule(name, seed=SEED, weights=weights)
     rng = random.Random(f"nums|{name}")
     for p in (*_grid_problems(), *(random_problem(rng, max_entry=200) for _ in range(40))):

@@ -129,18 +129,13 @@ class TestInstanceShapes:
         ("null_artists", {"problem": {**EX1, "artists": 5}}),
         ("null_artists", {"problem": {**EX1, "streams": None}}),
         ("null_artists", [{"problem": EX1}]),
-        ("reasonable_lower_bound", {"problem": EX1, "user_subsets": 5}),
-        # a group naming u1 twice would be owed both users' payment
-        ("reasonable_lower_bound", {"problem": {"artists": ["a1", "a2"], "users": ["u1", "u2"],
-                                                "streams": [[1, 0], [0, 1]]},
-                                    "user_subsets": [["u1", "u1"]]}),
         ("additivity", {"problem": EX1, "first_users": None, "second_users": ["b", "c"]}),
         # a string of ids would otherwise be read as one id per character
         ("null_artists", {"problem": {**EX1, "artists": "12"}}),
         ("null_artists", {"problem": {**EX1, "users": "abc"}}),
         ("null_artists", {"problem": {**EX1, "users": b"abc"}}),
     ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
-            "user-subsets-int", "user-subsets-repeat", "first-users-none", "artists-str",
+            "first-users-none", "artists-str",
             "users-str", "users-bytes"])
     def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):
         with pytest.raises(ShapeMismatch):
@@ -150,31 +145,21 @@ class TestInstanceShapes:
         with pytest.raises(ShapeMismatch):
             replay_witness(hand_edited, SHAPLEY)
 
-    def test_supplied_user_subsets_are_checked(self):
-        # pro-rata pays user "a" only 2/101 on this problem; the subsets that
-        # hold it are not checked unless listed
+    def test_user_subsets_key_is_ignored(self):
+        # pro-rata pays user "a" only 2/101 here; listing only safe groups hides nothing
         inst = {"problem": {
             "artists": ["1", "2"], "users": ["a", "b"], "streams": [[1, 0], [0, 100]],
-        }}
-        listed = {**inst, "user_subsets": [["b"], ["a", "b"]]}
-        assert check_instance("reasonable_lower_bound", PRO_RATA, listed) == (None, 0)
-        violation, _ = check_instance(
-            "reasonable_lower_bound", PRO_RATA, {**inst, "user_subsets": [["b"], ["a"]]})
+        }, "user_subsets": [["b"], ["a", "b"]]}
+        violation, _ = check_instance("reasonable_lower_bound", PRO_RATA, inst)
         assert violation["user_group"] == ["a"]
 
-    def test_supplied_user_subsets_name_known_users(self):
-        inst = {"problem": {"artists": ["1"], "users": ["a"], "streams": [[1]]},
-                "user_subsets": [["a"], ["zz"]]}
-        with pytest.raises(ShapeMismatch, match="unknown user 'zz'"):
-            check_instance("reasonable_lower_bound", SHAPLEY, inst)
-
-    def test_many_users_need_supplied_subsets(self):
+    def test_many_users_are_refused(self):
         users = [f"u{j}" for j in range(11)]
         problem = {"artists": ["1"], "users": users, "streams": [[1] * 11]}
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="^11 users; groups are enumerated up to 10$"):
             check_instance("reasonable_lower_bound", SHAPLEY, {"problem": problem})
-        inst = {"problem": problem, "user_subsets": [users[:3], users]}
-        assert check_instance("reasonable_lower_bound", SHAPLEY, inst) == (None, 0)
+        ten = {"artists": ["1"], "users": users[:10], "streams": [[1] * 10]}
+        assert check_instance("reasonable_lower_bound", SHAPLEY, {"problem": ten}) == (None, 0)
 
     def test_bad_partition(self):
         with pytest.raises(ShapeMismatch):
@@ -296,13 +281,14 @@ class TestIndependence:
         assert violation["reward_sum"] == "2/3"
 
     def test_user_weighted_fails_lower_bound_with_skewed_weights(self):
+        # the seeded weights of users a and b are 7 and 57: a's artist gets 2 * 7/64 < 1
         p = build_problem(["1", "2"], ["a", "b"], [[1, 0], [0, 1]])
-        rule = make_rule("user-weighted", weights={"a": 1, "b": 9})
+        rule = make_rule("user-weighted", seed=42)
         violation, _ = check_instance(
             "reasonable_lower_bound", rule, {"problem": problem_to_dict(p)}
         )
         assert violation is not None
-        assert violation["reward_sum"] == "1/5"
+        assert violation["reward_sum"] == "7/32"
 
     def test_designated_failures_all_observed(self, independence_run):
         result = independence_run

@@ -226,6 +226,14 @@ class TestErrorsAndUsage:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["allocate", "game"])
+    def test_undecodable_file_is_named(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"streamshare: error: cannot read {path}: 'utf-8' codec ")
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("artist,a\nx,oops\n", encoding="utf-8")

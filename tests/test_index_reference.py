@@ -16,9 +16,6 @@ from streamshare.reporting import allocation_document
 from helpers import problems, random_problem
 from reference_indices import reference_rule, user_centric_index
 
-WEIGHTS = st.fractions(min_value=F(1, 60), max_value=97, max_denominator=60)
-
-
 def assert_fractions(got, want):
     assert got == want
     assert all(type(v) is F for v in got)
@@ -34,25 +31,15 @@ def assert_same(got, want, p):
     assert_fractions([exact_sum(payouts)], [ref.reward_total(payouts)])
 
 
-def assert_all_rules_match(p, seed, user_weights=None, artist_weights=None):
+def assert_all_rules_match(p, seed):
     for name in ALL_RULE_NAMES:
         assert_same(make_rule(name, seed=seed)(p), reference_rule(name, seed=seed)(p), p)
-    for name, weights in (("user-weighted", user_weights), ("artist-weighted", artist_weights)):
-        if weights is not None:
-            assert_same(make_rule(name, weights=weights)(p),
-                        reference_rule(name, weights=weights)(p), p)
-
-
-def fraction_weights(rng, ids):
-    return {i: F(rng.randint(1, 500), rng.randint(1, 60)) for i in ids}
 
 
 @settings(max_examples=150)
-@given(st.data(), problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
-def test_property_all_rules_equal_reference(data, p, seed):
-    user_weights = {u: data.draw(WEIGHTS) for u in p.users}
-    artist_weights = {a: data.draw(WEIGHTS) for a in p.artists}
-    assert_all_rules_match(p, seed, user_weights, artist_weights)
+@given(problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
+def test_property_all_rules_equal_reference(p, seed):
+    assert_all_rules_match(p, seed)
 
 
 @st.composite
@@ -94,8 +81,7 @@ def test_fixed_seed_sweep_all_rules_equal_reference():
         for trial in range(300):
             p = random_problem(rng, max_n=6, max_m=7,
                                max_entry=200 if trial % 2 else 5)
-            assert_all_rules_match(p, seed, fraction_weights(rng, p.users),
-                                   fraction_weights(rng, p.artists))
+            assert_all_rules_match(p, seed)
 
 
 def test_single_row_and_single_column_problems():
@@ -106,8 +92,7 @@ def test_single_row_and_single_column_problems():
         one_user = build_problem([f"a{i}" for i in range(k)], ["y"],
                                  [[rng.randint(0, 200)] for _ in range(k - 1)] + [[7]])
         for p in (one_artist, one_user):
-            assert_all_rules_match(p, k, fraction_weights(rng, p.users),
-                                   fraction_weights(rng, p.artists))
+            assert_all_rules_match(p, k)
 
 
 def test_dense_problem_with_huge_denominators():

@@ -14,8 +14,6 @@ from streamshare import (
     user_centric_index,
 )
 from streamshare.indices import (
-    MissingWeights,
-    NonpositiveWeight,
     ZeroTotalIndex,
     active_uniform_index,
     default_weight,
@@ -116,27 +114,16 @@ class TestAppendixIndices:
 
     def test_unit_weights_collapse_to_shapley(self):
         p = example_1()
-        w = {u: F(1) for u in p.users}
-        assert user_weighted_index(p, w).values == shapley_index(p).values
+        assert user_weighted_index(p, (1,) * p.m).values == shapley_index(p).values
 
     @given(problems())
     def test_unit_weights_collapse_everywhere(self, p):
-        w = {u: F(1) for u in p.users}
-        assert user_weighted_index(p, w).values == shapley_index(p).values
+        assert user_weighted_index(p, (1,) * p.m).values == shapley_index(p).values
 
     def test_artist_weighted_example(self):
         p = build_problem(["1", "2"], ["a"], [[1], [1]])
-        vec = artist_weighted_index(p, {"1": F(1), "2": F(3)})
+        vec = artist_weighted_index(p, (1, 3))
         assert vec.values == (F(1, 4), F(3, 4))
-
-    def test_weight_errors(self):
-        p = example_1()
-        with pytest.raises(MissingWeights):
-            user_weighted_index(p, {"a": F(1)})
-        with pytest.raises(NonpositiveWeight):
-            user_weighted_index(p, {"a": F(1), "b": F(0), "c": F(1)})
-        with pytest.raises(MissingWeights):
-            artist_weighted_index(p, None)
 
 
 class TestRewards:
