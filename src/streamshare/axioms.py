@@ -501,7 +501,7 @@ def instance_to_dict(instance: dict) -> dict:
 
 
 def _below(getrandbits, n: int) -> int:
-    """A draw from ``range(n)`` as ``randrange(n)`` makes it on Python 3.10-3.12, at half its
+    """A draw from ``range(n)`` as ``randrange(n)`` makes it on Python 3.10-3.13, at half its
     cost; ``a + _below(bits, b - a + 1)`` draws as ``randint(a, b)``. instances.json pins both."""
     k = n.bit_length()
     r = getrandbits(k)

@@ -100,6 +100,8 @@ def _write(text: str, args) -> None:
         if args.output is None:  # fd 1 to devnull, so the flush at exit cannot fail too
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
+        elif exc.errno is not None:  # named by the --output path, not the new file beside it
+            exc = OSError(exc.errno, exc.strerror, str(args.output))
         raise ValueError(f"cannot write {args.output or 'stdout'}: {exc}") from None
 
 
@@ -108,21 +110,27 @@ def _replace_file(path: Path, text: str) -> None:
 
     The text goes to a new file beside the file a symlink resolves to, with
     the mode a plain write leaves, and is renamed over it. An existing target
-    that is not a regular file (``/dev/null``, a FIFO) is written directly.
+    that is not a regular file (``/dev/null``, a FIFO), or whose directory
+    refuses the new file, is written directly.
     """
     try:
         st = path.stat()
     except FileNotFoundError:
         st = None
     else:
-        if not stat.S_ISREG(st.st_mode):
-            path.write_text(text, encoding="utf-8")
-            return
         if not os.access(path, os.W_OK):  # a plain write would be refused too
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
-    target = path.resolve()
-    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask
+    fd = None
+    if st is None or stat.S_ISREG(st.st_mode):
+        target = path.resolve()
+        tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask
+        except PermissionError:  # the directory refuses new files
+            pass
+    if fd is None:
+        path.write_text(text, encoding="utf-8")
+        return
     try:
         with open(fd, "w", encoding="utf-8") as f:
             if st is not None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from .core import Problem
@@ -77,24 +78,9 @@ class IndexVector:
         return f"IndexVector(artists={self.artists!r}, values={self.values!r})"
 
 
-def exact_sum(values) -> Fraction:
-    """The sum of ``values`` as one ``Fraction``: integers added over the lcm of the denominators."""
-    common, nums = common_numerators(values)
-    return Fraction(sum(nums), common)
-
-
-def common_numerators(values) -> tuple[int, list[int]]:
-    """Return ``(common, nums)`` with ``values[i] == nums[i] / common`` exactly.
-
-    ``common`` is the lcm of the denominators.
-    """
-    common = math.lcm(*(v.denominator for v in values))
-    return common, [v.numerator * (common // v.denominator) for v in values]
-
-
 def shapley_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split equally among the artists they streamed."""
-    return _equal_split(p, [1] * p.m, 1)
+    return _equal_split(p, [1] * p.m)
 
 
 def pro_rata_index(p: Problem) -> IndexVector:
@@ -133,7 +119,7 @@ def uniform_index(p: Problem) -> IndexVector:
 
 def user_weighted_index(p: Problem, weights) -> IndexVector:
     """Equal split of positive integer ``weights[j]`` among the artists user ``j`` streamed."""
-    return _equal_split(p, weights, 1)
+    return _equal_split(p, weights)
 
 
 def artist_weighted_index(p: Problem, weights) -> IndexVector:
@@ -148,12 +134,12 @@ def artist_weighted_index(p: Problem, weights) -> IndexVector:
     return _combine(p, n, groups)
 
 
-def _equal_split(p: Problem, numerators: list[int], scale: int) -> IndexVector:
-    """Split ``numerators[j] / scale`` equally among the artists user ``j`` streamed."""
+def _equal_split(p: Problem, numerators: list[int]) -> IndexVector:
+    """Split ``numerators[j]`` equally among the artists user ``j`` streamed."""
     n = p.n
     groups = defaultdict(lambda: [0] * n)
     for (idx, _), num in zip(p.columns, numerators):
-        acc = groups[len(idx) * scale]
+        acc = groups[len(idx)]
         for i in idx:
             acc[i] += num
     return _combine(p, n, groups)
@@ -217,42 +203,46 @@ class IndexRule:
         return self.fn(p)
 
 
-TABLE_RULE_NAMES = ("shapley", "pro-rata", "user-centric")
-ALL_RULE_NAMES = TABLE_RULE_NAMES + (
-    "active-uniform", "uniform", "user-weighted", "artist-weighted",
-)
+# rule name -> (the name of its kernel in this module, whose ids its seeded
+# weights follow: "user", "artist" or None); the three table indices first
+RULES = {
+    "shapley": ("shapley_index", None),
+    "pro-rata": ("pro_rata_index", None),
+    "user-centric": ("user_centric_index", None),
+    "active-uniform": ("active_uniform_index", None),
+    "uniform": ("uniform_index", None),
+    "user-weighted": ("user_weighted_index", "user"),
+    "artist-weighted": ("artist_weighted_index", "artist"),
+}
+ALL_RULE_NAMES = tuple(RULES)
+TABLE_RULE_NAMES = ALL_RULE_NAMES[:3]
 
 
-@lru_cache(maxsize=1 << 16)
 def default_weight(seed: int, kind: str, ident: str) -> int:
-    """Deterministic positive weight for one identifier, independent of context.
-
-    Memoized: seeding a ``random.Random`` from a string costs far more than
-    the lookup, and audits ask for the same few identifiers on every trial.
-    """
+    """Deterministic positive weight for one identifier, independent of context."""
     return random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
+
+
+@lru_cache(maxsize=256)
+def _weights(seed: int, kind: str, ids: tuple[str, ...]) -> tuple[int, ...]:
+    """The :func:`default_weight` of each id, memoized per id tuple.
+
+    Seeding a ``random.Random`` from a string costs far more than the lookup,
+    and audits ask for the same few id tuples on every trial, under every rule.
+    """
+    return tuple([default_weight(seed, kind, i) for i in ids])
 
 
 def make_rule(name: str, seed: int = 0) -> IndexRule:
     """Build a named rule; the weighted ones use the seeded :func:`default_weight`s."""
+    try:
+        kernel, kind = RULES[name]
+    except KeyError:
+        raise UnknownRule(f"unknown index rule {name!r}") from None
     # Looked up when the rule is made, so a kernel rebound on the module (for
     # instance by a tracer) before then is the one the rule calls.
-    fn = {
-        "shapley": shapley_index,
-        "pro-rata": pro_rata_index,
-        "user-centric": user_centric_index,
-        "active-uniform": active_uniform_index,
-        "uniform": uniform_index,
-        "user-weighted": user_weighted_index,
-        "artist-weighted": artist_weighted_index,
-    }.get(name)
-    if fn is None:
-        raise UnknownRule(f"unknown index rule {name!r}")
-    kind = {"user-weighted": "user", "artist-weighted": "artist"}.get(name)
+    fn = globals()[kernel]
     if kind is None:
         return IndexRule(name, fn)
-    # the seeded weights of an id tuple, bound once
-    weights = lru_cache(256)(lambda ids: tuple([default_weight(seed, kind, i) for i in ids]))
-    if kind == "user":
-        return IndexRule(name, lambda p: fn(p, weights(p.users)))
-    return IndexRule(name, lambda p: fn(p, weights(p.artists)))
+    ids = attrgetter(kind + "s")  # p.users or p.artists
+    return IndexRule(name, lambda p: fn(p, _weights(seed, kind, ids(p))))

@@ -10,7 +10,6 @@ byte-identical output.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import asdict
 from fractions import Fraction
@@ -18,7 +17,7 @@ from fractions import Fraction
 from . import axioms
 from .core import Problem, build_sparse_problem
 from .game import STANCES
-from .indices import exact_sum, make_rule, rewards
+from .indices import make_rule, rewards
 
 SCHEMA_VERSION = 1
 MAX_COUNT_DIGITS = 4300  # the program's own bound on one stream count's length
@@ -127,16 +126,6 @@ def _count(cell: str, line: int, column: int) -> int:
     return int(text)
 
 
-def serialize_matrix(p: Problem) -> str:
-    """Inverse of :func:`parse_matrix` (modulo whitespace)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["artist", *p.users])
-    for a, row in zip(p.artists, p.streams):
-        writer.writerow([a, *row])
-    return out.getvalue()
-
-
 def _dec(x: Fraction) -> str:
     q, r = divmod(x.numerator * 10**6, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
@@ -174,7 +163,7 @@ def allocation_document(
                 }
                 for a, r in zip(p.artists, payouts)
             ],
-            "reward_total": str(exact_sum(payouts)),
+            "reward_total": str(p.m),  # the payouts sum to m exactly
         })
     return {
         "schema_version": SCHEMA_VERSION,

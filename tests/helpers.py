@@ -1,9 +1,13 @@
-"""Shared generators for the test suite."""
+"""Shared generators and helpers for the test suite."""
+
+import csv
+import io
+import math
 
 from hypothesis import strategies as st
 
 from streamshare import build_problem
-from streamshare.indices import IndexVector, common_numerators
+from streamshare.indices import IndexVector
 
 
 def random_problem(rng, max_n=5, max_m=5, max_entry=5, zero_chance=0.35):
@@ -42,10 +46,29 @@ def problems(draw, max_n=4, max_m=4, max_entry=4):
     )
 
 
+def common_numerators(values) -> tuple[int, list[int]]:
+    """Return ``(common, nums)`` with ``values[i] == nums[i] / common`` exactly.
+
+    ``common`` is the lcm of the denominators.
+    """
+    common = math.lcm(*(v.denominator for v in values))
+    return common, [v.numerator * (common // v.denominator) for v in values]
+
+
 def vector(artists, values):
     """The ``IndexVector`` whose values are the ``Fraction``s ``values``."""
     common, nums = common_numerators(values)
     return IndexVector(tuple(artists), tuple(nums), common)
+
+
+def serialize_matrix(p) -> str:
+    """Inverse of ``reporting.parse_matrix`` (modulo whitespace)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["artist", *p.users])
+    for a, row in zip(p.artists, p.streams):
+        writer.writerow([a, *row])
+    return out.getvalue()
 
 
 EXAMPLE_1 = (["1", "2"], ["a", "b", "c"], [[200, 0, 0], [0, 100, 100]])

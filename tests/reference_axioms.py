@@ -27,7 +27,9 @@ from streamshare.core import (
     remove_user,
     split_by_users,
 )
-from streamshare.indices import IndexRule, common_numerators, rewards
+from streamshare.indices import IndexRule, rewards
+
+from helpers import common_numerators
 
 
 def check_instance(axiom, rule, instance):

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -376,7 +377,7 @@ class TestOutputFile:
         err = proc.stderr.decode("utf-8")
         assert proc.returncode == 2, err
         assert err.startswith(f"streamshare: error: cannot write {dest}: ")
-        assert "File too large" in err and err.count("\n") == 1
+        assert err.endswith(f"File too large: '{dest}'\n") and err.count("\n") == 1
         assert dest.read_text(encoding="utf-8") == "earlier report\n"
         assert sorted(os.listdir(tmp_path)) == ["report.txt", "wide.csv"]
 
@@ -418,6 +419,47 @@ class TestOutputFile:
         assert err == f"streamshare: error: cannot write {dest}: [Errno 13] Permission denied: " \
                       f"'{dest}'\n"
         assert dest.read_text(encoding="utf-8") == "earlier report\n"
+
+    def test_directory_that_refuses_new_files_is_written_in_place(self):
+        """A file the user may write, in a directory where they cannot create
+        files, is written as a plain write would write it; a new file there is
+        refused, and the message names the --output path. Run as root, the
+        child drops to uid 65534, for which the 0o555 directory is closed, once
+        a first run to /dev/null has imported what it needs: the interpreter's
+        own files may be closed to that uid."""
+        child = ("import os, sys\n"
+                 "from streamshare.cli import main\n"
+                 "if os.geteuid() == 0:\n"
+                 "    main([*sys.argv[1:-1], os.devnull])  # loads what the run imports\n"
+                 "    os.setgid(65534)\n"
+                 "    os.setuid(65534)\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        with tempfile.TemporaryDirectory() as name:  # not under a root-only tmp_path
+            rodir = Path(name)
+            (rodir / "in.csv").write_text(EXAMPLE_1_CSV, encoding="utf-8")
+            dest, fresh = rodir / "report.txt", rodir / "fresh.txt"
+            dest.write_text("earlier report\n", encoding="utf-8")
+            dest.chmod(0o666)
+            rodir.chmod(0o555)
+            try:
+                procs = [subprocess.run([sys.executable, "-c", child, "game", "--input",
+                                         str(rodir / "in.csv"), "--output", str(out)],
+                                        capture_output=True, env=env, timeout=120)
+                         for out in (dest, fresh)]
+                listing = sorted(os.listdir(rodir))
+                written = dest.read_text(encoding="utf-8")
+            finally:
+                rodir.chmod(0o755)
+        (code, err), (fresh_code, fresh_err) = [(p.returncode, p.stderr.decode("utf-8"))
+                                                for p in procs]
+        assert (code, err, written) == (0, "", self.EXPORT)
+        assert fresh_code == 2
+        assert fresh_err == f"streamshare: error: cannot write {fresh}: " \
+                            f"[Errno 13] Permission denied: '{fresh}'\n"
+        assert listing == ["in.csv", "report.txt"]
 
     def test_device_is_written_directly(self, matrix, capsys):
         assert run(capsys, "game", "--input", str(matrix), "--output", os.devnull) == (0, "", "")

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from streamshare import (
     build_problem,
+    indices,
     make_rule,
     pro_rata_index,
     rewards,
@@ -14,6 +15,9 @@ from streamshare import (
     user_centric_index,
 )
 from streamshare.indices import (
+    ALL_RULE_NAMES,
+    TABLE_RULE_NAMES,
+    UnknownRule,
     ZeroTotalIndex,
     active_uniform_index,
     default_weight,
@@ -161,6 +165,33 @@ class TestRules:
         assert make_rule("uniform")(p).values == uniform_index(p).values
         assert make_rule("active-uniform")(p).values == active_uniform_index(p).values
 
+    def test_rule_names_in_order(self):
+        assert TABLE_RULE_NAMES == ("shapley", "pro-rata", "user-centric")
+        assert ALL_RULE_NAMES == ("shapley", "pro-rata", "user-centric", "active-uniform",
+                                  "uniform", "user-weighted", "artist-weighted")
+
+    def test_unknown_rule_message(self):
+        with pytest.raises(UnknownRule, match=r"^unknown index rule 'bogus'$"):
+            make_rule("bogus")
+
+    @pytest.mark.parametrize("name,kernel", [
+        ("shapley", "shapley_index"),
+        ("pro-rata", "pro_rata_index"),
+        ("user-centric", "user_centric_index"),
+        ("active-uniform", "active_uniform_index"),
+        ("uniform", "uniform_index"),
+        ("user-weighted", "user_weighted_index"),
+        ("artist-weighted", "artist_weighted_index"),
+    ])
+    def test_rule_calls_kernel_rebound_before_it_is_made(self, name, kernel, monkeypatch):
+        """A kernel rebound on the module before ``make_rule`` is the one the
+        rule calls, as a tracer that wraps the kernels needs."""
+        calls = []
+        monkeypatch.setattr(indices, kernel, lambda *args: calls.append(args) or "stub")
+        p = example_1()
+        assert make_rule(name, seed=3)(p) == "stub"
+        assert len(calls) == 1 and calls[0][0] is p
+
     def test_default_weight_memo_keeps_values(self):
         for seed in (0, 7, 42):
             for kind in ("user", "artist"):
@@ -168,7 +199,6 @@ class TestRules:
                     expected = random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
                     assert default_weight(seed, kind, ident) == expected
                     assert default_weight(seed, kind, ident) == expected
-        assert default_weight.cache_info().maxsize is not None
 
     def test_weighted_rules_are_seed_stable(self):
         p = example_1()

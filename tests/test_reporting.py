@@ -17,11 +17,10 @@ from streamshare.reporting import (
     parse_matrix,
     render_json,
     render_text,
-    serialize_matrix,
     suite_document,
 )
 
-from helpers import EXAMPLE_1, example_1, random_problem
+from helpers import EXAMPLE_1, example_1, random_problem, serialize_matrix
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"
 

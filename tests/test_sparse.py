@@ -19,9 +19,9 @@ from streamshare.core import (
     NegativeStream,
     SilentUser,
 )
-from streamshare.reporting import parse_matrix, serialize_matrix
+from streamshare.reporting import parse_matrix
 
-from helpers import example_1, problems
+from helpers import example_1, problems, serialize_matrix
 
 
 def naive_columns(rows):
