@@ -18,10 +18,8 @@ from .core import (
 from .game import (
     CoalitionGame,
     TooManyArtists,
-    dual_game,
     optimistic_game,
     pessimistic_game,
-    shapley_value_brute_force,
 )
 from .indices import (
     IndexRule,
@@ -42,7 +40,6 @@ __all__ = [
     "TooManyArtists",
     "build_problem",
     "build_sparse_problem",
-    "dual_game",
     "make_rule",
     "optimistic_game",
     "pessimistic_game",
@@ -51,7 +48,6 @@ __all__ = [
     "remove_user",
     "rewards",
     "shapley_index",
-    "shapley_value_brute_force",
     "split_by_users",
     "user_centric_index",
 ]

@@ -11,9 +11,7 @@ the seed.
 
 Quantified axioms ("for each pair", "for each subset") are checked over
 every applicable pair or subset inside each instance. Random problems have
-at most 5 artists and 5 users. The lower bound enumerates every user group,
-so it refuses an instance with more than 10 users; a ``user_subsets`` key
-in an instance is ignored.
+at most 5 artists and 5 users.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .core import (
     remove_user,
     split_by_users,
 )
+from .game import TooManyArtists, _user_mask_counts
 from .indices import (
     TABLE_RULE_NAMES,
     IndexRule,
@@ -43,7 +42,6 @@ from .indices import (
     reward_shares,
 )
 
-SUBSET_ENUMERATION_CAP = 10
 DEFAULT_TRIALS = 500
 
 # Random problems: up to MAX_ARTISTS x MAX_USERS, entries up to MAX_ENTRY. A
@@ -176,34 +174,31 @@ def _check_additivity(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _nonempty_subsets(items):
-    n = len(items)
-    for mask in range(1, 1 << n):
-        yield [items[k] for k in range(n) if mask >> k & 1]
-
-
 def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     """Artists streamed by a user group receive less than the group paid."""
     p = _get_problem(instance)
-    listening = {u: idx for u, (idx, _) in zip(p.users, p.columns)}
     # payout i is m * nums[i] / total, so a group's payout sum is below its
     # size exactly when m * (the sum of its nums) < size * total
     nums, total = reward_shares(rule(p))
-    m = p.m
-    if p.m > SUBSET_ENUMERATION_CAP:
-        raise ShapeMismatch(f"{p.m} users; groups are enumerated up to {SUBSET_ENUMERATION_CAP}")
-    for group in _nonempty_subsets(p.users):
-        streamed = set()
-        for u in group:
-            streamed.update(listening[u])
-        got = m * sum([nums[i] for i in streamed])
-        if got < len(group) * total:
-            return {
-                "user_group": sorted(group),
-                "streamed_artists": sorted(p.artists[i] for i in streamed),
-                "reward_sum": str(Fraction(got, total)),
-                "amount_paid": len(group),
-            }, 0
+    try:
+        worth = _user_mask_counts(p)  # worth[S]: the users who stream only inside S
+    except TooManyArtists as exc:
+        raise ShapeMismatch(str(exc)) from None
+    # A group that streams S lies among the worth[S] users who stream only
+    # inside S. Those stream all of S just when S is closed (dropping any
+    # artist of S loses one of them), so only closed S can bind.
+    for s, w in enumerate(worth):
+        members = [i for i in range(p.n) if s >> i & 1]
+        if w and all(worth[s ^ 1 << i] < w for i in members):
+            got = p.m * sum([nums[i] for i in members])
+            if got < w * total:
+                return {
+                    "user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
+                                         if all(s >> i & 1 for i in idx)),
+                    "streamed_artists": sorted(p.artists[i] for i in members),
+                    "reward_sum": str(Fraction(got, total)),
+                    "amount_paid": w,
+                }, 0
     return None, 0
 
 

@@ -1,28 +1,20 @@
-"""Coalition games over artists: pessimistic and optimistic worth, duality,
-and one definition-level Shapley oracle that averages over all player orders.
+"""Coalition games over artists: pessimistic and optimistic worth.
 
 Coalitions are bitmasks over artist positions (artist at position ``k`` is bit
 ``k``); the worth function is materialized eagerly as a table of length 2^n,
 built by n whole-integer passes over one packed integer (pessimistic), then
-taken from m and read big-endian (optimistic, which equals the dual). Worth
-tables are exact integers for the constructed games, and the Shapley oracle
-returns exact numerators over n!.
+taken from m and read big-endian (optimistic, which equals the dual of the
+pessimistic game). Worth tables are exact integers.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import permutations, repeat
 
 from .core import Problem
-from .indices import IndexVector
 
-# The Shapley oracle walks all n! player orders; 10! is 3.6 million of them.
-MAX_PERMUTATION_ARTISTS = 10
 # No worth table is built for more artists than this. A text export costs
 # about 100 bytes per coalition (CLI peak RSS, CPython 3.11: 40 MB for the
 # dual game of 18 artists, 110 MB for 20), and each artist more doubles it.
@@ -87,37 +79,9 @@ def optimistic_game(p: Problem) -> CoalitionGame:
     return CoalitionGame(p.artists, tuple(_user_mask_counts(p, complement=True)))
 
 
-def dual_game(g: CoalitionGame) -> CoalitionGame:
-    """worth*(S) = worth(N) - worth(N \\ S); an involution on games."""
-    grand = g.worth[-1]
-    worth = tuple(map(operator.sub, repeat(grand), reversed(g.worth)))  # N \ S, S ascending
-    return CoalitionGame(g.players, worth)
-
-
 # Stance name -> game; the builders are looked up per call, so wrappers set on them see it.
 STANCES = {
     "pessimistic": lambda p: pessimistic_game(p),
     "optimistic": lambda p: optimistic_game(p),
-    "dual": lambda p: optimistic_game(p),  # dual(pessimistic) = optimistic (TestDuality)
+    "dual": lambda p: optimistic_game(p),  # = dual_game(pessimistic) in tests/reference_game.py
 }
-
-
-def shapley_value_brute_force(g: CoalitionGame) -> IndexVector:
-    """Shapley value straight from the definition: each player's marginal
-    contribution averaged over all n! player orders."""
-    n = len(g.players)
-    if n > MAX_PERMUTATION_ARTISTS:
-        raise TooManyArtists(
-            f"{n} artists exceeds the permutation cap {MAX_PERMUTATION_ARTISTS}"
-        )
-    totals = [0] * n
-    worth = g.worth
-    for order in permutations(range(n)):
-        mask = 0
-        prev = 0
-        for i in order:
-            mask |= 1 << i
-            w = worth[mask]
-            totals[i] += w - prev
-            prev = w
-    return IndexVector(g.players, tuple(totals), math.factorial(n))

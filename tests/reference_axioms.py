@@ -7,6 +7,12 @@ are kept here verbatim, slow and obviously correct, so tests can require
 ``(details, skipped)`` as :func:`check_instance` below. Reading and
 validating an instance (``_get_problem``, ``_modified_pair``) is shared with
 ``streamshare.axioms``; only the comparisons are kept here.
+
+The lower-bound checker here enumerates every user group, so it refuses more
+than ``SUBSET_ENUMERATION_CAP`` users. ``streamshare.axioms`` scans the closed
+artist coalitions of the pessimistic game instead, which reaches the same
+verdict but may report another violating group, so tests compare its
+verdicts with this checker's and replay its witness on its own.
 """
 
 from __future__ import annotations
@@ -14,12 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from streamshare.axioms import (
-    SUBSET_ENUMERATION_CAP,
-    ShapeMismatch,
-    _get_problem,
-    _modified_pair,
-)
+from streamshare.axioms import ShapeMismatch, _get_problem, _modified_pair
 from streamshare.core import (
     ProblemError,
     SilentUser,
@@ -30,6 +31,9 @@ from streamshare.core import (
 from streamshare.indices import IndexRule, rewards
 
 from helpers import common_numerators
+
+# the lower bound enumerates up to 2^10 - 1 user groups per instance
+SUBSET_ENUMERATION_CAP = 10
 
 
 def check_instance(axiom, rule, instance):

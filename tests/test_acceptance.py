@@ -16,7 +16,6 @@ from fractions import Fraction as F
 
 from streamshare import (
     build_problem,
-    dual_game,
     make_rule,
     optimistic_game,
     pessimistic_game,
@@ -24,13 +23,13 @@ from streamshare import (
     remove_user,
     rewards,
     shapley_index,
-    shapley_value_brute_force,
     user_centric_index,
 )
 from streamshare.axioms import independence_suite, replay_witness, reproduce_table
 from streamshare.cli import main
 
 from helpers import example_1, example_2, random_problem, vector
+from reference_game import dual_game, shapley_value_brute_force
 
 
 def _report(num, label, ok):

@@ -3,7 +3,7 @@
 ``streamshare.axioms`` compares index values as integers, cross-multiplied
 over each vector's common denominator; ``reference_axioms`` keeps the
 checkers that compared ``Fraction`` values. Both must return the same
-``(details, skipped)``:
+``(details, skipped)``, except on the reasonable lower bound:
 
 - on every instance of each axiom's grid. The three table rules check the
   whole grid; the other rules share it out (instance k goes to the
@@ -11,6 +11,14 @@ checkers that compared ``Fraction`` values. Both must return the same
   rules and every rule under a share of the grid;
 - on a seeded sweep of random draws under every rule, heavy draws included;
 - on one hand-built violation per checker, so every ``details`` branch runs.
+
+The lower-bound checker scans the closed coalitions of the pessimistic game in
+mask order, and the reference scans user groups in mask order, so the two may
+report different violating groups. For that axiom the verdicts (a violation or
+none) must agree, and the reported group must violate under ``Fraction``
+arithmetic and be exactly the users who stream only inside its
+``streamed_artists``. A Hypothesis property compares the verdicts on problems
+of up to 10 users, under a rule with negative values too.
 
 The rules are the seven named ones with their seeded weights, the two
 reference weighted kernels with fractional weights, and a rule whose vectors
@@ -24,12 +32,15 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_axioms as ref
 import reference_indices
 from streamshare.axioms import (
     AXIOM_IDS,
     MAX_ENTRY,
+    _get_problem,
     _grid,
     _grid_problems,
     check_instance,
@@ -43,18 +54,20 @@ from streamshare.indices import (
     ZeroTotalIndex,
     artist_weighted_index,
     make_rule,
+    rewards,
     shapley_index,
     user_weighted_index,
 )
 
-from helpers import random_problem, vector
+from helpers import problems, random_problem, vector
 from reference_indices import reference_rule
 
 SEED = 3
 DRAWS = 40
-# ids of every grid and random problem, with weights of several denominators
+# ids of every grid and random problem, and of the lower-bound property's ten
+# users, with weights of several denominators
 FRACTION_WEIGHTS = {ident: F(7 * k % 11 + 1, k % 4 + 2) for k, ident in enumerate(
-    [f"a{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 6)])}
+    [f"a{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 11)])}
 # integer weights for the same ids, which the public weighted kernels take by position
 INTEGER_WEIGHTS = {ident: 7 * k % 11 + 1 for k, ident in enumerate(FRACTION_WEIGHTS)}
 
@@ -81,8 +94,29 @@ def _counts(p):
 
 def assert_same_as_reference(axiom, rule, instance):
     got = check_instance(axiom, rule, instance)
-    assert got == ref.check_instance(axiom, rule, instance), (rule.name, instance)
+    want = ref.check_instance(axiom, rule, instance)
+    if axiom != "reasonable_lower_bound":
+        assert got == want, (rule.name, instance)
+        return got
+    assert (got[0] is None, got[1]) == (want[0] is None, want[1]), (rule.name, instance)
+    if got[0] is not None:
+        assert_lower_bound_witness(rule, instance, got[0])
     return got
+
+
+def assert_lower_bound_witness(rule, instance, details):
+    """The reported group is the users who stream only inside its
+    ``streamed_artists``, streams all of them, and is paid less than it paid."""
+    p = _get_problem(instance)
+    listening = {u: {p.artists[i] for i in idx} for u, (idx, _) in zip(p.users, p.columns)}
+    streamed = set(details["streamed_artists"])
+    group = [u for u in p.users if listening[u] <= streamed]
+    assert details["user_group"] == sorted(group)
+    assert set().union(*(listening[u] for u in group)) == streamed
+    paid = dict(zip(p.artists, rewards(rule(p), p)))
+    got = sum((paid[a] for a in streamed), F(0))
+    assert got < len(group) == details["amount_paid"]
+    assert details["reward_sum"] == str(got)
 
 
 @pytest.mark.parametrize("axiom", AXIOM_IDS)
@@ -104,6 +138,31 @@ def test_random_draws_match_reference(axiom):
     for rule in _rules():
         for instance in draws:
             assert_same_as_reference(axiom, rule, instance)
+
+
+def _signed_shapley(p):
+    """Shapley values less a third of their total at odd artist positions:
+    some are negative, and the total stays positive up to five artists."""
+    values = shapley_index(p).values
+    return vector(p.artists, tuple(v - k % 2 * sum(values) / 3 for k, v in enumerate(values)))
+
+
+PROPERTY_RULES = [*_rules(), IndexRule("signed-shapley", _signed_shapley)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(max_n=4, max_m=10, max_entry=5), st.sampled_from(PROPERTY_RULES))
+def test_lower_bound_verdicts_match_group_enumeration(p, rule):
+    assert_same_as_reference("reasonable_lower_bound", rule, {"problem": p})
+
+
+def test_lower_bound_needs_no_sign_assumption():
+    # u streams a, v streams b and c, and each group is paid what it paid.
+    # Only u streams inside {a, b}, which is paid 1 + (-1) < 1; but u does
+    # not stream b, so {a, b} is not closed and binds no group.
+    fixed = IndexRule("fixed", lambda p: IndexVector(p.artists, (1, -1, 2), 1))
+    instance = {"problem": _problem([[1, 0], [0, 1], [0, 1]])}
+    assert assert_same_as_reference("reasonable_lower_bound", fixed, instance) == (None, 0)
 
 
 def _problem(streams, artists="abc", users="uvw"):

@@ -153,13 +153,21 @@ class TestInstanceShapes:
         violation, _ = check_instance("reasonable_lower_bound", PRO_RATA, inst)
         assert violation["user_group"] == ["a"]
 
-    def test_many_users_are_refused(self):
-        users = [f"u{j}" for j in range(11)]
-        problem = {"artists": ["1"], "users": users, "streams": [[1] * 11]}
-        with pytest.raises(ShapeMismatch, match="^11 users; groups are enumerated up to 10$"):
+    def test_many_users_are_checked(self):
+        # 2^30 user groups; the checker scans the 4 coalitions of 2 artists
+        users = [f"u{j:02}" for j in range(30)]
+        problem = {"artists": ["1", "2"], "users": users,
+                   "streams": [[1] * 15 + [0] * 15, [0] * 15 + [100] * 15]}
+        assert check_instance("reasonable_lower_bound", SHAPLEY, {"problem": problem}) == (None, 0)
+        violation, _ = check_instance("reasonable_lower_bound", PRO_RATA, {"problem": problem})
+        assert violation == {"user_group": users[:15], "streamed_artists": ["1"],
+                             "reward_sum": "30/101", "amount_paid": 15}
+
+    def test_many_artists_are_refused(self):
+        artists = [f"a{i}" for i in range(21)]
+        problem = {"artists": artists, "users": ["u"], "streams": [[1]] * 21}
+        with pytest.raises(ShapeMismatch, match="^21 artists exceeds the enumeration cap 20$"):
             check_instance("reasonable_lower_bound", SHAPLEY, {"problem": problem})
-        ten = {"artists": ["1"], "users": users[:10], "streams": [[1] * 10]}
-        assert check_instance("reasonable_lower_bound", SHAPLEY, {"problem": ten}) == (None, 0)
 
     def test_bad_partition(self):
         with pytest.raises(ShapeMismatch):

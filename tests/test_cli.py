@@ -32,6 +32,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_unprivileged(*argv):
+    """``(code, out, err)`` of the CLI run in a child, on an argv that ends
+    with ``--output PATH``. Run as root, the child drops to uid 65534, to
+    which file modes apply, once a first run to /dev/null has imported what
+    it needs: the interpreter's own files may be closed to that uid."""
+    child = ("import os, sys\n"
+             "from streamshare.cli import main\n"
+             "if os.geteuid() == 0:\n"
+             "    main([*sys.argv[1:-1], os.devnull])  # loads what the run imports\n"
+             "    os.setgid(65534)\n"
+             "    os.setuid(65534)\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
 class TestAllocate:
     def test_default_indices(self, matrix, capsys):
         code, out, err = run(capsys, "allocate", "--input", str(matrix))
@@ -408,35 +428,33 @@ class TestOutputFile:
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
         assert kept.read_text(encoding="utf-8") == fresh.read_text(encoding="utf-8") == self.EXPORT
 
-    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
-    def test_read_only_file_is_refused_as_a_plain_write_would_be(self, matrix, tmp_path,
-                                                                  capsys):
-        dest = tmp_path / "report.txt"
-        dest.write_text("earlier report\n", encoding="utf-8")
-        dest.chmod(0o444)
-        code, out, err = run(capsys, "game", "--input", str(matrix), "--output", str(dest))
+    def test_read_only_file_is_refused_as_a_plain_write_would_be(self, capsys):
+        # The folder takes new files, so the check of the file's own mode is
+        # what refuses the write, not the folder.
+        with tempfile.TemporaryDirectory() as name:  # not under a root-only tmp_path
+            folder = Path(name)
+            folder.chmod(0o777)
+            source, dest = folder / "in.csv", folder / "report.txt"
+            source.write_text(EXAMPLE_1_CSV, encoding="utf-8")
+            dest.write_text("earlier report\n", encoding="utf-8")
+            dest.chmod(0o444)
+            argv = ("game", "--input", str(source), "--output", str(dest))
+            if os.geteuid() == 0:  # root may write a read-only file; uid 65534 may not
+                code, out, err = run_unprivileged(*argv)
+            else:
+                code, out, err = run(capsys, *argv)
+            kept = dest.read_text(encoding="utf-8")
+            listing = sorted(os.listdir(folder))
         assert code == 2 and out == ""
         assert err == f"streamshare: error: cannot write {dest}: [Errno 13] Permission denied: " \
                       f"'{dest}'\n"
-        assert dest.read_text(encoding="utf-8") == "earlier report\n"
+        assert kept == "earlier report\n" and listing == ["in.csv", "report.txt"]
 
     def test_directory_that_refuses_new_files_is_written_in_place(self):
         """A file the user may write, in a directory where they cannot create
         files, is written as a plain write would write it; a new file there is
         refused, and the message names the --output path. Run as root, the
-        child drops to uid 65534, for which the 0o555 directory is closed, once
-        a first run to /dev/null has imported what it needs: the interpreter's
-        own files may be closed to that uid."""
-        child = ("import os, sys\n"
-                 "from streamshare.cli import main\n"
-                 "if os.geteuid() == 0:\n"
-                 "    main([*sys.argv[1:-1], os.devnull])  # loads what the run imports\n"
-                 "    os.setgid(65534)\n"
-                 "    os.setuid(65534)\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        child drops to uid 65534, for which the 0o555 directory is closed."""
         with tempfile.TemporaryDirectory() as name:  # not under a root-only tmp_path
             rodir = Path(name)
             (rodir / "in.csv").write_text(EXAMPLE_1_CSV, encoding="utf-8")
@@ -445,16 +463,13 @@ class TestOutputFile:
             dest.chmod(0o666)
             rodir.chmod(0o555)
             try:
-                procs = [subprocess.run([sys.executable, "-c", child, "game", "--input",
-                                         str(rodir / "in.csv"), "--output", str(out)],
-                                        capture_output=True, env=env, timeout=120)
-                         for out in (dest, fresh)]
+                runs = [run_unprivileged("game", "--input", str(rodir / "in.csv"),
+                                         "--output", str(out)) for out in (dest, fresh)]
                 listing = sorted(os.listdir(rodir))
                 written = dest.read_text(encoding="utf-8")
             finally:
                 rodir.chmod(0o755)
-        (code, err), (fresh_code, fresh_err) = [(p.returncode, p.stderr.decode("utf-8"))
-                                                for p in procs]
+        (code, _, err), (fresh_code, _, fresh_err) = runs
         assert (code, err, written) == (0, "", self.EXPORT)
         assert fresh_code == 2
         assert fresh_err == f"streamshare: error: cannot write {fresh}: " \

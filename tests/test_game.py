@@ -3,17 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from streamshare import (
-    build_problem,
-    dual_game,
-    optimistic_game,
-    pessimistic_game,
-    shapley_index,
-    shapley_value_brute_force,
-)
+from streamshare import build_problem, optimistic_game, pessimistic_game, shapley_index
 from streamshare.game import CoalitionGame, TooManyArtists
 
 from helpers import example_1, random_problem
+from reference_game import dual_game, shapley_value_brute_force
 
 
 def listening(p, j):

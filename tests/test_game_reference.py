@@ -2,17 +2,30 @@
 tables read big-endian off its complement, equal the per-bit reference and
 the literal definitions exactly, at every size and at each boundary of the
 packed field width, and the export text equals one ``format`` per
-coalition. Both byte-order branches of the packing run on any host."""
+coalition. Both byte-order branches of the packing run on any host.
+
+The closed-form Shapley index equals the Möbius oracle on both games up to
+16 artists, and the Möbius oracle equals the permutation oracle wherever
+that one runs."""
 
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from streamshare import build_sparse_problem, dual_game, game, optimistic_game, pessimistic_game
+from streamshare import build_sparse_problem, game, optimistic_game, pessimistic_game
+from streamshare.indices import shapley_index
 from streamshare.reporting import game_export_text
 
-from reference_game import dual_worth, optimistic_worth, user_mask_counts
+from reference_game import (
+    dual_game,
+    dual_worth,
+    harsanyi_dividends,
+    optimistic_worth,
+    shapley_value_brute_force,
+    shapley_value_mobius,
+    user_mask_counts,
+)
 
 
 def random_listening_problem(rng, n, max_m=40):
@@ -89,3 +102,35 @@ def test_export_rows_equal_one_format_per_coalition(n):
     for stance, worth in tables.items():
         expected = "".join(f"{s:0{n}b},{w}\n" for s, w in enumerate(worth))
         assert game_export_text(p, stance) == expected
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_mobius_oracle_equals_shapley_index(n):
+    p = random_listening_problem(random.Random(f"mobius|{n}"), n, max_m=300)
+    for g in (pessimistic_game(p), optimistic_game(p)):
+        assert shapley_value_mobius(g).values == shapley_index(p).values
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mobius_oracle_equals_permutation_oracle(n):
+    # the 9! and 10! player orders take seconds, so those sizes check one game
+    rng = random.Random(f"orders|{n}")
+    for _ in range(4 if n < 9 else 1):
+        p = random_listening_problem(rng, n, max_m=12)
+        games = [pessimistic_game(p), optimistic_game(p)]
+        for g in games if n < 9 else games[:1]:
+            assert shapley_value_mobius(g).values == shapley_value_brute_force(g).values
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pessimistic_dividends_count_exact_listening_sets(n):
+    # d(S) is the number of users who streamed exactly S, so no dividend is
+    # negative: the game is convex, and its Shapley value meets every core
+    # constraint, which is the reasonable lower bound.
+    p = random_listening_problem(random.Random(f"dividends|{n}"), n)
+    exact = [0] * (1 << n)
+    for idx, _ in p.columns:
+        exact[sum(1 << i for i in idx)] += 1
+    dividends = harsanyi_dividends(pessimistic_game(p).worth)
+    assert dividends == exact
+    assert min(dividends) >= 0
