@@ -1,26 +1,34 @@
 """CSV matrix ingestion and report serialization.
 
+Mostly-zero matrix files are scanned for their nonzero cells by string
+searches; the rest go through ``csv.reader``, with the same result.
+
 Reports carry payouts both as exact fraction strings (authoritative) and as
-fixed six-decimal renderings. A decimal rendering is the exact fraction
-rounded to six places, ties to even, in integer arithmetic, so it is right
-for any magnitude. Rendering is deterministic: the same inputs produce
-byte-identical output.
+fixed six-decimal renderings (ties to even), both built from the index's
+integer numerators, so they are right for any magnitude. Rendering is
+deterministic: the same inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import axioms
 from .core import Problem, build_sparse_problem
 from .game import STANCES
-from .indices import make_rule, rewards
+from .indices import make_rule, reward_shares
 
 SCHEMA_VERSION = 1
 MAX_COUNT_DIGITS = 4300  # the program's own bound on one stream count's length
+# A file is scanned if at most this share of every 61st character is marked: "0"
+# and "," stay, newline becomes ",", any other ASCII character a mark.
+SCAN_MAX_MARKED = 0.1
+_MARK = "x"
+_MARKS = "".join(c if c in "0," else "," if c == "\n" else _MARK for c in map(chr, range(128)))
 
 
 class ParseError(ValueError):
@@ -37,17 +45,83 @@ def parse_matrix(text: str) -> Problem:
     """Parse the CSV matrix format: header "artist,<users...>", one row per artist.
 
     The header's first cell must be ``artist``; spaces around it are allowed,
-    a byte-order mark is not (decode with ``utf-8-sig``). Rows are read one
-    at a time and blank lines are skipped; a ``ParseError`` names the
-    physical line. Each cell costs one comparison with ``"0"``;
-    only the other cells are converted and stored, user by user. A count is
-    ASCII digits after stripping, with an optional leading ``-`` (negative
-    counts then fail validation) of at most ``MAX_COUNT_DIGITS`` digits; ids
-    must be nonempty.
+    a byte-order mark is not (decode with ``utf-8-sig``). Blank lines are
+    skipped; a ``ParseError`` names the physical line. Only nonzero cells are
+    converted and stored, user by user: a count is ASCII digits after
+    stripping, with an optional leading ``-`` (negative counts then fail
+    validation), of at most ``MAX_COUNT_DIGITS`` digits. Ids must be nonempty.
+    Mostly-zero text is scanned (:func:`_scan`); the rest is read by ``csv``.
     """
+    return _problem(*(_scan(text, SCAN_MAX_MARKED) or _read_csv(text)))
+
+
+def _problem(users: list[str], rows) -> Problem:
+    """The problem of one ``(artist, columns, counts)`` per row, zero counts left out."""
+    artists = []
+    idx_lists = [[] for _ in users]
+    count_lists = [[] for _ in users]
+    for i, (artist, columns, counts) in enumerate(rows):
+        artists.append(artist)
+        for j, x in zip(columns, counts):
+            if x:
+                idx_lists[j].append(i)
+                count_lists[j].append(x)
+    if not artists:
+        raise ParseError("no artist rows")
+    return build_sparse_problem(artists, users, zip(idx_lists, count_lists))
+
+
+def _scan(text: str, max_marked: float):
+    """What :func:`_read_csv` gives for mostly-zero ``text``, or None; never raises.
+
+    It takes only ASCII text with no ``"``, ``\\r`` or NUL (a ``csv.reader`` row
+    is then the line split at ","), no empty cell or blank line, zeros spelled
+    "0", other counts plain digits, every field within ``csv.field_size_limit()``.
+    """
+    limit, sample = csv.field_size_limit(), text[::61]
+    if (not text.isascii() or limit < MAX_COUNT_DIGITS or any(c in text for c in '"\r\0')
+            or sample.translate(_MARKS).count(_MARK) > max_marked * len(sample)):
+        return None
+    body = text if text.endswith("\n") else text + "\n"
+    marked = body.translate(_MARKS)
+    if ",," in marked:  # an empty cell or a blank line
+        return None
+    end = body.find("\n")
+    header = body[:end].split(",")
+    users = [c.strip() for c in header[1:]]
+    if (header[0].strip() != "artist" or not users or not all(users)
+            or max(map(len, header)) > limit):
+        return None
+    rows = []
+    while end + 1 < len(body):
+        start, end = end + 1, body.find("\n", end + 1)
+        head = pos = marked.find(",", start)  # ends the artist id; a newline reads as ","
+        column, texts, columns = 0, [], []
+        while (hit := marked.find(_MARK, pos, end)) >= 0:  # the next nonzero cell
+            cell = marked.rfind(",", pos, hit) + 1
+            column += marked.count(",", pos, cell)
+            pos = marked.find(",", hit)
+            texts.append(body[cell:pos])
+            columns.append(column - 1)
+        column += marked.count(",", pos, end)
+        # With no empty cell, the row has this length only if each zero cell is "0".
+        size = 2 * len(users) - len(texts) + sum(map(len, texts))
+        artist = body[start:head].strip()
+        if (column != len(users) or end - head != size or not artist or head - start > limit
+                or texts and not ("".join(texts).isdigit()
+                                  and max(map(len, texts)) <= MAX_COUNT_DIGITS)):
+            return None
+        rows.append((artist, columns, map(int, texts)))
+    return users, rows
+
+
+def _read_csv(text: str):
+    """``(users, rows)`` of ``text`` by ``csv.reader``, each row read as it is taken:
+    one comparison with "0" per cell, then one ``map(int, ...)`` for a row of
+    plain counts, :func:`_count` for any other."""
     reader = csv.reader(_lines(text))
-    rows = _rows(reader)
-    header = next(rows, None)
+    lines = _rows(reader)
+    header = next(lines, None)
     if header is None:
         raise ParseError("empty input")
     if header[0].strip() != "artist":
@@ -58,45 +132,30 @@ def parse_matrix(text: str) -> Problem:
     users = [c.strip() for c in header[1:]]
     if not all(users):
         raise ParseError("empty user id", line=reader.line_num, column=users.index("") + 2)
-    width = len(header)
-    artists = []
-    idx_lists = [[] for _ in users]
-    count_lists = [[] for _ in users]
-    for row in rows:
-        line = reader.line_num
-        if len(row) != width:
-            raise ParseError(
-                f"expected {width} fields, got {len(row)}", line=line
-            )
-        artist = row[0].strip()
-        if not artist:
-            raise ParseError("empty artist id", line=line, column=1)
-        i = len(artists)
-        artists.append(artist)
-        cells = row[1:]
-        nonzero = [j for j, cell in enumerate(cells) if cell != "0"]
-        texts = [cells[j] for j in nonzero]
-        joined = "".join(texts)
-        if (joined.isascii() and joined.isdigit() and all(texts)  # plain counts only
-                and max(map(len, texts)) <= MAX_COUNT_DIGITS):
-            values = map(int, texts)
-        else:
-            values = [_count(t, line, j + 2) for j, t in zip(nonzero, texts)]
-        for j, x in zip(nonzero, values):
-            if x:
-                idx_lists[j].append(i)
-                count_lists[j].append(x)
-    if not artists:
-        raise ParseError("no artist rows")
-    return build_sparse_problem(artists, users, zip(idx_lists, count_lists))
+
+    def rows():
+        for row in lines:
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+            artist = row[0].strip()
+            if not artist:
+                raise ParseError("empty artist id", line=line, column=1)
+            cells = row[1:]
+            nonzero = [j for j, cell in enumerate(cells) if cell != "0"]
+            texts = [cells[j] for j in nonzero]
+            joined = "".join(texts)
+            if (joined.isascii() and joined.isdigit() and all(texts)  # plain counts only
+                    and max(map(len, texts)) <= MAX_COUNT_DIGITS):
+                yield artist, nonzero, map(int, texts)
+            else:
+                yield artist, nonzero, [_count(t, line, j + 2) for j, t in zip(nonzero, texts)]
+    return users, rows()
 
 
 def _lines(text: str):
-    """The lines of ``text``, each with its "\\n", one at a time.
-
-    The same lines as ``io.StringIO(text)`` gives, without its copy of the
-    text at four bytes per character.
-    """
+    """The lines of ``text``, each with its "\\n", as ``io.StringIO(text)`` gives
+    them, without its copy of the text at four bytes per character."""
     start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
@@ -126,54 +185,48 @@ def _count(cell: str, line: int, column: int) -> int:
     return int(text)
 
 
-def _dec(x: Fraction) -> str:
-    q, r = divmod(x.numerator * 10**6, x.denominator)
-    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``: lowest terms, "/1" left out."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _dec(num: int, den: int) -> str:
+    """``num / den`` (``den > 0``) rounded to six decimals, ties to even."""
+    q, r = divmod(num * 10**6, den)
+    if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), 10**6)
-    return f"{sign}{whole}.{frac:06d}"
+    return f"{'-' if q < 0 else ''}{whole}.{frac:06d}"
 
 
 # ---------------------------------------------------------------------------
 # Documents
 
 
-def allocation_document(
-    p: Problem,
-    rule_names,
-    price: Fraction = Fraction(1),
-    seed: int = 42,
-) -> dict:
-    """One report section per requested index; ``price`` scales displayed payouts only."""
+def allocation_document(p: Problem, rule_names, price: Fraction = Fraction(1),
+                        seed: int = 42) -> dict:
+    """One report section per requested index; ``price`` scales displayed payouts only.
+
+    Payout ``i`` is ``nums[i] * m / total``, as ``indices.rewards`` has it.
+    """
+    m, pn, pd = p.m, price.numerator, price.denominator
     sections = []
     for name in rule_names:
-        rule = make_rule(name, seed=seed)
-        vec = rule(p)
-        payouts = rewards(vec, p)
+        vec = make_rule(name, seed=seed)(p)
+        nums, total = reward_shares(vec)
         sections.append({
             "index": name,
-            "values": [str(v) for v in vec.values],
-            "rewards": [
-                {
-                    "artist": a,
-                    "fraction": str(r),
-                    "decimal": _dec(r),
-                    "payout": _dec(r * price),
-                }
-                for a, r in zip(p.artists, payouts)
-            ],
-            "reward_total": str(p.m),  # the payouts sum to m exactly
+            "values": [_ratio(x, vec.common) for x in vec.nums],
+            "rewards": [{"artist": a, "fraction": _ratio(x * m, total),
+                         "decimal": _dec(x * m, total), "payout": _dec(x * m * pn, total * pd)}
+                        for a, x in zip(p.artists, nums)],
+            "reward_total": str(m),  # the payouts sum to m exactly
         })
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "allocation",
-        "problem": {
-            "artists": list(p.artists),
-            "users": list(p.users),
-            "n": p.n,
-            "m": p.m,
-        },
+        "problem": {"artists": list(p.artists), "users": list(p.users), "n": p.n, "m": m},
         "price_multiplier": str(price),
         "sections": sections,
     }

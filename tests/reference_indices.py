@@ -5,7 +5,9 @@ These are the straightforward per-user loops over the dense rows
 replaced. They are kept here, slow and obviously correct, so tests can
 require the fast kernels to return exactly the same ``Fraction`` values.
 The sums and the reward map likewise keep their ``Fraction``-by-``Fraction``
-formulas, which the integer sums over one common denominator replaced.
+formulas, which the integer sums over one common denominator replaced, and the
+allocation report's strings keep theirs: ``str`` of a ``Fraction`` and
+:func:`decimal`, which the integer ``reporting._ratio`` and ``_dec`` replaced.
 """
 
 from fractions import Fraction
@@ -26,6 +28,16 @@ def rewards(index, p):
     if t <= 0:
         raise ZeroTotalIndex("index values sum to zero")
     return tuple(v / t * p.m for v in index.values)
+
+
+def decimal(x):
+    """The report's six-decimal rendering of the ``Fraction`` ``x``, ties to even."""
+    q, r = divmod(x.numerator * 10**6, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+        q += 1
+    sign = "-" if q < 0 else ""
+    whole, frac = divmod(abs(q), 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def reward_total(payouts):

@@ -4,7 +4,9 @@ independence from the interpreter's hash seed and from the environment.
 The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical:
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
-(24 artists x 40 users) and a seeded dense one (6 x 30), ``game --seed 7``
+(24 artists x 40 users) and a seeded dense one (6 x 30), the same with
+``--price 9.99`` on a seeded wide one (80 x 600, 1.6% dense, which
+``parse_matrix`` scans for its nonzero cells), ``game --seed 7``
 under each of the three stances on a 6 x 25 input (the dual one in JSON
 too), and plain ``audit`` (every axiom against the three table indices),
 ``audit --table`` and ``audit --independence`` with ``--trials 60 --seed 7``
@@ -28,6 +30,7 @@ import pytest
 
 from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances, instance_to_dict
 from streamshare.cli import main
+from streamshare.reporting import _scan
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -38,6 +41,8 @@ CASES = {  # file name: (argv, exit code)
                               "--format", "json", "--seed", "7"], 0),
     "dense_allocate.json": (["allocate", "--input", "dense.csv", "--index", "all",
                              "--format", "json", "--seed", "7"], 0),
+    "wide_allocate.json": (["allocate", "--input", "wide.csv", "--index", "all",
+                            "--format", "json", "--price", "9.99", "--seed", "7"], 0),
     **{f"game_{stance}.txt": (["game", "--input", "game.csv", "--stance", stance,
                                "--seed", "7"], 0)
        for stance in ("pessimistic", "optimistic", "dual")},
@@ -60,6 +65,21 @@ def test_report_matches_golden_file(expected, capsys):
     assert main(_argv(argv)) == code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / expected).read_bytes()
+
+
+@pytest.mark.parametrize("twin", ["crlf", "quoted"])
+def test_csv_path_twins_of_the_scanned_input_match_golden_file(twin, tmp_path, capsys):
+    text = (GOLDEN / "wide.csv").read_text(encoding="utf-8")
+    if twin == "crlf":
+        text = text.replace("\n", "\r\n")
+    else:  # every cell quoted
+        text = "".join(",".join(f'"{c}"' for c in line.split(",")) + "\n"
+                       for line in text.splitlines())
+    assert _scan(text, 1.0) is None  # read by csv.reader
+    (tmp_path / "wide.csv").write_text(text, encoding="utf-8", newline="")
+    argv = CASES["wide_allocate.json"][0]
+    assert main([str(tmp_path / a) if a.endswith(".csv") else a for a in argv]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "wide_allocate.json").read_bytes()
 
 
 def _digest(obj) -> str:
