@@ -1,7 +1,10 @@
 """CSV matrix ingestion and report serialization.
 
-Mostly-zero matrix files are scanned for their nonzero cells by string
-searches; the rest go through ``csv.reader``, with the same result.
+Simple matrix files (ASCII, no quote, carriage return, NUL, empty cell or
+blank line) are read by C-level string passes: mostly-zero ones are scanned
+for their nonzero cells, the others read one ``json.loads`` per row. The rest,
+and whatever those two readers decline, go through ``csv.reader``, which
+gives the same result and every parse error.
 
 Reports carry payouts both as exact fraction strings (authoritative) and as
 fixed six-decimal renderings (ties to even), both built from the index's
@@ -18,17 +21,19 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import axioms
-from .core import Problem, build_sparse_problem
+from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
 from .game import STANCES
 from .indices import make_rule, reward_shares
 
 SCHEMA_VERSION = 1
 MAX_COUNT_DIGITS = 4300  # the program's own bound on one stream count's length
-# A file is scanned if at most this share of every 61st character is marked: "0"
-# and "," stay, newline becomes ",", any other ASCII character a mark.
+# A file is scanned if at most this share of every 61st character is marked
+# (by _MARKS: "0" and "," stay, newline becomes ",", any other ASCII character
+# a mark; _DIGITS marks no digit, but turns each into "0"); else it is dense.
 SCAN_MAX_MARKED = 0.1
 _MARK = "x"
-_MARKS = "".join(c if c in "0," else "," if c == "\n" else _MARK for c in map(chr, range(128)))
+_MARKS, _DIGITS = ("".join(c if c in "0," else "," if c == "\n" else d if c.isdigit() else _MARK
+                           for c in map(chr, range(128))) for d in (_MARK, "0"))
 
 
 class ParseError(ValueError):
@@ -46,13 +51,19 @@ def parse_matrix(text: str) -> Problem:
 
     The header's first cell must be ``artist``; spaces around it are allowed,
     a byte-order mark is not (decode with ``utf-8-sig``). Blank lines are
-    skipped; a ``ParseError`` names the physical line. Only nonzero cells are
-    converted and stored, user by user: a count is ASCII digits after
-    stripping, with an optional leading ``-`` (negative counts then fail
+    skipped; a ``ParseError`` names the physical line. A count is ASCII digits
+    after stripping, with an optional leading ``-`` (negative counts then fail
     validation), of at most ``MAX_COUNT_DIGITS`` digits. Ids must be nonempty.
-    Mostly-zero text is scanned (:func:`_scan`); the rest is read by ``csv``.
+    Mostly-zero text is scanned for its nonzero cells (:func:`_scan`), other
+    text read one row per ``json.loads`` (:func:`_read_dense`); what the reader
+    declines is read by ``csv`` (:func:`_read_csv`).
     """
-    return _problem(*(_scan(text, SCAN_MAX_MARKED) or _read_csv(text)))
+    return (_scan if _mostly_zero(text) else _read_dense)(text) or _problem(*_read_csv(text))
+
+
+def _mostly_zero(text: str) -> bool:
+    sample = text[::61]
+    return sample.translate(_MARKS).count(_MARK) <= SCAN_MAX_MARKED * len(sample)
 
 
 def _problem(users: list[str], rows) -> Problem:
@@ -71,32 +82,48 @@ def _problem(users: list[str], rows) -> Problem:
     return build_sparse_problem(artists, users, zip(idx_lists, count_lists))
 
 
-def _scan(text: str, max_marked: float):
-    """What :func:`_read_csv` gives for mostly-zero ``text``, or None; never raises.
+def _simple(text: str, marks: str):
+    """``(users, rows, body, marked)`` of a simple ``text``, or None; never raises.
 
-    It takes only ASCII text with no ``"``, ``\\r`` or NUL (a ``csv.reader`` row
-    is then the line split at ","), no empty cell or blank line, zeros spelled
-    "0", other counts plain digits, every field within ``csv.field_size_limit()``.
+    Simple text is ASCII with no ``"``, ``\\r`` or NUL (a ``csv.reader`` row is
+    then the line split at ","), no empty cell or blank line, an ``artist``
+    header and nonempty ids, each within ``csv.field_size_limit()``, as are
+    counts of ``MAX_COUNT_DIGITS`` digits. ``body`` is ``text`` ending in a
+    newline, ``marked`` its translation by ``marks``; ``rows`` holds one
+    ``(artist, head, end)`` per later line, ``body[head:end]`` being its cells,
+    each after a ",".
     """
-    limit, sample = csv.field_size_limit(), text[::61]
-    if (not text.isascii() or limit < MAX_COUNT_DIGITS or any(c in text for c in '"\r\0')
-            or sample.translate(_MARKS).count(_MARK) > max_marked * len(sample)):
+    limit = csv.field_size_limit()
+    if not text.isascii() or limit < MAX_COUNT_DIGITS or any(c in text for c in '"\r\0'):
         return None
     body = text if text.endswith("\n") else text + "\n"
-    marked = body.translate(_MARKS)
-    if ",," in marked:  # an empty cell or a blank line
-        return None
+    marked = body.translate(marks)
     end = body.find("\n")
     header = body[:end].split(",")
     users = [c.strip() for c in header[1:]]
-    if (header[0].strip() != "artist" or not users or not all(users)
-            or max(map(len, header)) > limit):
+    if (",," in marked or header[0].strip() != "artist" or not users  # ",,": an empty
+            or not all(users) or max(map(len, header)) > limit):      # cell or a blank line
         return None
     rows = []
     while end + 1 < len(body):
         start, end = end + 1, body.find("\n", end + 1)
-        head = pos = marked.find(",", start)  # ends the artist id; a newline reads as ","
-        column, texts, columns = 0, [], []
+        head = marked.find(",", start)  # ends the artist id; a newline reads as ","
+        artist = body[start:head].strip()
+        if not artist or head - start > limit:
+            return None
+        rows.append((artist, head, end))
+    return users, rows, body, marked
+
+
+def _scan(text: str) -> Problem | None:
+    """What ``_problem(*_read_csv(text))`` gives for simple ``text`` whose zeros
+    are spelled "0" and other counts plain digits, or None."""
+    if not (simple := _simple(text, _MARKS)):
+        return None
+    users, spans, body, marked = simple
+    rows = []
+    for artist, head, end in spans:
+        pos, column, texts, columns = head, 0, [], []
         while (hit := marked.find(_MARK, pos, end)) >= 0:  # the next nonzero cell
             cell = marked.rfind(",", pos, hit) + 1
             column += marked.count(",", pos, cell)
@@ -106,13 +133,38 @@ def _scan(text: str, max_marked: float):
         column += marked.count(",", pos, end)
         # With no empty cell, the row has this length only if each zero cell is "0".
         size = 2 * len(users) - len(texts) + sum(map(len, texts))
-        artist = body[start:head].strip()
-        if (column != len(users) or end - head != size or not artist or head - start > limit
+        if (column != len(users) or end - head != size
                 or texts and not ("".join(texts).isdigit()
                                   and max(map(len, texts)) <= MAX_COUNT_DIGITS)):
             return None
         rows.append((artist, columns, map(int, texts)))
-    return users, rows
+    return _problem(users, rows)
+
+
+def _read_dense(text: str) -> Problem | None:
+    """What ``_problem(*_read_csv(text))`` gives for simple ``text``, or None; it
+    raises only what :func:`_check_ids` and :func:`_problem_from_rows` raise.
+
+    Once its marks show a row to be digits and ","s, one ``json.loads`` reads
+    it: JSON refuses a leading zero, and its integers are then what ``int()``
+    gives. No rows, or a count over ``MAX_COUNT_DIGITS`` digits or past the
+    int-to-str limit, declines the text.
+    """
+    simple = _simple(text, _DIGITS)
+    if not simple:
+        return None
+    users, spans, body, marked = simple
+    if ("0" * (MAX_COUNT_DIGITS + 1) in marked
+            or any(marked.find(_MARK, head, end) >= 0 for _, head, end in spans)):
+        return None
+    try:
+        rows = tuple([tuple(json.loads(f"[{body[head + 1:end]}]")) for _, head, end in spans])
+    except ValueError:  # a leading zero, or past the int-to-str limit
+        return None
+    if {len(row) for row in rows} != {len(users)}:  # no rows, or one of another width
+        return None
+    artists, users = _check_ids([artist for artist, _, _ in spans], users)
+    return _problem_from_rows(artists, users, rows)
 
 
 def _read_csv(text: str):

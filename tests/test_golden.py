@@ -6,9 +6,9 @@ cover was restructured, and reports must stay byte-identical:
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
 (24 artists x 40 users) and a seeded dense one (6 x 30), the same with
 ``--price 9.99`` on a seeded wide one (80 x 600, 1.6% dense, which
-``parse_matrix`` scans for its nonzero cells), ``game --seed 7``
-under each of the three stances on a 6 x 25 input (the dual one in JSON
-too), and plain ``audit`` (every axiom against the three table indices),
+``parse_matrix`` scans for its nonzero cells; the dense reader takes the
+other inputs), ``game --seed 7`` under each of the three stances on a 6 x 25
+input (the dual one in JSON too), and plain ``audit`` (every axiom against the three table indices),
 ``audit --table`` and ``audit --independence`` with ``--trials 60 --seed 7``
 in JSON, and the last in text too.
 
@@ -30,7 +30,7 @@ import pytest
 
 from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances, instance_to_dict
 from streamshare.cli import main
-from streamshare.reporting import _scan
+from streamshare.reporting import _read_dense, _scan
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -67,19 +67,30 @@ def test_report_matches_golden_file(expected, capsys):
     assert out.encode("utf-8") == (GOLDEN / expected).read_bytes()
 
 
-@pytest.mark.parametrize("twin", ["crlf", "quoted"])
-def test_csv_path_twins_of_the_scanned_input_match_golden_file(twin, tmp_path, capsys):
-    text = (GOLDEN / "wide.csv").read_text(encoding="utf-8")
+def _check_csv_path_twin(name, report, twin, tmp_path, capsys):
+    """The CRLF or every-cell-quoted twin of golden input ``name``, which neither
+    fast reader takes, reproduces golden ``report`` through ``csv.reader``."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
     if twin == "crlf":
         text = text.replace("\n", "\r\n")
     else:  # every cell quoted
         text = "".join(",".join(f'"{c}"' for c in line.split(",")) + "\n"
                        for line in text.splitlines())
-    assert _scan(text, 1.0) is None  # read by csv.reader
-    (tmp_path / "wide.csv").write_text(text, encoding="utf-8", newline="")
-    argv = CASES["wide_allocate.json"][0]
+    assert _scan(text) is None and _read_dense(text) is None  # read by csv.reader
+    (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    argv = CASES[report][0]
     assert main([str(tmp_path / a) if a.endswith(".csv") else a for a in argv]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "wide_allocate.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / report).read_bytes()
+
+
+@pytest.mark.parametrize("twin", ["crlf", "quoted"])
+def test_csv_path_twins_of_the_scanned_input_match_golden_file(twin, tmp_path, capsys):
+    _check_csv_path_twin("wide.csv", "wide_allocate.json", twin, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("twin", ["crlf", "quoted"])
+def test_csv_path_twins_of_the_dense_input_match_golden_file(twin, tmp_path, capsys):
+    _check_csv_path_twin("dense.csv", "dense_allocate.json", twin, tmp_path, capsys)
 
 
 def _digest(obj) -> str:

@@ -1,25 +1,32 @@
-"""The sparse-row scanner against the ``csv.reader`` path as its oracle.
+"""The two fast readers against the ``csv.reader`` path as their oracle.
 
-``reporting._scan`` either declines a text or gives what ``_read_csv`` gives
-for it. The property calls both directly, past the density choice of
-``parse_matrix``, on texts that mix plain counts with every spelling the
-scanner must decline: a declined text must read through ``parse_matrix``
-exactly as through the ``csv`` path, error class, message, line and column
-included.
+``reporting._scan`` (the sparse-row scanner) and ``reporting._read_dense``
+(one ``json.loads`` per row) each either decline a text or give what
+``_problem(*_read_csv(text))`` gives for it: the same problem (and, from the
+dense reader, which primes it, the same dense view) or the same error. The
+properties call them directly, past the density choice of ``parse_matrix``,
+on texts that mix plain counts with every spelling the readers must decline:
+a declined text must read through ``parse_matrix`` exactly as through the
+``csv`` path, error class, message, line and column included.
 """
 
 import csv
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamshare import reporting
+from streamshare.core import Problem
 from streamshare.reporting import (
     MAX_COUNT_DIGITS,
-    SCAN_MAX_MARKED,
+    ParseError,
+    _mostly_zero,
     _problem,
     _read_csv,
+    _read_dense,
     _scan,
     parse_matrix,
 )
@@ -86,11 +93,10 @@ def matrix_texts(draw):
 @given(matrix_texts())
 def test_property_scanner_agrees_with_csv_path(text):
     want = outcome(lambda: _problem(*_read_csv(text)))
-    scanned = _scan(text, 1.0)  # density aside
-    if scanned is None:
-        assert outcome(lambda: parse_matrix(text)) == want
-    else:
-        assert outcome(lambda: _problem(*scanned)) == want
+    got = outcome(lambda: _scan(text))  # density aside
+    if got is not None:  # taken: the same problem, or the same error
+        assert got == want
+    assert outcome(lambda: parse_matrix(text)) == want
 
 
 SPARSE = "artist,u1,u2,u3,u4\na1,0,0,12,0\na2,3,0,0,0\na3,0,0,0,0\na4,0,1000,0,205\n"
@@ -104,9 +110,7 @@ SPARSE = "artist,u1,u2,u3,u4\na1,0,0,12,0\na2,3,0,0,0\na3,0,0,0,0\na4,0,1000,0,2
     "artist,u1,u2\nb,1,0\na,0,1\n",
 ])
 def test_scanner_takes_plain_sparse_text(text):
-    scanned = _scan(text, 1.0)
-    assert scanned is not None
-    assert _problem(*scanned) == _problem(*_read_csv(text))
+    assert _scan(text) == _problem(*_read_csv(text))
 
 
 @pytest.mark.parametrize("text", [
@@ -134,13 +138,126 @@ def test_scanner_takes_plain_sparse_text(text):
     "",
 ])
 def test_scanner_declines_what_it_cannot_take_exactly(text):
-    assert _scan(text, 1.0) is None
+    assert _scan(text) is None
 
 
-def test_density_choice():
-    # the cut-off lies between the wide sparse golden input and the dense ones
-    assert _scan((GOLDEN / "wide.csv").read_text(encoding="utf-8"), SCAN_MAX_MARKED) is not None
-    for name in ("sparse.csv", "dense.csv", "game.csv"):
-        text = (GOLDEN / name).read_text(encoding="utf-8")
-        assert _scan(text, 1.0) is not None
-        assert _scan(text, SCAN_MAX_MARKED) is None
+def with_view(read):
+    """``read``, returning its problem with the dense view, which ``Problem``
+    equality leaves out; a reader's None stays None."""
+    def both():
+        p = read()
+        return p if p is None else (p, p.streams)
+    return both
+
+
+def csv_outcome(text):
+    return outcome(with_view(lambda: _problem(*_read_csv(text))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix_texts())
+def test_property_dense_reader_agrees_with_csv_path(text):
+    want = csv_outcome(text)
+    got = outcome(with_view(lambda: _read_dense(text)))
+    if got is not None:  # taken: the same problem and view, or the same error
+        assert got == want
+    assert outcome(lambda: parse_matrix(text)) == outcome(lambda: _problem(*_read_csv(text)))
+
+
+DENSE = "artist,u1,u2,u3\na1,3,0,12\na2,0,7,1\na3,0,0,0\n"
+
+
+@pytest.mark.parametrize("text", [
+    DENSE,
+    DENSE.rstrip("\n"),  # no final newline
+    DENSE.replace("a2,0,7", " a2 ,0,7"),
+    DENSE.replace("12", "9" * MAX_COUNT_DIGITS),
+    DENSE.replace("12", "1" + "0" * (MAX_COUNT_DIGITS - 1)),
+    DENSE.replace("a3,", "a" * LIMIT + ","),
+    DENSE.replace("u3", "u" * LIMIT),
+    DENSE.replace("a3", "a1"),  # duplicate artist ids: the same DuplicateId
+    DENSE.replace("u3", "u1"),
+    DENSE.replace("a1,3,0,12", "a1,3,0,0"),  # a silent user: the same SilentUser
+])
+def test_dense_reader_takes_plain_text(text):
+    got = outcome(with_view(lambda: _read_dense(text)))
+    assert got is not None
+    assert got == csv_outcome(text)
+    if isinstance(got[0], Problem):  # not an error: the view is build_problem's form
+        assert type(got[1]) is tuple and {type(row) for row in got[1]} == {tuple}
+
+
+@pytest.mark.parametrize("text", [
+    DENSE.replace("12", "007"),
+    DENSE.replace("12", "00"),
+    DENSE.replace("12", "0" + "9" * 5),
+    DENSE.replace(",0,7", ",-0,7"),
+    DENSE.replace(",0,7", ",-1,7"),
+    DENSE.replace("12", "1e3"),
+    DENSE.replace("12", "1.0"),
+    DENSE.replace("12", " 7"),
+    DENSE.replace("12", "7 "),
+    DENSE.replace("12", "+7"),
+    DENSE.replace("12", "٣"),
+    DENSE.replace("12", "9" * (MAX_COUNT_DIGITS + 1)),
+    DENSE.replace("12", "1" + "0" * MAX_COUNT_DIGITS),
+    DENSE.replace("a3,", "a" * (LIMIT + 1) + ","),
+    DENSE.replace("u3", "u" * (LIMIT + 1)),
+    DENSE.replace("\n", "\r\n"),
+    DENSE.replace("12", '"12"'),
+    DENSE.replace("a3,", "\na3,"),  # a blank line
+    DENSE + "\n",
+    DENSE.replace(",0,7", ",,7"),
+    DENSE.replace("a3,0,0,0", "a3,0,0"),
+    DENSE.replace("a3,0,0,0", "a3,0,0,0,0"),
+    DENSE.replace("a3,", " ,"),
+    DENSE.replace("u2", " "),
+    DENSE.replace("artist", "Artist"),
+    "artist,u1,u2\n",  # a header with no rows
+    "artist\na1\n",
+    "",
+])
+def test_dense_reader_declines_what_it_cannot_take_exactly(text):
+    assert _read_dense(text) is None
+    assert outcome(lambda: parse_matrix(text)) == outcome(lambda: _problem(*_read_csv(text)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7")
+@pytest.mark.parametrize("limit, digits", [(640, 1000), (0, MAX_COUNT_DIGITS + 1)],
+                         ids=["limited", "lifted"])
+def test_dense_reader_declines_past_the_digit_limits(limit, digits):
+    # the interpreter's int-to-str limit (the csv path raises its ValueError),
+    # then the program's own, with the interpreter's lifted as the CLI does
+    text = DENSE.replace("12", "9" * digits)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert _read_dense(text) is None
+        want = outcome(lambda: _problem(*_read_csv(text)))
+        assert want[0] is (ValueError if limit else ParseError)
+        assert outcome(lambda: parse_matrix(text)) == want
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_mostly_zero_text_the_scanner_declines_goes_to_csv(monkeypatch):
+    # the dense reader would read every zero cell only to decline too
+    text = (GOLDEN / "wide.csv").read_text(encoding="utf-8").replace(",0,", ",00,", 1)
+    want = outcome(lambda: _problem(*_read_csv(text)))
+    monkeypatch.setattr(reporting, "_read_dense", None)  # a call would raise TypeError
+    assert _mostly_zero(text) and _scan(text) is None
+    assert outcome(lambda: parse_matrix(text)) == want
+
+
+def test_density_choice(monkeypatch):
+    # the cut-off lies between the wide sparse golden input, which the scanner
+    # takes, and the dense ones, which the dense reader takes; the scanner
+    # could take them too (density aside), only slower
+    wide = (GOLDEN / "wide.csv").read_text(encoding="utf-8")
+    assert _mostly_zero(wide) and _scan(wide) == parse_matrix(wide)
+    dense = [(GOLDEN / name).read_text(encoding="utf-8")
+             for name in ("sparse.csv", "dense.csv", "game.csv")]
+    assert all(_scan(text) == _read_dense(text) is not None for text in dense)
+    monkeypatch.setattr(reporting, "_scan", None)  # a call would raise TypeError
+    for text in dense:
+        assert not _mostly_zero(text) and parse_matrix(text) == _read_dense(text)
