@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from copy import deepcopy
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
 from typing import Callable, Iterable
@@ -27,7 +26,7 @@ from typing import Callable, Iterable
 from .core import (Problem, ProblemError, SilentUser, _problem_from_rows, build_problem,
                    remove_artist, remove_user, split_by_users)
 from .game import TooManyArtists, _user_mask_counts
-from .indices import TABLE_RULE_NAMES, IndexRule, make_rule, reward_shares
+from .indices import TABLE_RULE_NAMES, IndexRule, _ratio, make_rule, reward_shares
 
 DEFAULT_TRIALS = 500
 
@@ -93,8 +92,8 @@ def problem_to_dict(p: Problem) -> dict:
 # Index values are compared as integers (``IndexVector.nums`` over
 # ``common``) by artist position: values of one vector share its common
 # denominator, so they compare as their ``nums``, and values of two vectors
-# are cross-multiplied. A ``Fraction`` is built only for a violation's
-# ``details``.
+# are cross-multiplied. A violation's ``details`` print each number through
+# ``indices._ratio``, in lowest terms, with no ``Fraction`` built.
 
 
 def check_instance(axiom: str, rule: IndexRule, instance: dict):
@@ -139,11 +138,6 @@ def _modified_pair(instance: dict, key: str) -> tuple[Problem, Problem, str]:
     return p, q, ident
 
 
-def _detail(num: int, den: int) -> str:
-    """``num / den`` (``den != 0``) as a violation's details give a number."""
-    return str(Fraction(num, den))
-
-
 def _same(x: int, dx: int, y: int, dy: int) -> bool:
     """``x * dy == y * dx``: ``x / dx == y / dy`` multiplied out, if ``dx, dy != 0``."""
     return x * dy == y * dx
@@ -161,17 +155,17 @@ def _check_additivity(rule: IndexRule, instance: dict):
     c12 = c1 * c2
     for i, (w, x, y) in enumerate(zip(whole.nums, part1.nums, part2.nums)):
         if not _same(w, cw, x * c2 + y * c1, c12):  # x / c1 + y / c2 over c1 * c2
-            return {"artist": p.artists[i], "whole": _detail(w, cw),
-                    "first_part": _detail(x, c1), "second_part": _detail(y, c2)}, 0
+            return {"artist": p.artists[i], "whole": _ratio(w, cw),
+                    "first_part": _ratio(x, c1), "second_part": _ratio(y, c2)}, 0
     return None, 0
 
 
 def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     """Artists streamed by a user group receive less than the group paid."""
     p = _get_problem(instance)
-    # payout i is m * nums[i] / total, so a group's payout sum is below its
-    # size exactly when m * (the sum of its nums) < size * total
-    nums, total = reward_shares(rule(p))
+    # payout i is pays[i] / total, so a group's payout sum is below its size
+    # exactly when the sum of its pays < size * total
+    pays, total = reward_shares(rule(p), p.m)
     try:
         worth = _user_mask_counts(p)  # worth[S]: the users who stream only inside S
     except TooManyArtists as exc:
@@ -182,12 +176,12 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     for s, w in enumerate(worth):
         members = [i for i in range(p.n) if s >> i & 1]
         if w and all(worth[s ^ 1 << i] < w for i in members):
-            got = p.m * sum([nums[i] for i in members])
+            got = sum([pays[i] for i in members])
             if got < w * total:
                 return {"user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
                                              if all(s >> i & 1 for i in idx)),
                         "streamed_artists": sorted(p.artists[i] for i in members),
-                        "reward_sum": _detail(got, total), "amount_paid": w}, 0
+                        "reward_sum": _ratio(got, total), "amount_paid": w}, 0
     return None, 0
 
 
@@ -200,8 +194,8 @@ def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
     t0, c0 = sum(base.nums), base.common
     for u, vec in zip(p.users[1:], others):
         if not _same(sum(vec.nums), vec.common, t0, c0):
-            return {"user": p.users[0], "other_user": u, "total_without_user": str(base.total),
-                    "total_without_other": str(vec.total)}, 0
+            return {"user": p.users[0], "other_user": u, "total_without_user": _ratio(t0, c0),
+                    "total_without_other": _ratio(sum(vec.nums), vec.common)}, 0
     return None, 0
 
 
@@ -215,8 +209,8 @@ def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
         for y in range(x + 1, p.n):
             if fans[x] == fans[y] and nums[x] != nums[y]:
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
-                        "fans": sorted(fans[x]), "value": _detail(nums[x], c),
-                        "other_value": _detail(nums[y], c)}, 0
+                        "fans": sorted(fans[x]), "value": _ratio(nums[x], c),
+                        "other_value": _ratio(nums[y], c)}, 0
     return None, 0
 
 
@@ -229,8 +223,8 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
         for y in range(p.n):
             if nums[x] > nums[y] and all(s <= t for s, t in zip(rows[x], rows[y])):
                 return {"dominated_artist": p.artists[x], "dominating_artist": p.artists[y],
-                        "dominated_value": _detail(nums[x], vec.common),
-                        "dominating_value": _detail(nums[y], vec.common)}, 0
+                        "dominated_value": _ratio(nums[x], vec.common),
+                        "dominating_value": _ratio(nums[y], vec.common)}, 0
     return None, 0
 
 
@@ -250,8 +244,8 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
     before, after = rule(p), rule(q)
     x, y = before.nums[i], after.nums[i]
     if y * before.common > x * after.common:
-        return {"artist": artist, "value_before": _detail(x, before.common),
-                "value_after": _detail(y, after.common)}, 0
+        return {"artist": artist, "value_before": _ratio(x, before.common),
+                "value_after": _ratio(y, after.common)}, 0
     return None, 0
 
 
@@ -284,8 +278,8 @@ def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
             dx, dy = v[x] * cb - rb.nums[x] * c, v[y] * ca - ra.nums[y - 1] * c
             if not _same(dx, cb, dy, ca):
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
-                        "change_for_artist": _detail(dx, c * cb),
-                        "change_for_other": _detail(dy, c * ca)}, skipped
+                        "change_for_artist": _ratio(dx, c * cb),
+                        "change_for_other": _ratio(dy, c * ca)}, skipped
     return None, skipped
 
 
@@ -295,7 +289,7 @@ def _check_null_artists(rule: IndexRule, instance: dict):
     vec = rule(p)
     for i, (x, row) in enumerate(zip(vec.nums, p.streams)):
         if x and not any(row):
-            return {"artist": p.artists[i], "value": _detail(x, vec.common)}, 0
+            return {"artist": p.artists[i], "value": _ratio(x, vec.common)}, 0
     return None, 0
 
 
@@ -324,8 +318,8 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
             ratio = None if x == y else _row_ratio(rows[x], rows[y])
             if ratio is not None and not _same(nums[y], nums[x], *ratio):
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
-                        "ratio": _detail(*ratio), "value": _detail(nums[x], c),
-                        "other_value": _detail(nums[y], c)}, 0
+                        "ratio": _ratio(*ratio), "value": _ratio(nums[x], c),
+                        "other_value": _ratio(nums[y], c)}, 0
     return None, 0
 
 
@@ -335,15 +329,15 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
     j = p.users.index(user)
     if p.columns[:j] + p.columns[j + 1:] != q.columns[:j] + q.columns[j + 1:]:
         raise ShapeMismatch("problems differ outside the manipulating user's column")
-    before, tp = reward_shares(rule(p))
-    after, tq = reward_shares(rule(q))
-    m, bound = p.m, tp * tq
-    # payout i moves by m * (y / tq - x / tp): by more than 1 exactly when
-    # |m * (y * tp - x * tq)| > tp * tq
+    before, tp = reward_shares(rule(p), p.m)
+    after, tq = reward_shares(rule(q), p.m)
+    bound = tp * tq
+    # payout i moves by y / tq - x / tp: by more than 1 exactly when
+    # |y * tp - x * tq| > tp * tq
     for i, (x, y) in enumerate(zip(before, after)):
-        if abs(m * (y * tp - x * tq)) > bound:
-            return {"artist": p.artists[i], "user": user, "reward_before": _detail(x * m, tp),
-                    "reward_after": _detail(y * m, tq)}, 0
+        if abs(y * tp - x * tq) > bound:
+            return {"artist": p.artists[i], "user": user, "reward_before": _ratio(x, tp),
+                    "reward_after": _ratio(y, tq)}, 0
     return None, 0
 
 
@@ -488,8 +482,8 @@ def _empty_columns(rows):
 
 
 def _bump_column(rng, rows, j, avoid):
-    """Make column j positive without touching rows in ``avoid`` when possible."""
-    candidates = [x for x in range(len(rows)) if x not in avoid] or list(avoid)
+    """Make column j positive without touching rows in ``avoid``."""
+    candidates = [x for x in range(len(rows)) if x not in avoid]
     rows[rng.choice(candidates)][j] = rng.randint(1, 3)
 
 

@@ -29,7 +29,7 @@ EXIT_MISMATCH = 3
 # bounds; they keep one option from making every payout thousands of digits long.
 MAX_PRICE_CHARS = 1000
 MAX_PRICE_EXPONENT = 1000
-_PRICE_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled on first use, not on import
+_PRICE_EXPONENT = r"[eE]([-+]?\d+)\s*\Z"  # compiled on first use, not on import
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,6 +184,8 @@ def _parse_price(text: str) -> Fraction:
     if len(text) > MAX_PRICE_CHARS:
         raise ValueError(f"price multiplier {text[:20]!r}... has {len(text)} characters, "
                          f"more than {MAX_PRICE_CHARS}")
+    if "_" in text:  # Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it on 3.10
+        raise ValueError(f"price multiplier {text!r} may not contain '_'")
     exponent = re.search(_PRICE_EXPONENT, text)
     if exponent and abs(int(exponent.group(1))) > MAX_PRICE_EXPONENT:
         raise ValueError(f"price multiplier {text!r} has an exponent beyond "

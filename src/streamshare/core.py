@@ -239,10 +239,8 @@ def remove_user(p: Problem, user: str) -> Problem:
         raise UnknownUser(f"unknown user {user!r}")
     if p.m < 2:
         raise LastUser("cannot remove the only user")
-    j = p.users.index(user)
     # the remaining columns are valid as they stand, so nothing is rechecked
-    users = p.users[:j] + p.users[j + 1:]
-    return Problem(p.artists, users, p.columns[:j] + p.columns[j + 1:])
+    return _restrict(p, set(p.users) - {user})
 
 
 def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
@@ -262,6 +260,5 @@ def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
 
 
 def _restrict(p: Problem, keep: set[str]) -> Problem:
-    cols = [j for j, u in enumerate(p.users) if u in keep]
-    users = tuple(p.users[j] for j in cols)
-    return Problem(p.artists, users, tuple(p.columns[j] for j in cols))
+    mask = [u in keep for u in p.users]
+    return Problem(p.artists, tuple(compress(p.users, mask)), tuple(compress(p.columns, mask)))

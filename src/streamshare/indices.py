@@ -2,9 +2,10 @@
 
 All arithmetic is exact (integers and ``fractions.Fraction``), so
 equalities such as budget balance hold with zero tolerance. Indices are
-returned in their
-canonical un-normalized form; normalization to the revenue total happens
-only in :func:`rewards`.
+returned in their canonical un-normalized form. The payout rule, the factor
+``m`` included, is written once, in :func:`reward_shares`; :func:`rewards`,
+the reports and the axiom checks all pay through it, and print an exact
+number through :func:`_ratio`.
 
 Every index is a sum over users of an integer numerator per artist divided
 by a per-user denominator: the listening-set size (shapley, user-weighted),
@@ -94,13 +95,7 @@ def pro_rata_index(p: Problem) -> IndexVector:
 
 def user_centric_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split in proportion to that user's streams."""
-    n = p.n
-    groups = defaultdict(lambda: [0] * n)
-    for idx, counts in p.columns:
-        acc = groups[sum(counts)]
-        for i, x in zip(idx, counts):
-            acc[i] += x
-    return _combine(p, n, groups)
+    return _proportional(p, p.columns)
 
 
 def active_uniform_index(p: Problem) -> IndexVector:
@@ -124,13 +119,18 @@ def user_weighted_index(p: Problem, weights) -> IndexVector:
 
 def artist_weighted_index(p: Problem, weights) -> IndexVector:
     """Each user's unit split among streamed artists in proportion to integer ``weights[i]``."""
+    return _proportional(p, ((idx, [weights[i] for i in idx]) for idx, _ in p.columns))
+
+
+def _proportional(p: Problem, shares) -> IndexVector:
+    """Split user ``j``'s unit among the artists ``idx`` in proportion to the
+    positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
     n = p.n
     groups = defaultdict(lambda: [0] * n)
-    for idx, _ in p.columns:
-        ws = [weights[i] for i in idx]
-        acc = groups[sum(ws)]
-        for i, w in zip(idx, ws):
-            acc[i] += w
+    for idx, parts in shares:
+        acc = groups[sum(parts)]
+        for i, x in zip(idx, parts):
+            acc[i] += x
     return _combine(p, n, groups)
 
 
@@ -164,26 +164,32 @@ def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
     """Distribute the revenue total ``m`` proportionally to index values.
 
     The payouts align with ``index.artists`` and sum to ``p.m``; they are
-    invariant under positive scaling of the index vector. Value ``i`` is
-    ``nums[i] / common``, so payout ``i`` is ``nums[i] * m / sum(nums)``:
-    one ``Fraction`` per artist.
+    invariant under positive scaling of the index vector. One ``Fraction``
+    per artist, by the rule of :func:`reward_shares`.
     """
-    nums, total = reward_shares(index)
-    m = p.m
-    return tuple([Fraction(x * m, total) for x in nums])
+    pays, total = reward_shares(index, p.m)
+    return tuple([Fraction(x, total) for x in pays])
 
 
-def reward_shares(index: IndexVector) -> tuple[tuple[int, ...], int]:
-    """``(nums, total)`` of ``index``: payout ``i`` is ``nums[i] * m / total``.
+def reward_shares(index: IndexVector, m: int) -> tuple[tuple[int, ...], int]:
+    """``(pays, total)``: revenue ``m`` paid in proportion to ``index``.
 
-    Raises :class:`ZeroTotalIndex` unless ``total`` is positive, as
-    :func:`rewards` does.
+    Value ``i`` is ``nums[i] / common``, so payout ``i`` is
+    ``nums[i] * m / sum(nums)``; ``pays[i]`` is ``nums[i] * m`` and ``total``
+    is ``sum(nums)``. Raises :class:`ZeroTotalIndex` unless ``total`` is
+    positive.
     """
     nums = index.nums
     total = sum(nums)
     if total <= 0:
         raise ZeroTotalIndex("index values sum to zero")
-    return nums, total
+    return tuple([x * m for x in nums]), total
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``: lowest terms, "/1" left out."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import axioms
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
 from .game import STANCES
-from .indices import make_rule, reward_shares
+from .indices import _ratio, make_rule, reward_shares
 
 SCHEMA_VERSION = 1
 MAX_COUNT_DIGITS = 4300  # the program's own bound on one stream count's length
@@ -169,8 +168,7 @@ def _read_dense(text: str) -> Problem | None:
 
 def _read_csv(text: str):
     """``(users, rows)`` of ``text`` by ``csv.reader``, each row read as it is taken:
-    one comparison with "0" per cell, then one ``map(int, ...)`` for a row of
-    plain counts, :func:`_count` for any other."""
+    one comparison with "0" per cell, then :func:`_count` for each other cell."""
     reader = csv.reader(_lines(text))
     lines = _rows(reader)
     header = next(lines, None)
@@ -195,13 +193,7 @@ def _read_csv(text: str):
                 raise ParseError("empty artist id", line=line, column=1)
             cells = row[1:]
             nonzero = [j for j, cell in enumerate(cells) if cell != "0"]
-            texts = [cells[j] for j in nonzero]
-            joined = "".join(texts)
-            if (joined.isascii() and joined.isdigit() and all(texts)  # plain counts only
-                    and max(map(len, texts)) <= MAX_COUNT_DIGITS):
-                yield artist, nonzero, map(int, texts)
-            else:
-                yield artist, nonzero, [_count(t, line, j + 2) for j, t in zip(nonzero, texts)]
+            yield artist, nonzero, [_count(cells[j], line, j + 2) for j in nonzero]
     return users, rows()
 
 
@@ -237,12 +229,6 @@ def _count(cell: str, line: int, column: int) -> int:
     return int(text)
 
 
-def _ratio(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for ``den > 0``: lowest terms, "/1" left out."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
 def _dec(num: int, den: int) -> str:
     """``num / den`` (``den > 0``) rounded to six decimals, ties to even."""
     q, r = divmod(num * 10**6, den)
@@ -260,19 +246,19 @@ def allocation_document(p: Problem, rule_names, price: Fraction = Fraction(1),
                         seed: int = 42) -> dict:
     """One report section per requested index; ``price`` scales displayed payouts only.
 
-    Payout ``i`` is ``nums[i] * m / total``, as ``indices.rewards`` has it.
+    Payout ``i`` is ``pays[i] / total`` of ``indices.reward_shares``, as in ``rewards``.
     """
     m, pn, pd = p.m, price.numerator, price.denominator
     sections = []
     for name in rule_names:
         vec = make_rule(name, seed=seed)(p)
-        nums, total = reward_shares(vec)
+        pays, total = reward_shares(vec, m)
         sections.append({
             "index": name,
             "values": [_ratio(x, vec.common) for x in vec.nums],
-            "rewards": [{"artist": a, "fraction": _ratio(x * m, total),
-                         "decimal": _dec(x * m, total), "payout": _dec(x * m * pn, total * pd)}
-                        for a, x in zip(p.artists, nums)],
+            "rewards": [{"artist": a, "fraction": _ratio(x, total),
+                         "decimal": _dec(x, total), "payout": _dec(x * pn, total * pd)}
+                        for a, x in zip(p.artists, pays)],
             "reward_total": str(m),  # the payouts sum to m exactly
         })
     return {

@@ -7,7 +7,7 @@ require the fast kernels to return exactly the same ``Fraction`` values.
 The sums and the reward map likewise keep their ``Fraction``-by-``Fraction``
 formulas, which the integer sums over one common denominator replaced, and the
 allocation report's strings keep theirs: ``str`` of a ``Fraction`` and
-:func:`decimal`, which the integer ``reporting._ratio`` and ``_dec`` replaced.
+:func:`decimal`, which the integer ``indices._ratio`` and ``reporting._dec`` replaced.
 """
 
 from fractions import Fraction

@@ -22,6 +22,7 @@ from streamshare.indices import (
     active_uniform_index,
     default_weight,
     artist_weighted_index,
+    reward_shares,
     uniform_index,
     user_weighted_index,
 )
@@ -142,6 +143,15 @@ class TestRewards:
         zero = vector(p.artists, (F(0), F(0)))
         with pytest.raises(ZeroTotalIndex):
             rewards(zero, p)
+
+    @given(problems())
+    def test_reward_shares_hold_the_one_payout_rule(self, p):
+        vec = user_centric_index(p)
+        pays, total = reward_shares(vec, p.m)
+        assert (pays, total) == (tuple(x * p.m for x in vec.nums), sum(vec.nums))
+        assert rewards(vec, p) == tuple(F(x, total) for x in pays)
+        with pytest.raises(ZeroTotalIndex):
+            reward_shares(vector(p.artists, (F(0),) * p.n), p.m)
 
     def test_random_sum_is_exact(self):
         rng = random.Random(3)

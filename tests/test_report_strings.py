@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_indices as ref
-from streamshare.indices import ALL_RULE_NAMES, make_rule, rewards
-from streamshare.reporting import _dec, _ratio, allocation_document
+from streamshare.indices import ALL_RULE_NAMES, _ratio, make_rule, rewards
+from streamshare.reporting import _dec, allocation_document
 
 from helpers import problems
 
