@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import random
 from copy import deepcopy
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (Problem, ProblemError, SilentUser, _problem_from_rows, build_problem,
                    remove_artist, remove_user, split_by_users)
@@ -49,8 +48,7 @@ class UnknownAxiom(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     axiom: str
     rule: str
     outcome: str  # "holds" or "counterexample"
@@ -594,8 +592,7 @@ def generate_instance(axiom: str, rng: random.Random) -> dict:
 # The axiom registry
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """One axiom: its single-instance check, a random-instance generator, and
     the instances it builds from one grid problem."""
 
@@ -671,8 +668,7 @@ def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
     return details is not None and details == verdict.details
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     kind: str  # "table" or "independence"
     trials: int
     seed: int
@@ -698,8 +694,8 @@ def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:
     verdicts = {(axiom, rule): audit(axiom, make_rule(rule, seed=seed), trials, seed)
                 for axiom, rule in pairs}
     return SuiteResult(kind, trials, seed, tuple(
-        replace(verdicts[axiom, rule], expected="holds" if holds else "counterexample",
-                axiom_set=set_name)
+        verdicts[axiom, rule]._replace(expected="holds" if holds else "counterexample",
+                                       axiom_set=set_name)
         for set_name, axiom, rule, holds in claims))
 
 

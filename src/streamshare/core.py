@@ -9,10 +9,10 @@ to the same value.)
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from operator import lt
+from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
 # One user's streams: ascending artist positions and their positive counts.
@@ -74,20 +74,25 @@ class BadPartition(ProblemError):
     pass
 
 
-@dataclass(frozen=True)
-class Problem:
+class _ProblemFields(NamedTuple):
+    artists: tuple[str, ...]
+    users: tuple[str, ...]
+    columns: tuple[Column, ...]
+
+
+class Problem(_ProblemFields):
     """A platform snapshot: who streamed whom how often.
 
     Stored user by user, sparse: ``columns[j] == (idx, counts)`` lists the
     artists user ``users[j]`` streamed, as ascending positions into
     ``artists``, and the positive stream count of each. Construct through
     :func:`build_problem` (dense rows) or :func:`build_sparse_problem` (these
-    columns), which validate all invariants.
+    columns), which validate all invariants. The fields are those of an
+    immutable named tuple; ``__dict__`` holds only the cached ``streams``.
     """
 
-    artists: tuple[str, ...]
-    users: tuple[str, ...]
-    columns: tuple[Column, ...]
+    def __setattr__(self, name, value):  # the cache writes __dict__ itself
+        raise AttributeError(f"cannot assign to {name!r} of a Problem")
 
     @property
     def n(self) -> int:

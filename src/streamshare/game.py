@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Problem
 
@@ -25,8 +25,7 @@ class TooManyArtists(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoalitionGame:
+class CoalitionGame(NamedTuple):
     players: tuple[str, ...]
     worth: tuple[int, ...]
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core import Problem
 
@@ -41,14 +40,14 @@ class UnknownRule(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class IndexVector:
+class IndexVector(NamedTuple):
     """Per-artist importance scores, aligned with ``Problem.artists``.
 
     Held as integers over one common denominator: value ``i`` is
     ``nums[i] / common`` exactly, with ``common`` positive; ``values`` gives
     the same scores as ``Fraction``s. The numerators are not reduced, so
-    equality, hashing and ``repr`` go by ``artists`` and ``values``.
+    equality, hashing and ``repr`` go by ``artists`` and ``values``, and
+    ``vec[artist]`` is the artist's score, not a field.
     """
 
     artists: tuple[str, ...]
@@ -71,6 +70,9 @@ class IndexVector:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.artists == other.artists and self.values == other.values
+
+    def __ne__(self, other):  # not tuple.__ne__, which compares the raw fields
+        return not self == other
 
     def __hash__(self):
         return hash((self.artists, self.values))
@@ -200,8 +202,7 @@ def _ratio(num: int, den: int) -> str:
 # seed, so the same user (or artist) keeps the same weight across reduced and
 # split problems.
 
-@dataclass(frozen=True)
-class IndexRule:
+class IndexRule(NamedTuple):
     name: str
     fn: Callable[[Problem], IndexVector]
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import axioms
@@ -300,8 +299,12 @@ def game_document(p: Problem, stance: str) -> dict:
 
 
 def verdict_to_dict(v: axioms.Verdict) -> dict:
-    """The verdict's fields, leaving out each one that is ``None``."""
-    return {k: val for k, val in asdict(v).items() if val is not None}
+    """The verdict's fields, leaving out each one that is ``None``.
+
+    Shallow: ``witness`` and ``details`` are the verdict's own dicts, not
+    copies, so the document is for reading and rendering only.
+    """
+    return {k: val for k, val in v._asdict().items() if val is not None}
 
 
 def audit_document(verdicts) -> dict:

@@ -40,6 +40,7 @@ import reference_indices
 from streamshare.axioms import (
     AXIOM_IDS,
     MAX_ENTRY,
+    Verdict,
     _get_problem,
     _grid,
     _grid_problems,
@@ -244,7 +245,14 @@ def test_vectors_built_from_values_or_numerators_are_equal():
     vec = shapley_index(p)
     same = vector(p.artists, vec.values)
     assert vec == same and hash(vec) == hash(same) and repr(vec) == repr(same)
-    assert IndexVector(p.artists, tuple(2 * x for x in vec.nums), 2 * vec.common) == vec
+    assert not (vec != same)  # by value too, not by the raw tuple fields
+    scaled = IndexVector(p.artists, tuple(2 * x for x in vec.nums), 2 * vec.common)
+    assert scaled == vec and not (scaled != vec)
     assert vec.total == sum(vec.values, F(0))
     with pytest.raises(AttributeError):
         vec.nums = ()
+    for field in ("columns", "streams"):  # the cached view is not writable either
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    with pytest.raises(AttributeError):
+        Verdict("additivity", "shapley", "holds", 1, 0, 0, 0).outcome = "counterexample"
