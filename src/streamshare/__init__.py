@@ -26,7 +26,6 @@ from .indices import (
     IndexVector,
     make_rule,
     pro_rata_index,
-    rewards,
     shapley_index,
     user_centric_index,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "pro_rata_index",
     "remove_artist",
     "remove_user",
-    "rewards",
     "shapley_index",
     "split_by_users",
     "user_centric_index",

@@ -200,11 +200,9 @@ def _parse_price(text: str) -> Fraction:
 
 
 def _run_game(args) -> int:
-    p = _read_problem(args.input)
-    if args.format == "json":
-        _emit(reporting.game_document(p, args.stance), args)
-    else:  # the rows straight from their template, not through a document
-        _write(reporting.game_export_text(p, args.stance), args)
+    p = _read_problem(args.input)  # either format straight from its template, with no document
+    export = reporting.game_json if args.format == "json" else reporting.game_export_text
+    _write(export(p, args.stance), args)
     return EXIT_OK
 
 

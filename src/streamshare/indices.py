@@ -3,9 +3,8 @@
 All arithmetic is exact (integers and ``fractions.Fraction``), so
 equalities such as budget balance hold with zero tolerance. Indices are
 returned in their canonical un-normalized form. The payout rule, the factor
-``m`` included, is written once, in :func:`reward_shares`; :func:`rewards`,
-the reports and the axiom checks all pay through it, and print an exact
-number through :func:`_ratio`.
+``m`` included, is written once, in :func:`reward_shares`; the reports and the
+axiom checks pay through it, and print exact numbers through :func:`_ratio`.
 
 Every index is a sum over users of an integer numerator per artist divided
 by a per-user denominator: the listening-set size (shapley, user-weighted),
@@ -46,8 +45,8 @@ class IndexVector(NamedTuple):
     Held as integers over one common denominator: value ``i`` is
     ``nums[i] / common`` exactly, with ``common`` positive; ``values`` gives
     the same scores as ``Fraction``s. The numerators are not reduced, so
-    equality, hashing and ``repr`` go by ``artists`` and ``values``, and
-    ``vec[artist]`` is the artist's score, not a field.
+    equality, hashing and ``repr`` go by ``artists`` and ``values`` (there is
+    no order), and ``vec[artist]`` is the artist's score, not a field.
     """
 
     artists: tuple[str, ...]
@@ -66,13 +65,18 @@ class IndexVector(NamedTuple):
     def total(self) -> Fraction:
         return Fraction(sum(self.nums), self.common)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # no plain tuple is equal, not even the raw fields
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            return False if isinstance(other, tuple) else NotImplemented
         return self.artists == other.artists and self.values == other.values
 
     def __ne__(self, other):  # not tuple.__ne__, which compares the raw fields
         return not self == other
+
+    def __lt__(self, other):  # not tuple's order, which compares the raw fields
+        raise TypeError("IndexVector values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self):
         return hash((self.artists, self.values))
@@ -160,17 +164,6 @@ def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector
         for i in compress(range(n), acc):
             totals[i] += acc[i] * scale
     return IndexVector(p.artists, tuple(totals), common)
-
-
-def rewards(index: IndexVector, p: Problem) -> tuple[Fraction, ...]:
-    """Distribute the revenue total ``m`` proportionally to index values.
-
-    The payouts align with ``index.artists`` and sum to ``p.m``; they are
-    invariant under positive scaling of the index vector. One ``Fraction``
-    per artist, by the rule of :func:`reward_shares`.
-    """
-    pays, total = reward_shares(index, p.m)
-    return tuple([Fraction(x, total) for x in pays])
 
 
 def reward_shares(index: IndexVector, m: int) -> tuple[tuple[int, ...], int]:

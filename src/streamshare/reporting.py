@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import axioms
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
@@ -245,7 +246,7 @@ def allocation_document(p: Problem, rule_names, price: Fraction = Fraction(1),
                         seed: int = 42) -> dict:
     """One report section per requested index; ``price`` scales displayed payouts only.
 
-    Payout ``i`` is ``pays[i] / total`` of ``indices.reward_shares``, as in ``rewards``.
+    Payout ``i`` is ``pays[i] / total`` of ``indices.reward_shares``.
     """
     m, pn, pd = p.m, price.numerator, price.denominator
     sections = []
@@ -288,16 +289,6 @@ def game_export_text(p: Problem, stance: str) -> str:
     return template % g.worth
 
 
-def game_document(p: Problem, stance: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "game",
-        "stance": stance,
-        "players": list(p.artists),
-        "rows": game_export_text(p, stance).splitlines(),
-    }
-
-
 def verdict_to_dict(v: axioms.Verdict) -> dict:
     """The verdict's fields, leaving out each one that is ``None``.
 
@@ -332,7 +323,40 @@ def suite_document(result: axioms.SuiteResult) -> dict:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; allocations by template."""
+    if doc["kind"] != "allocation":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    s, p = _json_str, doc["problem"]
+    sections = [_SECTION % (s(sec["index"]), s(sec["reward_total"]), _block(
+        [_REWARD % (s(r["artist"]), s(r["decimal"]), s(r["fraction"]), s(r["payout"]))
+         for r in sec["rewards"]], 6), _block([*map(s, sec["values"])], 6))
+        for sec in doc["sections"]]
+    return _ALLOCATION % (s(doc["kind"]), s(doc["price_multiplier"]), _PROBLEM % (
+        _block([*map(s, p["artists"])], 4), p["m"], p["n"], _block([*map(s, p["users"])], 4)),
+        doc["schema_version"], _block(sections, 2))
+
+
+def game_json(p: Problem, stance: str) -> str:
+    """The game document in :func:`render_json`'s layout: the ``players``, and a
+    string per :func:`game_export_text` line, which holds only digits and ","."""
+    s, rows = _json_str, game_export_text(p, stance)[:-1].replace("\n", '",\n    "')
+    return _GAME % (s("game"), _block([*map(s, p.artists)], 2), _block([f'"{rows}"'], 2),
+                    SCHEMA_VERSION, s(stance))
+
+
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """JSON texts as ``json.dumps(indent=2)`` lays out an array (or an object) ``indent`` in."""
+    inner, end = "\n" + " " * (indent + 2), "\n" + " " * indent + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + end if items else brackets
+
+
+# The objects of the two large documents; strings go in by json.dumps's C encoder.
+_ALLOCATION, _PROBLEM, _SECTION, _REWARD, _GAME = (
+    _block([f'"{k}": %s' for k in keys.split()], indent, "{}") + end for keys, indent, end in (
+        ("kind price_multiplier problem schema_version sections", 0, "\n"),
+        ("artists m n users", 2, ""), ("index reward_total rewards values", 4, ""),
+        ("artist decimal fraction payout", 8, ""),
+        ("kind players rows schema_version stance", 0, "\n")))
 
 
 def render_text(doc: dict) -> str:

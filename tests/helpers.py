@@ -3,11 +3,12 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from streamshare import build_problem
-from streamshare.indices import IndexVector
+from streamshare.indices import IndexVector, reward_shares
 
 
 def random_problem(rng, max_n=5, max_m=5, max_entry=5, zero_chance=0.35):
@@ -59,6 +60,12 @@ def vector(artists, values):
     """The ``IndexVector`` whose values are the ``Fraction``s ``values``."""
     common, nums = common_numerators(values)
     return IndexVector(tuple(artists), tuple(nums), common)
+
+
+def payouts(index, p):
+    """The payouts of ``indices.reward_shares``, one ``Fraction`` per artist."""
+    pays, total = reward_shares(index, p.m)
+    return tuple(Fraction(x, total) for x in pays)
 
 
 def serialize_matrix(p) -> str:

@@ -28,9 +28,10 @@ from streamshare.core import (
     remove_user,
     split_by_users,
 )
-from streamshare.indices import IndexRule, rewards
+from streamshare.indices import IndexRule
 
 from helpers import common_numerators
+from reference_indices import rewards
 
 # the lower bound enumerates up to 2^10 - 1 user groups per instance
 SUBSET_ENUMERATION_CAP = 10

@@ -13,6 +13,10 @@ optimistic table, which equals the pessimistic game's dual. The Möbius oracle
 ``shapley_value_mobius`` inverts the zeta transform to get the Harsanyi
 dividends d(S) and gives each member of S the share d(S) / |S|; it reaches
 the table limit of 20 artists, where the n! player orders cannot be walked.
+
+``game_document`` is the game export as a document, which
+``json.dumps(doc, indent=2, sort_keys=True)`` turns into the bytes that
+``streamshare.reporting.game_json`` writes from its template.
 """
 
 import math
@@ -21,6 +25,7 @@ from itertools import permutations, repeat
 
 from streamshare.game import CoalitionGame, TooManyArtists
 from streamshare.indices import IndexVector
+from streamshare.reporting import SCHEMA_VERSION, game_export_text
 
 # The permutation oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
@@ -110,3 +115,14 @@ def shapley_value_mobius(g: CoalitionGame) -> IndexVector:
                 if s >> i & 1:
                     totals[i] += share
     return IndexVector(g.players, tuple(totals), common)
+
+
+def game_document(p, stance: str) -> dict:
+    """The JSON game export's document: the players and one row per text line."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "game",
+        "stance": stance,
+        "players": list(p.artists),
+        "rows": game_export_text(p, stance).splitlines(),
+    }

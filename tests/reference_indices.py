@@ -23,7 +23,8 @@ def total(index):
 
 
 def rewards(index, p):
-    """``rewards``: each value divided by the total, times the user count."""
+    """The payouts of ``indices.reward_shares``, one ``Fraction`` per artist, by
+    the ``Fraction`` formula: each value divided by the total, times the user count."""
     t = total(index)
     if t <= 0:
         raise ZeroTotalIndex("index values sum to zero")

@@ -21,14 +21,13 @@ from streamshare import (
     pessimistic_game,
     pro_rata_index,
     remove_user,
-    rewards,
     shapley_index,
     user_centric_index,
 )
 from streamshare.axioms import independence_suite, replay_witness, reproduce_table
 from streamshare.cli import main
 
-from helpers import example_1, example_2, random_problem, vector
+from helpers import example_1, example_2, payouts, random_problem, vector
 from reference_game import dual_game, shapley_value_brute_force
 
 
@@ -41,9 +40,9 @@ def test_criterion_1_example_1_rewards():
     start = time.perf_counter()
     p = example_1()
     got = {
-        "pro-rata": rewards(pro_rata_index(p), p),
-        "user-centric": rewards(user_centric_index(p), p),
-        "shapley": rewards(shapley_index(p), p),
+        "pro-rata": payouts(pro_rata_index(p), p),
+        "user-centric": payouts(user_centric_index(p), p),
+        "shapley": payouts(shapley_index(p), p),
     }
     expected = {
         "pro-rata": (F(3, 2), F(3, 2)),
@@ -59,9 +58,9 @@ def test_criterion_2_example_2_rewards():
     start = time.perf_counter()
     p = example_2()
     got = {
-        "pro-rata": rewards(pro_rata_index(p), p),
-        "user-centric": rewards(user_centric_index(p), p),
-        "shapley": rewards(shapley_index(p), p),
+        "pro-rata": payouts(pro_rata_index(p), p),
+        "user-centric": payouts(user_centric_index(p), p),
+        "shapley": payouts(shapley_index(p), p),
     }
     expected = {
         "pro-rata": (F(1), F(2)),
@@ -144,7 +143,7 @@ def test_criterion_7_exact_invariants():
             ok = False
             break
         scaled = vector(sh.artists, tuple(F(7, 3) * v for v in sh.values))
-        if rewards(sh, p) != rewards(scaled, p):
+        if payouts(sh, p) != payouts(scaled, p):
             ok = False
             break
         if p.m >= 2:

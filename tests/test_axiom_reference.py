@@ -55,13 +55,12 @@ from streamshare.indices import (
     ZeroTotalIndex,
     artist_weighted_index,
     make_rule,
-    rewards,
     shapley_index,
     user_weighted_index,
 )
 
 from helpers import problems, random_problem, vector
-from reference_indices import reference_rule
+from reference_indices import reference_rule, rewards
 
 SEED = 3
 DRAWS = 40

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import reference_indices as ref
 from streamshare import build_problem, make_rule
-from streamshare.indices import ALL_RULE_NAMES, rewards
+from streamshare.indices import ALL_RULE_NAMES
 from streamshare.reporting import allocation_document
 
-from helpers import problems, random_problem
+from helpers import payouts, problems, random_problem
 from reference_indices import reference_rule, user_centric_index
 
 def assert_fractions(got, want):
@@ -27,9 +27,9 @@ def assert_same(got, want, p):
     assert got.artists == want.artists
     assert_fractions(got.values, want.values)
     assert_fractions([got.total], [ref.total(want)])
-    payouts = rewards(got, p)
-    assert_fractions(payouts, ref.rewards(want, p))
-    assert ref.reward_total(payouts) == p.m  # the report's reward_total
+    paid = payouts(got, p)
+    assert_fractions(paid, ref.rewards(want, p))
+    assert ref.reward_total(paid) == p.m  # the report's reward_total
 
 
 def assert_all_rules_match(p, seed):
@@ -107,5 +107,5 @@ def test_dense_problem_with_huge_denominators():
     p = build_problem([f"a{i}" for i in range(40)], [f"u{j}" for j in range(6000)], rows)
     values = user_centric_index(p).values
     assert max(len(str(v.denominator)) for v in values) > 300
-    assert max(len(str(r.denominator)) for r in rewards(make_rule("user-centric")(p), p)) > 300
+    assert max(len(str(r.denominator)) for r in payouts(make_rule("user-centric")(p), p)) > 300
     assert_all_rules_match(p, 3)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,6 @@ from streamshare import (
     indices,
     make_rule,
     pro_rata_index,
-    rewards,
     shapley_index,
     split_by_users,
     user_centric_index,
@@ -27,7 +27,8 @@ from streamshare.indices import (
     user_weighted_index,
 )
 
-from helpers import example_1, example_2, problems, random_problem, vector
+import reference_indices as ref
+from helpers import example_1, example_2, payouts, problems, random_problem, vector
 
 
 class TestShapleyIndex:
@@ -66,12 +67,12 @@ class TestProRataIndex:
     def test_example_1(self):
         p = example_1()
         assert pro_rata_index(p).values == (F(200), F(200))
-        assert rewards(pro_rata_index(p), p) == (F(3, 2), F(3, 2))
+        assert payouts(pro_rata_index(p), p) == (F(3, 2), F(3, 2))
 
     def test_example_2(self):
         p = example_2()
         assert pro_rata_index(p).values == (F(300), F(600))
-        assert rewards(pro_rata_index(p), p) == (F(1), F(2))
+        assert payouts(pro_rata_index(p), p) == (F(1), F(2))
 
     def test_minimal(self):
         p = build_problem(["x"], ["y"], [[1]])
@@ -136,20 +137,22 @@ class TestRewards:
         p = example_1()
         vec = shapley_index(p)
         doubled = vector(vec.artists, tuple(2 * v for v in vec.values))
-        assert rewards(vec, p) == rewards(doubled, p) == (F(1), F(2))
+        assert payouts(vec, p) == payouts(doubled, p) == (F(1), F(2))
 
     def test_zero_total_rejected(self):
         p = example_1()
         zero = vector(p.artists, (F(0), F(0)))
         with pytest.raises(ZeroTotalIndex):
-            rewards(zero, p)
+            reward_shares(zero, p.m)
+        with pytest.raises(ZeroTotalIndex):
+            ref.rewards(zero, p)
 
     @given(problems())
     def test_reward_shares_hold_the_one_payout_rule(self, p):
         vec = user_centric_index(p)
         pays, total = reward_shares(vec, p.m)
         assert (pays, total) == (tuple(x * p.m for x in vec.nums), sum(vec.nums))
-        assert rewards(vec, p) == tuple(F(x, total) for x in pays)
+        assert tuple(F(x, total) for x in pays) == ref.rewards(vec, p)
         with pytest.raises(ZeroTotalIndex):
             reward_shares(vector(p.artists, (F(0),) * p.n), p.m)
 
@@ -157,13 +160,30 @@ class TestRewards:
         rng = random.Random(3)
         for _ in range(25):
             p = random_problem(rng, max_n=3, max_m=4)
-            assert sum(rewards(user_centric_index(p), p), F(0)) == p.m
+            assert sum(payouts(user_centric_index(p), p), F(0)) == p.m
 
     @given(problems())
     def test_scale_invariance_random_scalar(self, p):
         vec = pro_rata_index(p)
         scaled = vector(vec.artists, tuple(F(7, 3) * v for v in vec.values))
-        assert rewards(vec, p) == rewards(scaled, p)
+        assert payouts(vec, p) == payouts(scaled, p)
+
+
+class TestIndexVector:
+    def test_no_plain_tuple_is_equal(self):
+        vec = shapley_index(example_1())
+        raw = (vec.artists, vec.nums, vec.common)
+        assert tuple(vec) == raw
+        assert not vec == raw and vec != raw
+        assert not raw == vec and raw != vec
+        assert vec != () and vec != "shapley"
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_vectors_have_no_order(self, compare):
+        vec = shapley_index(example_1())
+        for left, right in ((vec, (("z",),)), ((("z",),), vec), (vec, vec), (vec, tuple(vec))):
+            with pytest.raises(TypeError):
+                compare(left, right)
 
 
 class TestRules:

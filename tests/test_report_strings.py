@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_indices as ref
-from streamshare.indices import ALL_RULE_NAMES, _ratio, make_rule, rewards
+from streamshare.indices import ALL_RULE_NAMES, _ratio, make_rule
 from streamshare.reporting import _dec, allocation_document
 
 from helpers import problems
@@ -56,7 +56,7 @@ def test_property_report_strings_equal_fraction_formulas(p, seed, price):
     doc = allocation_document(p, ALL_RULE_NAMES, price=price, seed=seed)
     for section in doc["sections"]:
         vec = make_rule(section["index"], seed=seed)(p)
-        payouts = rewards(vec, p)
+        payouts = ref.rewards(vec, p)
         assert section["values"] == [str(v) for v in vec.values]
         assert [r["fraction"] for r in section["rewards"]] == [str(r) for r in payouts]
         assert [r["decimal"] for r in section["rewards"]] == [ref.decimal(r) for r in payouts]

@@ -12,8 +12,8 @@ from streamshare.reporting import (
     ParseError,
     allocation_document,
     audit_document,
-    game_document,
     game_export_text,
+    game_json,
     parse_matrix,
     render_json,
     render_text,
@@ -21,6 +21,7 @@ from streamshare.reporting import (
 )
 
 from helpers import EXAMPLE_1, example_1, random_problem, serialize_matrix
+from reference_game import game_document
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"
 
@@ -214,16 +215,21 @@ class TestGameExport:
             game_export_text(example_1(), "hopeful")
 
     def test_document_shape(self):
-        doc = game_document(example_1(), "pessimistic")
+        doc = json.loads(game_json(example_1(), "pessimistic"))
         assert doc["players"] == ["1", "2"]
         assert doc["rows"][-1] == "11,3"
+        assert doc == game_document(example_1(), "pessimistic")
+
+    def test_json_refuses_an_unknown_stance(self):
+        with pytest.raises(ValueError):
+            game_json(example_1(), "hopeful")
 
     def test_document_rows_are_the_text_lines(self):
         rng = random.Random(17)
         for _ in range(20):
             p = random_problem(rng, max_n=6, max_m=5)
             for stance in ("pessimistic", "optimistic", "dual"):
-                doc = game_document(p, stance)
+                doc = json.loads(game_json(p, stance))
                 assert "\n".join(doc["rows"]) + "\n" == game_export_text(p, stance)
 
 
