@@ -17,10 +17,10 @@ at most 5 artists and 5 users.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from copy import deepcopy
 from functools import lru_cache
 from itertools import chain, compress, product
-from typing import Callable, Iterable, NamedTuple
 
 from .core import (Problem, ProblemError, SilentUser, _problem_from_rows, build_problem,
                    remove_artist, remove_user, split_by_users)
@@ -48,18 +48,11 @@ class UnknownAxiom(ValueError):
     pass
 
 
-class Verdict(NamedTuple):
-    axiom: str
-    rule: str
-    outcome: str  # "holds" or "counterexample"
-    trials: int
-    grid_cases: int
-    skipped: int
-    seed: int
-    witness: dict | None = None
-    details: dict | None = None
-    expected: str | None = None  # a suite cell's expected outcome
-    axiom_set: str | None = None  # an independence cell's characterization
+class Verdict(namedtuple("Verdict", "axiom rule outcome trials grid_cases skipped seed "
+                                    "witness details expected axiom_set", defaults=(None,) * 4)):
+    """``outcome`` is "holds" or "counterexample"; ``expected`` is a suite cell's
+    expected outcome, ``axiom_set`` an independence cell's characterization."""
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -592,13 +585,11 @@ def generate_instance(axiom: str, rng: random.Random) -> dict:
 # The axiom registry
 
 
-class Axiom(NamedTuple):
-    """One axiom: its single-instance check, a random-instance generator, and
-    the instances it builds from one grid problem."""
-
-    check: Callable[[IndexRule, dict], tuple[dict | None, int]]
-    generate: Callable[[random.Random], dict]
-    expand: Callable[[Problem], Iterable[dict]] = _single
+class Axiom(namedtuple("Axiom", "check generate expand", defaults=(_single,))):
+    """One axiom: its single-instance check ``check(rule, instance) -> (details
+    or None, skipped)``, a random-instance generator ``generate(rng) -> instance``,
+    and ``expand(problem)``, the instances it builds from one grid problem."""
+    __slots__ = ()
 
 
 AXIOMS: dict[str, Axiom] = {
@@ -668,11 +659,9 @@ def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
     return details is not None and details == verdict.details
 
 
-class SuiteResult(NamedTuple):
-    kind: str  # "table" or "independence"
-    trials: int
-    seed: int
-    cells: tuple[Verdict, ...]
+class SuiteResult(namedtuple("SuiteResult", "kind trials seed cells")):
+    """``kind`` is "table" or "independence"; ``cells`` a tuple of ``Verdict``s."""
+    __slots__ = ()
 
     @property
     def all_match(self) -> bool:

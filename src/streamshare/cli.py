@@ -176,7 +176,8 @@ def _run_allocate(args) -> int:
             if names.count(n) > 1:
                 raise ValueError(f"index rule {n!r} is listed more than once")
     price = _parse_price(args.price)
-    _emit(reporting.allocation_document(p, names, price=price, seed=args.seed), args)
+    report = reporting.allocation_json if args.format == "json" else reporting.allocation_text
+    _write(report(p, names, price, args.seed), args)
     return EXIT_OK
 
 
@@ -194,6 +195,8 @@ def _parse_price(text: str) -> Fraction:
         price = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"price multiplier {text!r} has a zero denominator") from None
+    except ValueError:  # Fraction's own message names neither the option nor the price
+        raise ValueError(f"price multiplier {text!r} is not an exact fraction") from None
     if price <= 0:
         raise ValueError("price multiplier must be positive")
     return price

@@ -9,14 +9,12 @@ to the same value.)
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress
 from operator import lt
-from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
-# One user's streams: ascending artist positions and their positive counts.
-Column = tuple[tuple[int, ...], tuple[int, ...]]
 
 _INT = frozenset({int})
 _SILENT = ((), ())  # the column of a user who streamed nothing
@@ -74,13 +72,7 @@ class BadPartition(ProblemError):
     pass
 
 
-class _ProblemFields(NamedTuple):
-    artists: tuple[str, ...]
-    users: tuple[str, ...]
-    columns: tuple[Column, ...]
-
-
-class Problem(_ProblemFields):
+class Problem(namedtuple("Problem", "artists users columns")):
     """A platform snapshot: who streamed whom how often.
 
     Stored user by user, sparse: ``columns[j] == (idx, counts)`` lists the

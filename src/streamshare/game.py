@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import Problem
 
@@ -25,9 +25,8 @@ class TooManyArtists(ValueError):
     pass
 
 
-class CoalitionGame(NamedTuple):
-    players: tuple[str, ...]
-    worth: tuple[int, ...]
+class CoalitionGame(namedtuple("CoalitionGame", "players worth")):
+    __slots__ = ()
 
 
 def _user_mask_counts(p: Problem, complement: bool = False) -> array:

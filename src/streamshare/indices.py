@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple
 
 from .core import Problem
 
@@ -39,7 +38,7 @@ class UnknownRule(ValueError):
     pass
 
 
-class IndexVector(NamedTuple):
+class IndexVector(namedtuple("IndexVector", "artists nums common")):
     """Per-artist importance scores, aligned with ``Problem.artists``.
 
     Held as integers over one common denominator: value ``i`` is
@@ -48,10 +47,7 @@ class IndexVector(NamedTuple):
     equality, hashing and ``repr`` go by ``artists`` and ``values`` (there is
     no order), and ``vec[artist]`` is the artist's score, not a field.
     """
-
-    artists: tuple[str, ...]
-    nums: tuple[int, ...]
-    common: int
+    __slots__ = ()
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -151,7 +147,7 @@ def _equal_split(p: Problem, numerators: list[int]) -> IndexVector:
     return _combine(p, n, groups)
 
 
-def _combine(p: Problem, n: int, groups: Mapping[int, list[int]]) -> IndexVector:
+def _combine(p: Problem, n: int, groups: dict[int, list[int]]) -> IndexVector:
     """Sum ``groups[d][i] / d`` over ``d`` for each of the ``n`` artists, exactly.
 
     The numerators are brought over the lcm of the denominators, which
@@ -195,9 +191,9 @@ def _ratio(num: int, den: int) -> str:
 # seed, so the same user (or artist) keeps the same weight across reduced and
 # split problems.
 
-class IndexRule(NamedTuple):
-    name: str
-    fn: Callable[[Problem], IndexVector]
+class IndexRule(namedtuple("IndexRule", "name fn")):
+    """A named index: ``fn`` maps a ``Problem`` to its ``IndexVector``."""
+    __slots__ = ()
 
     def __call__(self, p: Problem) -> IndexVector:
         return self.fn(p)
@@ -219,8 +215,9 @@ TABLE_RULE_NAMES = ALL_RULE_NAMES[:3]
 
 
 def default_weight(seed: int, kind: str, ident: str) -> int:
-    """Deterministic positive weight for one identifier, independent of context."""
-    return random.Random(f"{kind}:{seed}:{ident}").randint(1, 97)
+    """Deterministic positive weight for one identifier, independent of context. Its
+    seed is encoded as ``random`` encodes a ``str``, but a lone surrogate is kept."""
+    return random.Random(f"{kind}:{seed}:{ident}".encode("utf-8", "surrogatepass")).randint(1, 97)
 
 
 @lru_cache(maxsize=256)

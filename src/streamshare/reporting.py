@@ -242,32 +242,17 @@ def _dec(num: int, den: int) -> str:
 # Documents
 
 
-def allocation_document(p: Problem, rule_names, price: Fraction = Fraction(1),
-                        seed: int = 42) -> dict:
-    """One report section per requested index; ``price`` scales displayed payouts only.
-
-    Payout ``i`` is ``pays[i] / total`` of ``indices.reward_shares``.
-    """
-    m, pn, pd = p.m, price.numerator, price.denominator
-    sections = []
+def _sections(p: Problem, rule_names, price: Fraction, seed: int):
+    """One ``(index, values, rewards)`` per requested index. Reward ``i`` is
+    ``(artist, fraction, decimal, payout)`` of ``pays[i] / total`` from
+    ``indices.reward_shares`` (they sum to ``m`` exactly), the payout times ``price``."""
+    pn, pd = price.numerator, price.denominator
     for name in rule_names:
         vec = make_rule(name, seed=seed)(p)
-        pays, total = reward_shares(vec, m)
-        sections.append({
-            "index": name,
-            "values": [_ratio(x, vec.common) for x in vec.nums],
-            "rewards": [{"artist": a, "fraction": _ratio(x, total),
-                         "decimal": _dec(x, total), "payout": _dec(x * pn, total * pd)}
-                        for a, x in zip(p.artists, pays)],
-            "reward_total": str(m),  # the payouts sum to m exactly
-        })
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "allocation",
-        "problem": {"artists": list(p.artists), "users": list(p.users), "n": p.n, "m": m},
-        "price_multiplier": str(price),
-        "sections": sections,
-    }
+        pays, total = reward_shares(vec, p.m)
+        yield name, [_ratio(x, vec.common) for x in vec.nums], [
+            (a, _ratio(x, total), _dec(x, total), _dec(x * pn, total * pd))
+            for a, x in zip(p.artists, pays)]
 
 
 def game_export_text(p: Problem, stance: str) -> str:
@@ -323,17 +308,21 @@ def suite_document(result: axioms.SuiteResult) -> dict:
 
 
 def render_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; allocations by template."""
-    if doc["kind"] != "allocation":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    s, p = _json_str, doc["problem"]
-    sections = [_SECTION % (s(sec["index"]), s(sec["reward_total"]), _block(
-        [_REWARD % (s(r["artist"]), s(r["decimal"]), s(r["fraction"]), s(r["payout"]))
-         for r in sec["rewards"]], 6), _block([*map(s, sec["values"])], 6))
-        for sec in doc["sections"]]
-    return _ALLOCATION % (s(doc["kind"]), s(doc["price_multiplier"]), _PROBLEM % (
-        _block([*map(s, p["artists"])], 4), p["m"], p["n"], _block([*map(s, p["users"])], 4)),
-        doc["schema_version"], _block(sections, 2))
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def allocation_json(p: Problem, rule_names, price: Fraction = Fraction(1),
+                    seed: int = 42) -> str:
+    """The allocation report (:func:`_sections`) in :func:`render_json`'s layout, by template."""
+    s, m = _json_str, str(p.m)
+    sections = [_SECTION % (s(name), s(m), _block([_REWARD % (s(a), s(dec), s(frac), s(pay))
+                                                   for a, frac, dec, pay in rewards], 6),
+                            _block([*map(s, values)], 6))
+                for name, values, rewards in _sections(p, rule_names, price, seed)]
+    return _ALLOCATION % (s("allocation"), s(str(price)), _PROBLEM % (
+        _block([*map(s, p.artists)], 4), p.m, p.n, _block([*map(s, p.users)], 4)),
+        SCHEMA_VERSION, _block(sections, 2))
 
 
 def game_json(p: Problem, stance: str) -> str:
@@ -359,33 +348,26 @@ _ALLOCATION, _PROBLEM, _SECTION, _REWARD, _GAME = (
         ("kind players rows schema_version stance", 0, "\n")))
 
 
+def allocation_text(p: Problem, rule_names, price: Fraction = Fraction(1),
+                    seed: int = 42) -> str:
+    """The allocation report (:func:`_sections`) as text: the problem, then each index."""
+    lines = [f"problem: {p.n} artists ({', '.join(p.artists)}), "
+             f"{p.m} users ({', '.join(p.users)})", f"price multiplier: {price}"]
+    for name, values, rewards in _sections(p, rule_names, price, seed):
+        lines.append(f"index {name}:")
+        lines += [f"  {a}: value={value} reward={frac} ({dec}) payout={pay}"
+                  for value, (a, frac, dec, pay) in zip(values, rewards)]
+        lines.append(f"  reward total: {p.m}")
+    return "\n".join(lines) + "\n"
+
+
 def render_text(doc: dict) -> str:
     kind = doc["kind"]
-    if kind == "allocation":
-        return _text_allocation(doc)
     if kind == "audit":
         return "".join(map(_text_verdict, doc["verdicts"]))
     if kind in ("table", "independence"):
         return _text_cells(doc)
     raise ValueError(f"unknown document kind {kind!r}")
-
-
-def _text_allocation(doc: dict) -> str:
-    p = doc["problem"]
-    lines = [
-        f"problem: {p['n']} artists ({', '.join(p['artists'])}), "
-        f"{p['m']} users ({', '.join(p['users'])})",
-        f"price multiplier: {doc['price_multiplier']}",
-    ]
-    for sec in doc["sections"]:
-        lines.append(f"index {sec['index']}:")
-        for artist, value, rw in zip(p["artists"], sec["values"], sec["rewards"]):
-            lines.append(
-                f"  {artist}: value={value} reward={rw['fraction']} "
-                f"({rw['decimal']}) payout={rw['payout']}"
-            )
-        lines.append(f"  reward total: {sec['reward_total']}")
-    return "\n".join(lines) + "\n"
 
 
 def _text_matrix(d: dict) -> list[str]:

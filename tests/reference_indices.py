@@ -8,11 +8,17 @@ The sums and the reward map likewise keep their ``Fraction``-by-``Fraction``
 formulas, which the integer sums over one common denominator replaced, and the
 allocation report's strings keep theirs: ``str`` of a ``Fraction`` and
 :func:`decimal`, which the integer ``indices._ratio`` and ``reporting._dec`` replaced.
+
+The allocation report's document (:func:`allocation_document`) and its text
+rendering (:func:`text_allocation`) are kept too, as the oracles of the writers
+``reporting.allocation_json`` and ``reporting.allocation_text``, which replaced
+them by writing the report straight from the problem.
 """
 
 from fractions import Fraction
 
-from streamshare.indices import ZeroTotalIndex, default_weight
+from streamshare.indices import ZeroTotalIndex, _ratio, default_weight, make_rule, reward_shares
+from streamshare.reporting import SCHEMA_VERSION, _dec
 
 from helpers import vector
 
@@ -128,3 +134,50 @@ def reference_rule(name, seed=0, weights=None):
         return lambda p: artist_weighted_index(
             p, weights or {a: default_weight(seed, "artist", a) for a in p.artists})
     raise KeyError(name)
+
+
+def allocation_document(p, rule_names, price: Fraction = Fraction(1),
+                        seed: int = 42) -> dict:
+    """One report section per requested index; ``price`` scales displayed payouts only.
+
+    Payout ``i`` is ``pays[i] / total`` of ``indices.reward_shares``.
+    """
+    m, pn, pd = p.m, price.numerator, price.denominator
+    sections = []
+    for name in rule_names:
+        vec = make_rule(name, seed=seed)(p)
+        pays, total = reward_shares(vec, m)
+        sections.append({
+            "index": name,
+            "values": [_ratio(x, vec.common) for x in vec.nums],
+            "rewards": [{"artist": a, "fraction": _ratio(x, total),
+                         "decimal": _dec(x, total), "payout": _dec(x * pn, total * pd)}
+                        for a, x in zip(p.artists, pays)],
+            "reward_total": str(m),  # the payouts sum to m exactly
+        })
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "allocation",
+        "problem": {"artists": list(p.artists), "users": list(p.users), "n": p.n, "m": m},
+        "price_multiplier": str(price),
+        "sections": sections,
+    }
+
+
+def text_allocation(doc: dict) -> str:
+    """The text report of an :func:`allocation_document`."""
+    p = doc["problem"]
+    lines = [
+        f"problem: {p['n']} artists ({', '.join(p['artists'])}), "
+        f"{p['m']} users ({', '.join(p['users'])})",
+        f"price multiplier: {doc['price_multiplier']}",
+    ]
+    for sec in doc["sections"]:
+        lines.append(f"index {sec['index']}:")
+        for artist, value, rw in zip(p["artists"], sec["values"], sec["rewards"]):
+            lines.append(
+                f"  {artist}: value={value} reward={rw['fraction']} "
+                f"({rw['decimal']}) payout={rw['payout']}"
+            )
+        lines.append(f"  reward total: {sec['reward_total']}")
+    return "\n".join(lines) + "\n"

@@ -104,7 +104,10 @@ class TestAllocate:
 
     def test_bad_price(self, matrix, capsys):
         assert run(capsys, "allocate", "--input", str(matrix), "--price", "0")[0] == 2
-        assert run(capsys, "allocate", "--input", str(matrix), "--price", "x")[0] == 2
+        for price in ("x", "nan", "inf", "1/2/3"):  # Fraction's own message names no price
+            code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", price)
+            assert code == 2 and out == ""
+            assert err == f"streamshare: error: price multiplier {price!r} is not an exact fraction\n"
         code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", "1/0")
         assert code == 2 and out == ""
         assert "streamshare: error:" in err and "'1/0'" in err

@@ -7,10 +7,11 @@ cover was restructured, and reports must stay byte-identical:
 (24 artists x 40 users) and a seeded dense one (6 x 30), the same with
 ``--price 9.99`` on a seeded wide one (80 x 600, 1.6% dense, which
 ``parse_matrix`` scans for its nonzero cells; the dense reader takes the
-other inputs), ``game --seed 7`` under each of the three stances on a 6 x 25
-input (the dual one in JSON too), and plain ``audit`` (every axiom against the three table indices),
-``audit --table`` and ``audit --independence`` with ``--trials 60 --seed 7``
-in JSON, and the last in text too.
+other inputs) and, in text, on the dense one; ``game --seed 7`` under each
+of the three stances on a 6 x 25 input (the dual one in JSON too), and plain
+``audit`` (every axiom against the three table indices), ``audit --table``
+and ``audit --independence`` with ``--trials 60 --seed 7`` in JSON, and the
+last in text too.
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
 not pin the random instance generators. ``instances.json`` does: for each
@@ -43,6 +44,8 @@ CASES = {  # file name: (argv, exit code)
                              "--format", "json", "--seed", "7"], 0),
     "wide_allocate.json": (["allocate", "--input", "wide.csv", "--index", "all",
                             "--format", "json", "--price", "9.99", "--seed", "7"], 0),
+    "dense_allocate.txt": (["allocate", "--input", "dense.csv", "--index", "all",
+                            "--price", "9.99", "--seed", "7"], 0),
     **{f"game_{stance}.txt": (["game", "--input", "game.csv", "--stance", stance,
                                "--seed", "7"], 0)
        for stance in ("pessimistic", "optimistic", "dual")},

@@ -2,6 +2,7 @@
 seven rules, and so do the index total, the payouts and the report's payout
 total computed from them."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import reference_indices as ref
 from streamshare import build_problem, make_rule
 from streamshare.indices import ALL_RULE_NAMES
-from streamshare.reporting import allocation_document
+from streamshare.reporting import allocation_json
 
 from helpers import payouts, problems, random_problem
 from reference_indices import reference_rule, user_centric_index
@@ -69,7 +70,7 @@ def test_property_single_group_problems_equal_reference(p, seed):
 @settings(max_examples=60)
 @given(problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
 def test_property_report_payout_total_equals_reference(p, seed):
-    doc = allocation_document(p, ALL_RULE_NAMES, seed=seed)
+    doc = json.loads(allocation_json(p, ALL_RULE_NAMES, seed=seed))
     for section in doc["sections"]:
         payouts = ref.rewards(reference_rule(section["index"], seed=seed)(p), p)
         assert section["reward_total"] == str(ref.reward_total(payouts))

@@ -1,9 +1,12 @@
 """The allocation report and the game export are written from fixed templates
-(``reporting.render_json`` and ``reporting.game_json``). They must give the
+(``reporting.allocation_json`` and ``reporting.game_json``). They must give the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which
-stays their oracle: the game's document is ``reference_game.game_document``.
-Ids carry what a string encoder can get wrong: quotes, backslashes, control
-characters and non-ASCII characters, astral ones included."""
+stays their oracle: the documents are ``reference_indices.allocation_document``
+and ``reference_game.game_document``. The text allocation report
+(``reporting.allocation_text``) must give the bytes of the text rendering it
+replaced, ``reference_indices.text_allocation``. Ids carry what a string
+encoder can get wrong: quotes, backslashes, control characters and non-ASCII
+characters, astral ones included."""
 
 import json
 from fractions import Fraction as F
@@ -14,10 +17,11 @@ from hypothesis import strategies as st
 from streamshare import build_problem
 from streamshare.game import STANCES
 from streamshare.indices import ALL_RULE_NAMES
-from streamshare.reporting import allocation_document, game_json, render_json
+from streamshare.reporting import allocation_json, allocation_text, game_json, render_json
 
 from helpers import problems
 from reference_game import game_document
+from reference_indices import allocation_document, text_allocation
 
 SPECIAL = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "/", "é", " ", "\U0001f600"]
 ids = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()), min_size=1, max_size=6)
@@ -44,7 +48,14 @@ def labelled_problems(draw, max_n=4, max_m=4):
 @given(labelled_problems(), rule_lists, prices, st.integers(0, 10**6))
 def test_allocation_report_equals_json_dumps(p, rules, price, seed):
     doc = allocation_document(p, rules, price=price, seed=seed)
-    assert render_json(doc) == dumps(doc)
+    assert allocation_json(p, rules, price=price, seed=seed) == dumps(doc)
+
+
+@settings(max_examples=300)
+@given(labelled_problems(), rule_lists, prices, st.integers(0, 10**6))
+def test_text_allocation_report_equals_reference_rendering(p, rules, price, seed):
+    doc = allocation_document(p, rules, price=price, seed=seed)
+    assert allocation_text(p, rules, price=price, seed=seed) == text_allocation(doc)
 
 
 @settings(max_examples=200)
@@ -60,13 +71,17 @@ def test_one_artist_and_one_user_problems():
         p = build_problem(artists, users, streams)
         for price in (F(1), F("9.99"), F("1e-6")):
             doc = allocation_document(p, ALL_RULE_NAMES, price=price, seed=7)
-            assert render_json(doc) == dumps(doc)
+            assert allocation_json(p, ALL_RULE_NAMES, price=price, seed=7) == dumps(doc)
+            assert allocation_text(p, ALL_RULE_NAMES, price=price, seed=7) == text_allocation(doc)
         for stance in STANCES:
             assert game_json(p, stance) == dumps(game_document(p, stance))
 
 
 def test_no_sections_and_other_documents():
-    doc = allocation_document(build_problem(["a"], ["u"], [[1]]), [])
-    assert doc["sections"] == [] and render_json(doc) == dumps(doc)
+    p = build_problem(["a"], ["u"], [[1]])
+    doc = allocation_document(p, [])
+    assert json.loads(allocation_json(p, []))["sections"] == []
+    assert allocation_json(p, []) == dumps(doc)
+    assert allocation_text(p, []) == text_allocation(doc)
     other = {"kind": "audit", "schema_version": 1, "verdicts": [{"z": ODD_IDS, "a": []}]}
     assert render_json(other) == dumps(other)

@@ -3,6 +3,7 @@
 and reward fractions, and the six-decimal rounding (ties to even) of the
 reward and of the reward times the price."""
 
+import json
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_indices as ref
 from streamshare.indices import ALL_RULE_NAMES, _ratio, make_rule
-from streamshare.reporting import _dec, allocation_document
+from streamshare.reporting import _dec, allocation_json
 
 from helpers import problems
 
@@ -53,7 +54,7 @@ def test_property_half_unit_ties_at_the_seventh_decimal(k, digits, scale):
 @settings(max_examples=60)
 @given(problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6), prices)
 def test_property_report_strings_equal_fraction_formulas(p, seed, price):
-    doc = allocation_document(p, ALL_RULE_NAMES, price=price, seed=seed)
+    doc = json.loads(allocation_json(p, ALL_RULE_NAMES, price=price, seed=seed))
     for section in doc["sections"]:
         vec = make_rule(section["index"], seed=seed)(p)
         payouts = ref.rewards(vec, p)

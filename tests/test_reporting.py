@@ -10,7 +10,8 @@ from streamshare.core import DuplicateId, NegativeStream, SilentUser
 from streamshare.reporting import (
     MAX_COUNT_DIGITS,
     ParseError,
-    allocation_document,
+    allocation_json,
+    allocation_text,
     audit_document,
     game_export_text,
     game_json,
@@ -153,9 +154,14 @@ class TestParseMatrix:
         assert (exc.value.line, exc.value.column) == (4, 3)
 
 
+def read_report(p, rule_names, price=F(1)):
+    """The allocation report that ``allocation_json`` writes, read back."""
+    return json.loads(allocation_json(p, rule_names, price=price))
+
+
 class TestAllocationDocument:
     def test_example_1_sections(self):
-        doc = allocation_document(example_1(), ["shapley", "pro-rata"])
+        doc = read_report(example_1(), ["shapley", "pro-rata"])
         by_name = {s["index"]: s for s in doc["sections"]}
         assert by_name["shapley"]["values"] == ["1", "2"]
         assert [r["fraction"] for r in by_name["shapley"]["rewards"]] == ["1", "2"]
@@ -167,14 +173,14 @@ class TestAllocationDocument:
         rng = random.Random(8)
         for _ in range(15):
             p = random_problem(rng)
-            doc = allocation_document(p, ["shapley", "user-centric", "uniform"])
+            doc = read_report(p, ["shapley", "user-centric", "uniform"])
             for sec in doc["sections"]:
                 total = sum((F(r["fraction"]) for r in sec["rewards"]), F(0))
                 assert total == p.m
                 assert F(sec["reward_total"]) == p.m
 
     def test_price_scales_payout_only(self):
-        doc = allocation_document(example_1(), ["shapley"], price=F(10))
+        doc = read_report(example_1(), ["shapley"], price=F(10))
         sec = doc["sections"][0]
         assert [r["fraction"] for r in sec["rewards"]] == ["1", "2"]
         assert [r["payout"] for r in sec["rewards"]] == ["10.000000", "20.000000"]
@@ -184,11 +190,11 @@ class TestAllocationDocument:
         # 1/80000 = 0.0000125 and 3/80000 = 0.0000375 exactly
         for price, payouts in ((F(1, 80000), ["0.000012", "0.000025"]),
                                (F(3, 80000), ["0.000038", "0.000075"])):
-            sec = allocation_document(example_1(), ["shapley"], price=price)["sections"][0]
+            sec = read_report(example_1(), ["shapley"], price=price)["sections"][0]
             assert [r["payout"] for r in sec["rewards"]] == payouts
 
     def test_decimals_exact_beyond_float_precision(self):
-        sec = allocation_document(example_1(), ["shapley"], price=F(2**53 + 1))["sections"][0]
+        sec = read_report(example_1(), ["shapley"], price=F(2**53 + 1))["sections"][0]
         assert [r["payout"] for r in sec["rewards"]] == [
             "9007199254740993.000000", "18014398509481986.000000"]
 
@@ -235,14 +241,13 @@ class TestGameExport:
 
 class TestRendering:
     def test_json_is_deterministic_and_parseable(self):
-        doc = allocation_document(example_1(), ["shapley"])
-        text = render_json(doc)
-        assert text == render_json(allocation_document(example_1(), ["shapley"]))
+        text = allocation_json(example_1(), ["shapley"])
+        assert text == allocation_json(example_1(), ["shapley"])
         assert json.loads(text)["kind"] == "allocation"
         assert text.endswith("\n")
 
     def test_text_allocation_mentions_every_artist(self):
-        text = render_text(allocation_document(example_1(), ["shapley"]))
+        text = allocation_text(example_1(), ["shapley"])
         assert "index shapley:" in text
         assert "1: value=1 reward=1" in text
         assert "reward total: 3" in text

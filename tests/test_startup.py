@@ -1,10 +1,12 @@
-"""Start-up guard: loading the CLI imports neither ``dataclasses`` nor ``inspect``.
+"""Start-up guard: loading the CLI imports neither ``dataclasses`` nor
+``inspect``, nor ``typing``.
 
 ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``), which once made up about half of the CLI's import time. The
-record types are ``typing.NamedTuple``s so that no run pays for it. The check
-runs in a fresh interpreter under ``-S``, so neither ``site`` nor the test
-runner's own imports can load the modules first.
+record types are ``collections.namedtuple`` subclasses, so that no run pays
+for it, nor for ``typing``. The check runs in a fresh interpreter under
+``-S``, so neither ``site`` (whose ``.pth`` files may import ``typing``) nor
+the test runner's own imports can load the modules first.
 """
 
 import os
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SLOW_MODULES = ("dataclasses", "inspect")
+SLOW_MODULES = ("dataclasses", "inspect", "typing")
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
