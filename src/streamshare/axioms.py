@@ -348,6 +348,13 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 # once and shares it among all its rules. Generated rows, valid by construction,
 # are built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
+#
+# A suite (and a CLI audit of several cells) computes each rule once per base
+# grid problem, though every axiom checks each base problem, some of them once
+# per split, inflation or column change: :func:`audit_pairs` keys a memo by
+# the identity of the base problems, which it holds. The memo lives for that
+# one call and holds no other problem; split, reduced, modified and drawn
+# problems go straight to the kernel, with no hashing of their content.
 
 
 @lru_cache(maxsize=1)
@@ -672,20 +679,48 @@ class SuiteResult(namedtuple("SuiteResult", "kind trials seed cells")):
         return tuple(c for c in self.cells if not c.matches)
 
 
+def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Verdict]:
+    """The :func:`audit` verdict of each ``(axiom, rule name)`` pair, in order.
+
+    Each rule is made once, before any audit (an unknown rule is named before
+    an unknown axiom), with the call's own memo on the base grid problems (see
+    the grid notes). Each distinct pair is audited once, axiom by axiom so
+    that every axiom's grid is built once.
+    """
+    grid = _grid_problems()  # held, so no base problem's id is reused during the call
+    rules = {name: _memoized(make_rule(name, seed=seed), grid)
+             for name in dict.fromkeys(name for _, name in pairs)}
+    order = list(dict.fromkeys(axiom for axiom, _ in pairs))
+    todo = sorted(dict.fromkeys(pairs), key=lambda pair: order.index(pair[0]))
+    verdicts = {(axiom, name): audit(axiom, rules[name], trials, seed) for axiom, name in todo}
+    return [verdicts[pair] for pair in pairs]
+
+
+def _memoized(rule: IndexRule, grid) -> IndexRule:
+    """``rule``, computing its vector on each problem of ``grid`` at most once."""
+    memo, fn = dict.fromkeys(map(id, grid)), rule.fn
+
+    def call(p):
+        key = id(p)
+        if key not in memo:  # not a base grid problem: straight to the kernel
+            return fn(p)
+        if memo[key] is None:
+            memo[key] = fn(p)
+        return memo[key]
+    return rule._replace(fn=call)
+
+
 def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:
     """One cell per claim ``(axiom_set, axiom, rule, expected_holds)``, in claim order.
 
-    Each distinct (axiom, rule) pair is audited once, axiom by axiom so that
-    every axiom's grid is built once.
+    Each distinct (axiom, rule) pair is audited once by :func:`audit_pairs`,
+    so the suite computes each rule once per base grid problem; that memo
+    lives for this one suite call and holds no other problem.
     """
-    pairs = sorted(dict.fromkeys((axiom, rule) for _, axiom, rule, _ in claims),
-                   key=lambda pair: AXIOM_IDS.index(pair[0]))
-    verdicts = {(axiom, rule): audit(axiom, make_rule(rule, seed=seed), trials, seed)
-                for axiom, rule in pairs}
+    verdicts = audit_pairs([(axiom, rule) for _, axiom, rule, _ in claims], trials, seed)
     return SuiteResult(kind, trials, seed, tuple(
-        verdicts[axiom, rule]._replace(expected="holds" if holds else "counterexample",
-                                       axiom_set=set_name)
-        for set_name, axiom, rule, holds in claims))
+        v._replace(expected="holds" if holds else "counterexample", axiom_set=set_name)
+        for v, (set_name, _, _, holds) in zip(verdicts, claims)))
 
 
 # ---------------------------------------------------------------------------

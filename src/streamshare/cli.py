@@ -217,12 +217,8 @@ def _run_audit(args) -> int:
         return EXIT_OK if result.all_match else EXIT_MISMATCH
     axiom_names = list(axioms.AXIOM_IDS) if args.axiom in (None, "all") else [args.axiom]
     rule_names = list(TABLE_RULE_NAMES) if args.index in (None, "all") else [args.index]
-    verdicts = []
-    for a in axiom_names:
-        for name in rule_names:
-            rule = make_rule(name, seed=args.seed)
-            verdicts.append(axioms.audit(a, rule, trials=args.trials, seed=args.seed))
-    _emit(reporting.audit_document(verdicts), args)
+    pairs = [(a, name) for a in axiom_names for name in rule_names]
+    _emit(reporting.audit_document(axioms.audit_pairs(pairs, args.trials, args.seed)), args)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
@@ -128,9 +128,9 @@ def _proportional(p: Problem, shares) -> IndexVector:
     """Split user ``j``'s unit among the artists ``idx`` in proportion to the
     positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
     n = p.n
-    groups = defaultdict(lambda: [0] * n)
+    groups = {}
     for idx, parts in shares:
-        acc = groups[sum(parts)]
+        acc = groups.get(d := sum(parts)) or groups.setdefault(d, [0] * n)
         for i, x in zip(idx, parts):
             acc[i] += x
     return _combine(p, n, groups)
@@ -139,9 +139,9 @@ def _proportional(p: Problem, shares) -> IndexVector:
 def _equal_split(p: Problem, numerators: list[int]) -> IndexVector:
     """Split ``numerators[j]`` equally among the artists user ``j`` streamed."""
     n = p.n
-    groups = defaultdict(lambda: [0] * n)
+    groups = {}
     for (idx, _), num in zip(p.columns, numerators):
-        acc = groups[len(idx)]
+        acc = groups.get(d := len(idx)) or groups.setdefault(d, [0] * n)
         for i in idx:
             acc[i] += num
     return _combine(p, n, groups)
@@ -151,8 +151,12 @@ def _combine(p: Problem, n: int, groups: dict[int, list[int]]) -> IndexVector:
     """Sum ``groups[d][i] / d`` over ``d`` for each of the ``n`` artists, exactly.
 
     The numerators are brought over the lcm of the denominators, which
-    becomes the vector's ``common``, so no ``Fraction`` is built.
+    becomes the vector's ``common``, so no ``Fraction`` is built. With one
+    denominator, it is the ``common`` and nothing is scaled.
     """
+    if len(groups) == 1:
+        (common, acc), = groups.items()
+        return IndexVector(p.artists, tuple(acc), common)
     common = math.lcm(*groups)
     totals = [0] * n
     for denom, acc in groups.items():

@@ -1,9 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from streamshare import Problem, build_problem, make_rule
+from streamshare import IndexRule, Problem, build_problem, indices, make_rule
 from streamshare.axioms import (
     AXIOM_IDS,
     INDEPENDENCE_CLAIMS,
@@ -16,11 +17,13 @@ from streamshare.axioms import (
     check_instance,
     generate_instance,
     grid_instances,
+    independence_suite,
     instance_to_dict,
     problem_to_dict,
     replay_witness,
+    reproduce_table,
 )
-from streamshare.axioms import _grid, _grid_problems
+from streamshare.axioms import _grid, _grid_problems, _memoized
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -30,6 +33,17 @@ USER_CENTRIC = make_rule("user-centric")
 
 EX1 = {"artists": EXAMPLE_1[0], "users": EXAMPLE_1[1], "streams": EXAMPLE_1[2]}
 EX2 = {"artists": EXAMPLE_2[0], "users": EXAMPLE_2[1], "streams": EXAMPLE_2[2]}
+
+
+def assert_cells_equal_standalone_audits(result):
+    """Each suite cell is the verdict of a standalone audit, with no memo, at the suite's seed."""
+    standalone = {}
+    for cell in result.cells:
+        key = (cell.axiom, cell.rule)
+        if key not in standalone:
+            rule = make_rule(cell.rule, seed=result.seed)
+            standalone[key] = audit(cell.axiom, rule, result.trials, result.seed)
+        assert cell._replace(expected=None, axiom_set=None) == standalone[key]
 
 
 class TestInstanceChecks:
@@ -360,14 +374,41 @@ class TestGrid:
         assert again.witness == grid_instances("additivity")[again.grid_cases - 1]
 
     def test_suite_cells_equal_standalone_audits(self, independence_run):
-        result = independence_run
-        standalone = {}
-        for cell in result.cells:
-            key = (cell.axiom, cell.rule)
-            if key not in standalone:
-                rule = make_rule(cell.rule, seed=result.seed)
-                standalone[key] = audit(cell.axiom, rule, result.trials, result.seed)
-            assert cell._replace(expected=None, axiom_set=None) == standalone[key]
+        assert_cells_equal_standalone_audits(independence_run)
+
+    def test_suite_memo_is_scoped_to_one_suite(self):
+        # the weighted rules' vectors depend on the seed, so a memo kept from
+        # the first suite would change the second suite's weighted cells
+        runs = [independence_suite(trials=10, seed=seed) for seed in (3, 4)]
+        for result in runs:
+            assert_cells_equal_standalone_audits(result)
+
+    def test_suites_compute_each_rule_once_per_base_problem(self, monkeypatch):
+        bases = {id(p) for p in _grid_problems()}
+        calls = Counter()
+        for kernel, _ in indices.RULES.values():  # make_rule picks up the counting kernels
+            def counted(p, *weights, kernel=kernel, fn=getattr(indices, kernel)):
+                if id(p) in bases:
+                    calls[kernel, id(p)] += 1
+                return fn(p, *weights)
+            monkeypatch.setattr(indices, kernel, counted)
+        for suite, rules in ((reproduce_table, 3), (independence_suite, 5)):
+            calls.clear()
+            suite(trials=2, seed=5)
+            assert len(calls) == rules * len(bases)
+            assert set(calls.values()) == {1}
+
+    def test_memo_holds_only_the_base_problems(self):
+        seen = []
+
+        def kernel(p):
+            seen.append(p)
+            return indices.shapley_index(p)
+        rule = _memoized(IndexRule("shapley", kernel), _grid_problems())
+        base = _grid_problems()[0]
+        twin = build_problem(base.artists, base.users, base.streams)  # equal, not the same
+        assert [rule(p) for p in (base, base, twin, twin)] == [SHAPLEY(base)] * 4
+        assert [p is base for p in seen] == [True, False, False]
 
     def test_suite_cells_follow_the_claims(self, independence_run):
         assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [

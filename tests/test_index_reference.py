@@ -67,6 +67,53 @@ def test_property_single_group_problems_equal_reference(p, seed):
     assert_all_rules_match(p, seed)
 
 
+@st.composite
+def same_size_problems(draw, max_n=5, max_m=6):
+    """Every user streams the same number of artists, with any counts, so the
+    shapley kernel sees one denominator however many the user-centric one sees."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    k = draw(st.integers(1, n))
+    rows = [[0] * m for _ in range(n)]
+    for j in range(m):
+        for i in draw(st.permutations(range(n)))[:k]:
+            rows[i][j] = draw(st.integers(1, 200))
+    return build_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], rows)
+
+
+@st.composite
+def same_total_problems(draw, max_n=5, max_m=6):
+    """Every user streams the same total, over any number of artists, so the
+    user-centric kernel sees one denominator however many the shapley one sees."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    total = draw(st.integers(1, 200))
+    rows = [[0] * m for _ in range(n)]
+    for j in range(m):
+        k = draw(st.integers(1, min(n, total)))
+        cuts = sorted(draw(st.lists(st.integers(1, max(total - 1, 1)), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        for i, (lo, hi) in zip(draw(st.permutations(range(n))), zip([0, *cuts], [*cuts, total])):
+            rows[i][j] = hi - lo
+    return build_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], rows)
+
+
+@settings(max_examples=150)
+@given(same_size_problems())
+def test_property_one_listening_set_size_equals_reference(p):
+    vec = make_rule("shapley")(p)
+    assert {vec.common} == {len(idx) for idx, _ in p.columns}  # the one size, unscaled
+    assert_same(vec, ref.shapley_index(p), p)
+
+
+@settings(max_examples=150)
+@given(same_total_problems())
+def test_property_one_stream_total_equals_reference(p):
+    vec = make_rule("user-centric")(p)
+    assert {vec.common} == {sum(counts) for _, counts in p.columns}  # the one total, unscaled
+    assert_same(vec, user_centric_index(p), p)
+
+
 @settings(max_examples=60)
 @given(problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
 def test_property_report_payout_total_equals_reference(p, seed):
