@@ -351,10 +351,10 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 #
 # A suite (and a CLI audit of several cells) computes each rule once per base
 # grid problem, though every axiom checks each base problem, some of them once
-# per split, inflation or column change: :func:`audit_pairs` keys a memo by
-# the identity of the base problems, which it holds. The memo lives for that
-# one call and holds no other problem; split, reduced, modified and drawn
-# problems go straight to the kernel, with no hashing of their content.
+# per split, inflation or column change: :func:`audit_pairs` fills up front a
+# table of each rule's vectors on the 505 base problems it holds, keyed by their
+# identity (505 kernel calls even for one cell that needs none), for that call
+# only. Split, reduced, modified and drawn problems go to the kernel, unhashed.
 
 
 @lru_cache(maxsize=1)
@@ -592,11 +592,10 @@ def generate_instance(axiom: str, rng: random.Random) -> dict:
 # The axiom registry
 
 
-class Axiom(namedtuple("Axiom", "check generate expand", defaults=(_single,))):
-    """One axiom: its single-instance check ``check(rule, instance) -> (details
-    or None, skipped)``, a random-instance generator ``generate(rng) -> instance``,
-    and ``expand(problem)``, the instances it builds from one grid problem."""
-    __slots__ = ()
+# One axiom: its single-instance check ``check(rule, instance) -> (details or
+# None, skipped)``, a random-instance generator ``generate(rng) -> instance``,
+# and ``expand(problem)``, the instances it builds from one grid problem.
+Axiom = namedtuple("Axiom", "check generate expand", defaults=(_single,))
 
 
 AXIOMS: dict[str, Axiom] = {
@@ -683,31 +682,23 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
     """The :func:`audit` verdict of each ``(axiom, rule name)`` pair, in order.
 
     Each rule is made once, before any audit (an unknown rule is named before
-    an unknown axiom), with the call's own memo on the base grid problems (see
-    the grid notes). Each distinct pair is audited once, axiom by axiom so
-    that every axiom's grid is built once.
+    an unknown axiom), with the call's own table of its vectors on the 505 base
+    grid problems, filled up front (see the grid notes). Each distinct pair is
+    audited once, axiom by axiom so that every axiom's grid is built once.
     """
     grid = _grid_problems()  # held, so no base problem's id is reused during the call
     rules = {name: _memoized(make_rule(name, seed=seed), grid)
              for name in dict.fromkeys(name for _, name in pairs)}
-    order = list(dict.fromkeys(axiom for axiom, _ in pairs))
-    todo = sorted(dict.fromkeys(pairs), key=lambda pair: order.index(pair[0]))
-    verdicts = {(axiom, name): audit(axiom, rules[name], trials, seed) for axiom, name in todo}
+    todo = dict.fromkeys(pairs)
+    verdicts = {(a, name): audit(a, rules[name], trials, seed)
+                for axiom in dict.fromkeys(a for a, _ in todo) for a, name in todo if a == axiom}
     return [verdicts[pair] for pair in pairs]
 
 
 def _memoized(rule: IndexRule, grid) -> IndexRule:
-    """``rule``, computing its vector on each problem of ``grid`` at most once."""
-    memo, fn = dict.fromkeys(map(id, grid)), rule.fn
-
-    def call(p):
-        key = id(p)
-        if key not in memo:  # not a base grid problem: straight to the kernel
-            return fn(p)
-        if memo[key] is None:
-            memo[key] = fn(p)
-        return memo[key]
-    return rule._replace(fn=call)
+    """``rule``, its vector on each problem of ``grid`` computed once, up front."""
+    memo, fn = {id(p): rule.fn(p) for p in grid}, rule.fn
+    return rule._replace(fn=lambda p: memo[id(p)] if id(p) in memo else fn(p))
 
 
 def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:

@@ -25,8 +25,7 @@ class TooManyArtists(ValueError):
     pass
 
 
-class CoalitionGame(namedtuple("CoalitionGame", "players worth")):
-    __slots__ = ()
+CoalitionGame = namedtuple("CoalitionGame", "players worth")
 
 
 def _user_mask_counts(p: Problem, complement: bool = False) -> array:

@@ -147,9 +147,18 @@ class TestInstanceShapes:
         ("null_artists", {"problem": {**EX1, "artists": "12"}}),
         ("null_artists", {"problem": {**EX1, "users": "abc"}}),
         ("null_artists", {"problem": {**EX1, "users": b"abc"}}),
+        # the manipulating artist or user must be one of the problem's own
+        ("non_unilateral_manipulability", {"problem": EX1, "modified": EX1, "artist": "9"}),
+        ("click_fraud_proofness", {"problem": EX1, "modified": EX1, "user": "z"}),
+        # and the modified problem must have the same artists and users
+        ("non_unilateral_manipulability",
+         {"problem": EX1, "modified": {**EX1, "artists": ["2", "1"]}, "artist": "1"}),
+        ("click_fraud_proofness",
+         {"problem": EX1, "modified": {**EX1, "users": ["a", "b", "d"]}, "user": "a"}),
     ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
             "first-users-none", "artists-str",
-            "users-str", "users-bytes"])
+            "users-str", "users-bytes", "unknown-artist", "unknown-user",
+            "modified-artists", "modified-users"])
     def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):
         with pytest.raises(ShapeMismatch):
             check_instance(axiom, SHAPLEY, instance)
@@ -224,6 +233,7 @@ class TestAudit:
         assert verdict.outcome == "holds"
         assert verdict.trials == 50
         assert verdict.witness is None
+        assert not replay_witness(verdict, SHAPLEY)  # nothing to replay
 
     def test_deterministic_in_seed(self):
         a = audit("order_preservation", USER_CENTRIC, trials=40, seed=9)
@@ -405,10 +415,12 @@ class TestGrid:
             seen.append(p)
             return indices.shapley_index(p)
         rule = _memoized(IndexRule("shapley", kernel), _grid_problems())
+        assert len(seen) == len(_grid_problems())  # the table is filled up front
+        seen.clear()
         base = _grid_problems()[0]
         twin = build_problem(base.artists, base.users, base.streams)  # equal, not the same
         assert [rule(p) for p in (base, base, twin, twin)] == [SHAPLEY(base)] * 4
-        assert [p is base for p in seen] == [True, False, False]
+        assert [p is twin for p in seen] == [True, True]
 
     def test_suite_cells_follow_the_claims(self, independence_run):
         assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [

@@ -498,6 +498,9 @@ class TestAudit:
 
     def test_unknown_axiom(self, capsys):
         assert run(capsys, "audit", "--axiom", "bogus", "--trials", "5")[0] == 2
+        # every rule is made before any audit, so an unknown index is named first
+        assert run(capsys, "audit", "--axiom", "bogus", "--index", "nope", "--trials", "5") == (
+            2, "", "streamshare: error: unknown index rule 'nope'\n")
 
     def test_table_reproduction_passes(self, capsys):
         code, out, _ = run(capsys, "audit", "--table", "--trials", "20")

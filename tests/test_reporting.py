@@ -286,6 +286,10 @@ class TestRendering:
         mismatched = [c for c in doc["cells"] if not c["matches"]]
         assert {c["axiom"] for c in mismatched} == {"reasonable_lower_bound"}
 
+    def test_text_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown document kind 'allocation'$"):
+            render_text({"kind": "allocation"})
+
     def test_text_renders_modified_problem_witnesses(self):
         v = audit("click_fraud_proofness", make_rule("pro-rata"), trials=20, seed=3)
         text = render_text(audit_document([v]))

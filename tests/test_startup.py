@@ -3,7 +3,7 @@
 
 ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``), which once made up about half of the CLI's import time. The
-record types are ``collections.namedtuple`` subclasses, so that no run pays
+record types are ``collections.namedtuple`` classes, so that no run pays
 for it, nor for ``typing``. The check runs in a fresh interpreter under
 ``-S``, so neither ``site`` (whose ``.pth`` files may import ``typing``) nor
 the test runner's own imports can load the modules first.
