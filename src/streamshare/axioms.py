@@ -21,6 +21,7 @@ from collections import namedtuple
 from copy import deepcopy
 from functools import lru_cache
 from itertools import chain, compress, product
+from operator import le
 
 from .core import (Problem, ProblemError, SilentUser, _problem_from_rows, build_problem,
                    remove_artist, remove_user, split_by_users)
@@ -156,30 +157,32 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     p = _get_problem(instance)
     # payout i is pays[i] / total, so a group's payout sum is below its size
     # exactly when the sum of its pays < size * total
-    pays, total = reward_shares(rule(p), p.m)
+    pays, total = reward_shares(rule(p), len(p.users))
     try:
         worth = _user_mask_counts(p)  # worth[S]: the users who stream only inside S
     except TooManyArtists as exc:
         raise ShapeMismatch(str(exc)) from None
     # A group that streams S lies among the worth[S] users who stream only
     # inside S. Those stream all of S just when S is closed (dropping any
-    # artist of S loses one of them), so only closed S can bind.
+    # artist of S loses one of them), so only closed S can bind. Worth grows with
+    # S: if S less its lowest artist (S & S - 1) is worth as much, S is not closed.
     for s, w in enumerate(worth):
-        members = [i for i in range(p.n) if s >> i & 1]
-        if w and all(worth[s ^ 1 << i] < w for i in members):
-            got = sum([pays[i] for i in members])
-            if got < w * total:
-                return {"user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
-                                             if all(s >> i & 1 for i in idx)),
-                        "streamed_artists": sorted(p.artists[i] for i in members),
-                        "reward_sum": _ratio(got, total), "amount_paid": w}, 0
+        if worth[s & s - 1] < w:  # never so for an S of worth 0
+            members = [i for i in range(len(p.artists)) if s >> i & 1]
+            if all(worth[s ^ 1 << i] < w for i in members):
+                got = sum([pays[i] for i in members])
+                if got < w * total:
+                    return {"user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
+                                                 if all(s >> i & 1 for i in idx)),
+                            "streamed_artists": sorted(p.artists[i] for i in members),
+                            "reward_sum": _ratio(got, total), "amount_paid": w}, 0
     return None, 0
 
 
 def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
     """Removing different users shifts the index total by different amounts."""
     p = _get_problem(instance)
-    if p.m < 2:
+    if len(p.users) < 2:
         return None, 0
     base, *others = [rule(remove_user(p, u)) for u in p.users]
     t0, c0 = sum(base.nums), base.common
@@ -195,9 +198,9 @@ def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
     p = _get_problem(instance)
     fans = [frozenset(compress(p.users, row)) for row in p.streams]
     vec = rule(p)
-    nums, c = vec.nums, vec.common
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
+    nums, c, n = vec.nums, vec.common, len(p.artists)
+    for x in range(n):
+        for y in range(x + 1, n):
             if fans[x] == fans[y] and nums[x] != nums[y]:
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
                         "fans": sorted(fans[x]), "value": _ratio(nums[x], c),
@@ -209,10 +212,10 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
     """An artist dominated stream-by-stream outranks the dominating artist."""
     p = _get_problem(instance)
     vec = rule(p)
-    nums, rows = vec.nums, p.streams
-    for x in range(p.n):
-        for y in range(p.n):
-            if nums[x] > nums[y] and all(s <= t for s, t in zip(rows[x], rows[y])):
+    nums, rows, n = vec.nums, p.streams, len(p.artists)
+    for x in range(n):
+        for y in range(n):
+            if nums[x] > nums[y] and all(map(le, rows[x], rows[y])):
                 return {"dominated_artist": p.artists[x], "dominating_artist": p.artists[y],
                         "dominated_value": _ratio(nums[x], vec.common),
                         "dominating_value": _ratio(nums[y], vec.common)}, 0
@@ -223,11 +226,9 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
     """Inflating own streams from existing fans raised the artist's index."""
     p, q, artist = _modified_pair(instance, "artist")
     i = p.artists.index(artist)
-    for x in range(p.n):
-        if x != i and p.streams[x] != q.streams[x]:
-            raise ShapeMismatch("problems differ outside the manipulating artist's row")
-    for j in range(p.m):
-        lo, hi = p.streams[i][j], q.streams[i][j]
+    if p.streams[:i] + p.streams[i + 1:] != q.streams[:i] + q.streams[i + 1:]:
+        raise ShapeMismatch("problems differ outside the manipulating artist's row")
+    for lo, hi in zip(p.streams[i], q.streams[i]):
         if lo > hi or (lo == 0) != (hi == 0):
             raise ShapeMismatch(
                 "modified row must weakly increase streams without changing the fan set"
@@ -243,7 +244,7 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
 def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
     """One artist's departure changes the other's index asymmetrically."""
     p = _get_problem(instance)
-    if p.n < 2:
+    if len(p.artists) < 2:
         return None, 0
     vec = rule(p)
     reduced = []
@@ -252,11 +253,11 @@ def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
             reduced.append(rule(remove_artist(p, a)))
         except SilentUser:
             reduced.append(None)
-    v, c = vec.nums, vec.common
+    v, c, n = vec.nums, vec.common, len(p.artists)
     skipped = 0
-    for x in range(p.n):
+    for x in range(n):
         ra = reduced[x]
-        for y in range(x + 1, p.n):
+        for y in range(x + 1, n):
             rb = reduced[y]
             # removal outside the model (a silenced user): not pass, not fail
             if ra is None or rb is None:
@@ -303,9 +304,9 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
     """A constant per-user stream ratio between two artists is not preserved."""
     p = _get_problem(instance)
     vec = rule(p)
-    nums, c, rows = vec.nums, vec.common, p.streams
-    for x in range(p.n):
-        for y in range(p.n):
+    nums, c, rows, n = vec.nums, vec.common, p.streams, len(p.artists)
+    for x in range(n):
+        for y in range(n):
             ratio = None if x == y else _row_ratio(rows[x], rows[y])
             if ratio is not None and not _same(nums[y], nums[x], *ratio):
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
@@ -320,8 +321,8 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
     j = p.users.index(user)
     if p.columns[:j] + p.columns[j + 1:] != q.columns[:j] + q.columns[j + 1:]:
         raise ShapeMismatch("problems differ outside the manipulating user's column")
-    before, tp = reward_shares(rule(p), p.m)
-    after, tq = reward_shares(rule(q), p.m)
+    before, tp = reward_shares(rule(p), len(p.users))
+    after, tq = reward_shares(rule(q), len(p.users))
     bound = tp * tq
     # payout i moves by y / tq - x / tp: by more than 1 exactly when
     # |y * tp - x * tq| > tp * tq
@@ -450,7 +451,8 @@ def instance_to_dict(instance: dict) -> dict:
 
 def _below(getrandbits, n: int) -> int:
     """A draw from ``range(n)`` as ``randrange(n)`` makes it on Python 3.10-3.13, at half its
-    cost; ``a + _below(bits, b - a + 1)`` draws as ``randint(a, b)``. instances.json pins both."""
+    cost. Every integer the generators draw comes from it: ``a + _below(bits, b - a + 1)`` as
+    ``randint(a, b)``, ``seq[_below(bits, len(seq))]`` as ``choice(seq)``, or :func:`_pair`."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -458,17 +460,21 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _pair(getrandbits, n: int) -> tuple[int, int]:
+    """Two distinct draws from ``range(n)`` as ``sample(range(n), 2)`` makes them, for n <= 21."""
+    i, k = _below(getrandbits, n), _below(getrandbits, n - 1)
+    return i, n - 1 if k == i else k
+
+
 def _random_rows(
     rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
 ) -> list[list[int]]:
-    bits = rng.getrandbits
+    bits, rand = rng.getrandbits, rng.random
     n = min_n + _below(bits, MAX_ARTISTS - min_n + 1)
     m = min_m + _below(bits, MAX_USERS - min_m + 1)
-    max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
-    rows = [
-        [0 if rng.random() < zero_chance else 1 + _below(bits, max_entry) for _ in range(m)]
-        for _ in range(n)
-    ]
+    max_entry = HEAVY_ENTRY if rand() < HEAVY_CHANCE else MAX_ENTRY
+    rows = [[0 if rand() < zero_chance else 1 + _below(bits, max_entry) for _ in range(m)]
+            for _ in range(n)]
     for j in _empty_columns(rows):
         rows[_below(bits, n)][j] = 1 + _below(bits, max_entry)
     return rows
@@ -482,7 +488,7 @@ def _empty_columns(rows):
 def _bump_column(rng, rows, j, avoid):
     """Make column j positive without touching rows in ``avoid``."""
     candidates = [x for x in range(len(rows)) if x not in avoid]
-    rows[rng.choice(candidates)][j] = rng.randint(1, 3)
+    rows[candidates[_below(rng.getrandbits, len(candidates))]][j] = 1 + _below(rng.getrandbits, 3)
 
 
 def _refill_pair(rng, rows, i, k, partner):
@@ -495,7 +501,7 @@ def _refill_pair(rng, rows, i, k, partner):
         if len(rows) > 2:
             _bump_column(rng, rows, j, {i, k})
         else:
-            rows[i][j] = rng.randint(1, MAX_ENTRY)
+            rows[i][j] = 1 + _below(rng.getrandbits, MAX_ENTRY)
             rows[k][j] = partner(rows[i][j])
 
 
@@ -516,34 +522,37 @@ def _generate_additivity(rng):
 def _generate_symmetry_on_fans(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        i, k = rng.sample(range(len(rows)), 2)
-        rows[k] = [0 if x == 0 else rng.randint(1, MAX_ENTRY) for x in rows[i]]
-        _refill_pair(rng, rows, i, k, lambda v: rng.randint(1, MAX_ENTRY))
+        bits = rng.getrandbits
+        i, k = _pair(bits, len(rows))
+        rows[k] = [0 if x == 0 else 1 + _below(bits, MAX_ENTRY) for x in rows[i]]
+        _refill_pair(rng, rows, i, k, lambda v: 1 + _below(bits, MAX_ENTRY))
     return {"problem": _problem(rows)}
 
 
 def _generate_order_preservation(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.6:
-        i, k = rng.sample(range(len(rows)), 2)
-        rows[k] = [x + rng.randint(0, 2) for x in rows[i]]
+        bits = rng.getrandbits
+        i, k = _pair(bits, len(rows))
+        rows[k] = [x + _below(bits, 3) for x in rows[i]]
         for j in _empty_columns(rows):
             # bumping the dominating row keeps the domination intact
-            rows[k][j] += rng.randint(1, 2)
+            rows[k][j] += 1 + _below(bits, 2)
     return {"problem": _problem(rows)}
 
 
 def _generate_non_unilateral_manipulability(rng):
     rows = _random_rows(rng)
-    i = rng.choice([x for x in range(len(rows)) if any(rows[x])])
-    new_row = [x + (rng.randint(0, MAX_ENTRY) if x else 0) for x in rows[i]]
+    bits, fans = rng.getrandbits, [x for x in range(len(rows)) if any(rows[x])]
+    i = fans[_below(bits, len(fans))]
+    new_row = [x + (_below(bits, MAX_ENTRY + 1) if x else 0) for x in rows[i]]
     p = _problem(rows)
     return {"problem": p, "modified": _with_row(p, i, new_row), "artist": p.artists[i]}
 
 
 def _generate_null_artists(rng):
     rows = _random_rows(rng, min_n=2)
-    i = rng.randrange(len(rows))
+    i = _below(rng.getrandbits, len(rows))
     rows[i] = [0] * len(rows[i])
     for j in _empty_columns(rows):
         _bump_column(rng, rows, j, {i})
@@ -553,10 +562,11 @@ def _generate_null_artists(rng):
 def _generate_pairwise_homogeneity(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        i, k = rng.sample(range(len(rows)), 2)
+        bits = rng.getrandbits
+        i, k = _pair(bits, len(rows))
         if not any(rows[i]):
-            rows[i] = [rng.randint(1, MAX_ENTRY) for _ in rows[i]]
-        mult = rng.choice((2, 3))
+            rows[i] = [1 + _below(bits, MAX_ENTRY) for _ in rows[i]]
+        mult = (2, 3)[_below(bits, 2)]
         rows[k] = [mult * x for x in rows[i]]
         _refill_pair(rng, rows, i, k, lambda v: mult * v)
     return {"problem": _problem(rows)}
@@ -564,17 +574,17 @@ def _generate_pairwise_homogeneity(rng):
 
 def _generate_click_fraud_proofness(rng):
     rows = _random_rows(rng)
-    n = len(rows)
-    j = rng.randrange(len(rows[0]))
+    bits, n = rng.getrandbits, len(rows)
+    j = _below(bits, len(rows[0]))
     col = [row[j] for row in rows]
     style = rng.random()
     if style < 0.4:
         new_col = [0] * n
-        new_col[rng.randrange(n)] = rng.randint(1, HEAVY_ENTRY)
+        new_col[_below(bits, n)] = 1 + _below(bits, HEAVY_ENTRY)
     elif style < 0.7:
         new_col = list(reversed(col))
     else:
-        scale = rng.randint(2, 50)
+        scale = 2 + _below(bits, 49)
         new_col = [scale * x for x in col]
     p = _problem(rows)
     return {"problem": p, "modified": _with_column(p, j, new_col), "user": p.users[j]}

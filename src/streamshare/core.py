@@ -140,7 +140,7 @@ def _problem_from_rows(artists: tuple[str, ...], users: tuple[str, ...], rows: M
     ])
     if _SILENT in columns:
         raise SilentUser(users[columns.index(_SILENT)])
-    p = Problem(artists, users, columns)
+    p = tuple.__new__(Problem, (artists, users, columns))  # skips namedtuple's __new__
     p.__dict__["streams"] = rows  # prime the cached dense view
     return p
 
@@ -215,7 +215,7 @@ def remove_artist(p: Problem, artist: str) -> Problem:
     """
     if artist not in p.artists:
         raise UnknownArtist(f"unknown artist {artist!r}")
-    if p.n < 2:
+    if len(p.artists) < 2:
         raise LastArtist("cannot remove the only artist")
     i = p.artists.index(artist)
     columns = []
@@ -227,35 +227,42 @@ def remove_artist(p: Problem, artist: str) -> Problem:
             idx, counts = idx[:k] + idx[k + 1:], counts[:k] + counts[k + 1:]
         columns.append((idx[:k] + tuple([x - 1 for x in idx[k:]]), counts))
     # the remaining columns stay valid, so nothing is rechecked
-    return Problem(p.artists[:i] + p.artists[i + 1:], p.users, tuple(columns))
+    return tuple.__new__(Problem, (p.artists[:i] + p.artists[i + 1:], p.users, tuple(columns)))
 
 
 def remove_user(p: Problem, user: str) -> Problem:
     """Delete one user's column; the result is always a valid problem."""
     if user not in p.users:
         raise UnknownUser(f"unknown user {user!r}")
-    if p.m < 2:
+    if len(p.users) < 2:
         raise LastUser("cannot remove the only user")
-    # the remaining columns are valid as they stand, so nothing is rechecked
-    return _restrict(p, set(p.users) - {user})
+    j = p.users.index(user)  # the other columns stay valid, so nothing is rechecked
+    users, columns = p.users[:j] + p.users[j + 1:], p.columns[:j] + p.columns[j + 1:]
+    return tuple.__new__(Problem, (p.artists, users, columns))
 
 
 def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
     """Split the user set into two disjoint nonempty groups, keeping all artists.
 
-    Column order within each part follows the original problem.
+    Column order within each part follows the original problem. An id that is
+    not a user raises :class:`UnknownUser`, the first such id in part order.
     """
-    first = set(first)
-    second = set(second)
+    parts = list(first), list(second)
+    first, second = map(set, parts)
     if not first or not second:
         raise BadPartition("both parts must be nonempty")
     if first & second:
         raise BadPartition("parts overlap")
-    if first | second != set(p.users):
+    users = set(p.users)
+    if first | second != users:
+        for u in chain(*parts):
+            if u not in users:
+                raise UnknownUser(f"unknown user {u!r}")
         raise BadPartition("parts do not cover the user set")
     return _restrict(p, first), _restrict(p, second)
 
 
 def _restrict(p: Problem, keep: set[str]) -> Problem:
     mask = [u in keep for u in p.users]
-    return Problem(p.artists, tuple(compress(p.users, mask)), tuple(compress(p.columns, mask)))
+    users, columns = tuple(compress(p.users, mask)), tuple(compress(p.columns, mask))
+    return tuple.__new__(Problem, (p.artists, users, columns))

@@ -24,7 +24,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import attrgetter
 
 from .core import Problem
@@ -45,7 +45,8 @@ class IndexVector(namedtuple("IndexVector", "artists nums common")):
     ``nums[i] / common`` exactly, with ``common`` positive; ``values`` gives
     the same scores as ``Fraction``s. The numerators are not reduced, so
     equality, hashing and ``repr`` go by ``artists`` and ``values`` (there is
-    no order), and ``vec[artist]`` is the artist's score, not a field.
+    no order), and ``vec[artist]`` is the artist's score, not a field. The
+    kernels build it by ``tuple.__new__``, skipping namedtuple's Python ``__new__``.
     """
     __slots__ = ()
 
@@ -83,16 +84,16 @@ class IndexVector(namedtuple("IndexVector", "artists nums common")):
 
 def shapley_index(p: Problem) -> IndexVector:
     """Each user's unit subscription split equally among the artists they streamed."""
-    return _equal_split(p, [1] * p.m)
+    return _equal_split(p, repeat(1))
 
 
 def pro_rata_index(p: Problem) -> IndexVector:
     """Raw total stream counts per artist."""
-    totals = [0] * p.n
+    totals = [0] * len(p.artists)
     for idx, counts in p.columns:
         for i, x in zip(idx, counts):
             totals[i] += x
-    return IndexVector(p.artists, tuple(totals), 1)
+    return tuple.__new__(IndexVector, (p.artists, tuple(totals), 1))
 
 
 def user_centric_index(p: Problem) -> IndexVector:
@@ -103,15 +104,15 @@ def user_centric_index(p: Problem) -> IndexVector:
 def active_uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among the artists with at least one fan."""
     active = set(chain.from_iterable(idx for idx, _ in p.columns))
-    m = p.m
-    nums = tuple([m if i in active else 0 for i in range(p.n)])
-    return IndexVector(p.artists, nums, len(active))
+    m = len(p.users)
+    nums = tuple([m if i in active else 0 for i in range(len(p.artists))])
+    return tuple.__new__(IndexVector, (p.artists, nums, len(active)))
 
 
 def uniform_index(p: Problem) -> IndexVector:
     """Revenue split equally among all artists, streamed or not."""
-    n = p.n
-    return IndexVector(p.artists, (p.m,) * n, n)
+    n = len(p.artists)
+    return tuple.__new__(IndexVector, (p.artists, (len(p.users),) * n, n))
 
 
 def user_weighted_index(p: Problem, weights) -> IndexVector:
@@ -127,7 +128,7 @@ def artist_weighted_index(p: Problem, weights) -> IndexVector:
 def _proportional(p: Problem, shares) -> IndexVector:
     """Split user ``j``'s unit among the artists ``idx`` in proportion to the
     positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
-    n = p.n
+    n = len(p.artists)
     groups = {}
     for idx, parts in shares:
         acc = groups.get(d := sum(parts)) or groups.setdefault(d, [0] * n)
@@ -136,9 +137,9 @@ def _proportional(p: Problem, shares) -> IndexVector:
     return _combine(p, n, groups)
 
 
-def _equal_split(p: Problem, numerators: list[int]) -> IndexVector:
-    """Split ``numerators[j]`` equally among the artists user ``j`` streamed."""
-    n = p.n
+def _equal_split(p: Problem, numerators) -> IndexVector:
+    """Split the ``j``-th of ``numerators`` equally among the artists user ``j`` streamed."""
+    n = len(p.artists)
     groups = {}
     for (idx, _), num in zip(p.columns, numerators):
         acc = groups.get(d := len(idx)) or groups.setdefault(d, [0] * n)
@@ -156,14 +157,14 @@ def _combine(p: Problem, n: int, groups: dict[int, list[int]]) -> IndexVector:
     """
     if len(groups) == 1:
         (common, acc), = groups.items()
-        return IndexVector(p.artists, tuple(acc), common)
+        return tuple.__new__(IndexVector, (p.artists, tuple(acc), common))
     common = math.lcm(*groups)
     totals = [0] * n
     for denom, acc in groups.items():
         scale = common // denom
         for i in compress(range(n), acc):
             totals[i] += acc[i] * scale
-    return IndexVector(p.artists, tuple(totals), common)
+    return tuple.__new__(IndexVector, (p.artists, tuple(totals), common))
 
 
 def reward_shares(index: IndexVector, m: int) -> tuple[tuple[int, ...], int]:

@@ -371,10 +371,8 @@ def render_text(doc: dict) -> str:
 
 
 def _text_matrix(d: dict) -> list[str]:
-    lines = ["    artist," + ",".join(d["users"])]
-    for a, row in zip(d["artists"], d["streams"]):
-        lines.append("    " + a + "," + ",".join(str(x) for x in row))
-    return lines
+    return ["    artist," + ",".join(d["users"])] + [
+        "    " + a + "," + ",".join(map(str, row)) for a, row in zip(d["artists"], d["streams"])]
 
 
 def _text_verdict(v: dict) -> str:
@@ -384,16 +382,13 @@ def _text_verdict(v: dict) -> str:
         f"skipped={v['skipped']}, seed={v['seed']})"
     ]
     if "witness" in v:
+        w = v["witness"]
         details = ", ".join(f"{k}={val}" for k, val in sorted(v["details"].items()))
-        lines.append(f"  violation: {details}")
-        lines.append("  witness problem:")
-        lines.extend(_text_matrix(v["witness"]["problem"]))
-        if "modified" in v["witness"]:
-            lines.append("  witness modified problem:")
-            lines.extend(_text_matrix(v["witness"]["modified"]))
-        for key in ("artist", "user", "first_users", "second_users"):
-            if key in v["witness"]:
-                lines.append(f"  witness {key}: {v['witness'][key]}")
+        lines += [f"  violation: {details}", "  witness problem:", *_text_matrix(w["problem"])]
+        if "modified" in w:
+            lines += ["  witness modified problem:", *_text_matrix(w["modified"])]
+        lines += [f"  witness {key}: {w[key]}"
+                  for key in ("artist", "user", "first_users", "second_users") if key in w]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ report different violating groups. For that axiom the verdicts (a violation or
 none) must agree, and the reported group must violate under ``Fraction``
 arithmetic and be exactly the users who stream only inside its
 ``streamed_artists``. A Hypothesis property compares the verdicts on problems
-of up to 10 users, under a rule with negative values too.
+of up to six artists and 10 users, under a rule with negative values too.
 
 The rules are the seven named ones with their seeded weights, the two
 reference weighted kernels with fractional weights, and a rule whose vectors
@@ -64,10 +64,10 @@ from reference_indices import reference_rule, rewards
 
 SEED = 3
 DRAWS = 40
-# ids of every grid and random problem, and of the lower-bound property's ten
-# users, with weights of several denominators
+# ids of every grid and random problem, and of the lower-bound property's six
+# artists and ten users, with weights of several denominators
 FRACTION_WEIGHTS = {ident: F(7 * k % 11 + 1, k % 4 + 2) for k, ident in enumerate(
-    [f"a{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 11)])}
+    [f"a{i}" for i in range(1, 7)] + [f"u{j}" for j in range(1, 11)])}
 # integer weights for the same ids, which the public weighted kernels take by position
 INTEGER_WEIGHTS = {ident: 7 * k % 11 + 1 for k, ident in enumerate(FRACTION_WEIGHTS)}
 
@@ -141,17 +141,17 @@ def test_random_draws_match_reference(axiom):
 
 
 def _signed_shapley(p):
-    """Shapley values less a third of their total at odd artist positions:
-    some are negative, and the total stays positive up to five artists."""
+    """Shapley values less a quarter of their total at odd artist positions:
+    some are negative, and the total stays positive up to seven artists."""
     values = shapley_index(p).values
-    return vector(p.artists, tuple(v - k % 2 * sum(values) / 3 for k, v in enumerate(values)))
+    return vector(p.artists, tuple(v - k % 2 * sum(values) / 4 for k, v in enumerate(values)))
 
 
 PROPERTY_RULES = [*_rules(), IndexRule("signed-shapley", _signed_shapley)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(problems(max_n=4, max_m=10, max_entry=5), st.sampled_from(PROPERTY_RULES))
+@given(problems(max_n=6, max_m=10, max_entry=5), st.sampled_from(PROPERTY_RULES))
 def test_lower_bound_verdicts_match_group_enumeration(p, rule):
     assert_same_as_reference("reasonable_lower_bound", rule, {"problem": p})
 

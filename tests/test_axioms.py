@@ -196,6 +196,11 @@ class TestInstanceShapes:
             check_instance("additivity", SHAPLEY,
                            {"problem": EX1, "first_users": ["a"], "second_users": ["b"]})
 
+    def test_unknown_user_in_a_split_is_named(self):
+        with pytest.raises(ShapeMismatch, match="^invalid user split: unknown user 'zz'$"):
+            check_instance("additivity", SHAPLEY,
+                           {"problem": EX1, "first_users": ["zz"], "second_users": ["a", "b", "c"]})
+
     def test_manipulation_shape_enforced(self):
         base = {"artists": ["1", "2"], "users": ["a"], "streams": [[1], [1]]}
         worse = {"artists": ["1", "2"], "users": ["a"], "streams": [[1], [2]]}

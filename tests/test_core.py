@@ -112,6 +112,16 @@ class TestRemoveUser:
         for row, after in zip(p.streams, reduced.streams):
             assert sum(after) == sum(row) - row[0]
 
+    @given(problems())
+    def test_removal_drops_exactly_that_column(self, p):
+        if p.m < 2:
+            return
+        for j, u in enumerate(p.users):
+            reduced = remove_user(p, u)
+            rows = [row[:j] + row[j + 1:] for row in p.streams]
+            assert reduced == build_problem(p.artists, p.users[:j] + p.users[j + 1:], rows)
+            assert reduced.streams == tuple(rows)
+
 
 class TestSplitByUsers:
     def test_example_1_split(self):
@@ -127,6 +137,15 @@ class TestSplitByUsers:
             split_by_users(p, ["a", "b"], ["b", "c"])
         with pytest.raises(BadPartition):
             split_by_users(p, ["a"], ["b"])
+
+    def test_unknown_user_is_named(self):
+        p = example_1()
+        # the parts cover the user set; only the unknown id is at fault
+        with pytest.raises(UnknownUser, match="^unknown user 'zz'$"):
+            split_by_users(p, ["zz"], list(p.users))
+        # the first unknown id in part order, though the parts miss a user too
+        with pytest.raises(UnknownUser, match="^unknown user 'y'$"):
+            split_by_users(p, ["a", "y"], ["x", "b"])
 
     @given(problems())
     def test_split_then_concatenate_is_identity(self, p):

@@ -104,7 +104,8 @@ def test_export_rows_equal_one_format_per_coalition(n):
         assert game_export_text(p, stance) == expected
 
 
-@pytest.mark.parametrize("n", [8, 12, 16])
+# 20 artists take seconds, so that case runs only under -m slow
+@pytest.mark.parametrize("n", [8, 12, 16, pytest.param(20, marks=pytest.mark.slow)])
 def test_mobius_oracle_equals_shapley_index(n):
     p = random_listening_problem(random.Random(f"mobius|{n}"), n, max_m=300)
     for g in (pessimistic_game(p), optimistic_game(p)):
