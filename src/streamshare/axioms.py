@@ -106,12 +106,7 @@ def _get_problem(instance: dict, key: str = "problem") -> Problem:
         d = instance[key]
         if type(d) is Problem:
             return d
-        artists, users, streams = d["artists"], d["users"], d["streams"]
-        for field, ids in (("artists", artists), ("users", users)):
-            # a string is iterable too, and would be read as one id per character
-            if not isinstance(ids, (list, tuple)):
-                raise TypeError(f"{field!r} must be a list of ids, got {ids!r}")
-        return build_problem(artists, users, streams)
+        return build_problem(d["artists"], d["users"], d["streams"])
     except KeyError as exc:
         raise ShapeMismatch(f"instance is missing {exc}") from None
     except (ProblemError, TypeError) as exc:

@@ -84,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, args) -> None:
-    render = reporting.render_json if args.format == "json" else reporting.render_text
-    _write(render(doc), args)
-
-
 def _write(text: str, args) -> None:
     """Write the report to ``--output`` or stdout; a failed write is a data error."""
     try:
@@ -213,12 +208,14 @@ def _run_audit(args) -> int:
     if args.table or args.independence:
         suite = axioms.reproduce_table if args.table else axioms.independence_suite
         result = suite(trials=args.trials, seed=args.seed)
-        _emit(reporting.suite_document(result), args)
+        report = reporting.suite_json if args.format == "json" else reporting.suite_text
+        _write(report(result), args)
         return EXIT_OK if result.all_match else EXIT_MISMATCH
     axiom_names = list(axioms.AXIOM_IDS) if args.axiom in (None, "all") else [args.axiom]
     rule_names = list(TABLE_RULE_NAMES) if args.index in (None, "all") else [args.index]
     pairs = [(a, name) for a in axiom_names for name in rule_names]
-    _emit(reporting.audit_document(axioms.audit_pairs(pairs, args.trials, args.seed)), args)
+    report = reporting.audit_json if args.format == "json" else reporting.audit_text
+    _write(report(axioms.audit_pairs(pairs, args.trials, args.seed)), args)
     return EXIT_OK
 
 

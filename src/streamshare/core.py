@@ -44,6 +44,10 @@ class DuplicateId(ProblemError):
     pass
 
 
+class BadId(ProblemError):
+    """An id that is not a ``str``, or ids given as one ``str`` or ``bytes``."""
+
+
 class SilentUser(ProblemError):
     """A user whose stream counts sum to zero; the model assumes every user streamed something."""
 
@@ -186,6 +190,9 @@ def build_sparse_problem(artists, users, columns) -> Problem:
 
 
 def _check_ids(artists, users) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    for field, ids in (("artists", artists), ("users", users)):
+        if isinstance(ids, (str, bytes)):  # else read as one id per character
+            raise BadId(f"{field} must be a collection of ids, not {ids!r}")
     artists = tuple(artists)
     users = tuple(users)
     if not artists:
@@ -193,6 +200,9 @@ def _check_ids(artists, users) -> tuple[tuple[str, ...], tuple[str, ...]]:
     if not users:
         raise EmptyUsers("at least one user is required")
     for kind, ids in (("artist", artists), ("user", users)):
+        bad = [x for x in ids if not isinstance(x, str)]
+        if bad:
+            raise BadId(f"{kind} id {bad[0]!r} is not a str")
         if len(set(ids)) != len(ids):
             seen = set()
             repeated = next(x for x in ids if x in seen or seen.add(x))
@@ -247,6 +257,9 @@ def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
     Column order within each part follows the original problem. An id that is
     not a user raises :class:`UnknownUser`, the first such id in part order.
     """
+    for part in (first, second):
+        if isinstance(part, (str, bytes)):  # else read as one user per character
+            raise BadPartition(f"a part must be a collection of users, not {part!r}")
     parts = list(first), list(second)
     first, second = map(set, parts)
     if not first or not second:

@@ -1,4 +1,4 @@
-"""CSV matrix ingestion and report serialization.
+"""CSV matrix ingestion and report writers.
 
 Simple matrix files (ASCII, no quote, carriage return, NUL, empty cell or
 blank line) are read by C-level string passes: mostly-zero ones are scanned
@@ -6,10 +6,11 @@ for their nonzero cells, the others read one ``json.loads`` per row. The rest,
 and whatever those two readers decline, go through ``csv.reader``, which
 gives the same result and every parse error.
 
-Reports carry payouts both as exact fraction strings (authoritative) and as
-fixed six-decimal renderings (ties to even), both built from the index's
-integer numerators, so they are right for any magnitude. Rendering is
-deterministic: the same inputs produce byte-identical output.
+Each report has one writer per format, which reads its records directly: the
+allocation and game reports read the problem, the audit and suite reports the
+axioms' verdicts. Payouts are both exact fraction strings (authoritative) and
+six-decimal renderings (ties to even), built from the index's integer
+numerators, so right for any magnitude. The same inputs give the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import axioms
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
 from .game import STANCES
 from .indices import _ratio, make_rule, reward_shares
@@ -239,7 +239,7 @@ def _dec(num: int, den: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Documents
+# Reports
 
 
 def _sections(p: Problem, rule_names, price: Fraction, seed: int):
@@ -272,39 +272,6 @@ def game_export_text(p: Problem, stance: str) -> str:
     highs = (format(h, f"0{p.n - k}b") for h in range(1 << p.n - k))
     template = "".join(h + (",%d\n" + h).join(lows) + ",%d\n" for h in highs)
     return template % g.worth
-
-
-def verdict_to_dict(v: axioms.Verdict) -> dict:
-    """The verdict's fields, leaving out each one that is ``None``.
-
-    Shallow: ``witness`` and ``details`` are the verdict's own dicts, not
-    copies, so the document is for reading and rendering only.
-    """
-    return {k: val for k, val in v._asdict().items() if val is not None}
-
-
-def audit_document(verdicts) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "audit",
-        "verdicts": [verdict_to_dict(v) for v in verdicts],
-    }
-
-
-def suite_document(result: axioms.SuiteResult) -> dict:
-    """The satisfaction table or the independence suite, one entry per cell."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": result.kind,
-        "trials": result.trials,
-        "seed": result.seed,
-        "all_match": result.all_match,
-        "cells": [{**verdict_to_dict(c), "matches": c.matches} for c in result.cells],
-    }
-
-
-# ---------------------------------------------------------------------------
-# Rendering
 
 
 def render_json(doc: dict) -> str:
@@ -361,42 +328,53 @@ def allocation_text(p: Problem, rule_names, price: Fraction = Fraction(1),
     return "\n".join(lines) + "\n"
 
 
-def render_text(doc: dict) -> str:
-    kind = doc["kind"]
-    if kind == "audit":
-        return "".join(map(_text_verdict, doc["verdicts"]))
-    if kind in ("table", "independence"):
-        return _text_cells(doc)
-    raise ValueError(f"unknown document kind {kind!r}")
+def audit_json(verdicts) -> str:
+    """The audit report of ``axioms.Verdict``s: their fields, in :func:`render_json`."""
+    return render_json({"schema_version": SCHEMA_VERSION, "kind": "audit",
+                        "verdicts": [_fields(v) for v in verdicts]})
 
 
-def _text_matrix(d: dict) -> list[str]:
-    return ["    artist," + ",".join(d["users"])] + [
-        "    " + a + "," + ",".join(map(str, row)) for a, row in zip(d["artists"], d["streams"])]
+def suite_json(result) -> str:
+    """An ``axioms.SuiteResult``, one entry per cell, in :func:`render_json`."""
+    return render_json({"schema_version": SCHEMA_VERSION, "kind": result.kind,
+                        "trials": result.trials, "seed": result.seed,
+                        "all_match": result.all_match,
+                        "cells": [{**_fields(c), "matches": c.matches} for c in result.cells]})
 
 
-def _text_verdict(v: dict) -> str:
-    lines = [
-        f"{v['axiom']} x {v['rule']}: {v['outcome']} "
-        f"(grid={v['grid_cases']}, trials={v['trials']}, "
-        f"skipped={v['skipped']}, seed={v['seed']})"
-    ]
-    if "witness" in v:
-        w = v["witness"]
-        details = ", ".join(f"{k}={val}" for k, val in sorted(v["details"].items()))
-        lines += [f"  violation: {details}", "  witness problem:", *_text_matrix(w["problem"])]
-        if "modified" in w:
-            lines += ["  witness modified problem:", *_text_matrix(w["modified"])]
-        lines += [f"  witness {key}: {w[key]}"
-                  for key in ("artist", "user", "first_users", "second_users") if key in w]
-    return "\n".join(lines) + "\n"
+def _fields(v) -> dict:
+    """The verdict's fields but those that are ``None``; its own dicts, not copies."""
+    return {k: val for k, val in v._asdict().items() if val is not None}
 
 
-def _text_cells(doc: dict) -> str:
-    head = "axiom satisfaction table" if doc["kind"] == "table" else "independence suite"
-    out = f"{head}: trials={doc['trials']} seed={doc['seed']} all_match={doc['all_match']}\n"
-    for c in doc["cells"]:
-        mark = "ok " if c["matches"] else "MISMATCH "
-        label = f"[{c['axiom_set']}] " if "axiom_set" in c else ""
-        out += mark + label + _text_verdict(c)
+def audit_text(verdicts) -> str:
+    """The audit report of ``axioms.Verdict``s as text, one block per verdict."""
+    return "".join(map(_verdict_text, verdicts))
+
+
+def suite_text(result) -> str:
+    """An ``axioms.SuiteResult`` as text: its header, then one block per cell."""
+    head = "axiom satisfaction table" if result.kind == "table" else "independence suite"
+    out = f"{head}: trials={result.trials} seed={result.seed} all_match={result.all_match}\n"
+    for c in result.cells:
+        label = f"[{c.axiom_set}] " if c.axiom_set is not None else ""
+        out += ("ok " if c.matches else "MISMATCH ") + label + _verdict_text(c)
     return out
+
+
+def _verdict_text(v) -> str:
+    """The verdict's counts; for a counterexample, its violation, then each witness
+    entry in the order the axiom built the instance, a problem as a matrix."""
+    lines = [f"{v.axiom} x {v.rule}: {v.outcome} (grid={v.grid_cases}, trials={v.trials}, "
+             f"skipped={v.skipped}, seed={v.seed})"]
+    if v.witness is not None:
+        details = ", ".join(f"{k}={val}" for k, val in sorted(v.details.items()))
+        lines.append(f"  violation: {details}")
+        for key, val in v.witness.items():
+            if isinstance(val, dict):  # a problem, as its header row and one row per artist
+                lines.append(f"  witness {'' if key == 'problem' else key + ' '}problem:")
+                lines += [f"    {a}," + ",".join(map(str, row)) for a, row in
+                          zip(["artist", *val["artists"]], [val["users"], *val["streams"]])]
+            else:
+                lines.append(f"  witness {key}: {val}")
+    return "\n".join(lines) + "\n"

@@ -143,6 +143,8 @@ class TestInstanceShapes:
         ("null_artists", {"problem": {**EX1, "streams": None}}),
         ("null_artists", [{"problem": EX1}]),
         ("additivity", {"problem": EX1, "first_users": None, "second_users": ["b", "c"]}),
+        # a string of users would otherwise be read as one user per character
+        ("additivity", {"problem": EX1, "first_users": "ab", "second_users": "c"}),
         # a string of ids would otherwise be read as one id per character
         ("null_artists", {"problem": {**EX1, "artists": "12"}}),
         ("null_artists", {"problem": {**EX1, "users": "abc"}}),
@@ -156,7 +158,7 @@ class TestInstanceShapes:
         ("click_fraud_proofness",
          {"problem": EX1, "modified": {**EX1, "users": ["a", "b", "d"]}, "user": "a"}),
     ], ids=["problem-list", "artists-int", "streams-none", "instance-list",
-            "first-users-none", "artists-str",
+            "first-users-none", "first-users-str", "artists-str",
             "users-str", "users-bytes", "unknown-artist", "unknown-user",
             "modified-artists", "modified-users"])
     def test_malformed_instance_is_a_shape_mismatch(self, axiom, instance):

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from streamshare import build_problem, remove_artist, remove_user, split_by_users
 from streamshare.core import (
+    BadId,
     BadPartition,
     DimensionMismatch,
     DuplicateId,
@@ -61,6 +62,23 @@ class TestBuildProblem:
             build_problem(["1"], ["a", "a"], [[1, 1]])
         with pytest.raises(DuplicateId, match="duplicate user identifier 'c'"):
             build_problem(["1"], ["a", "c", "b", "c", "a"], [[1] * 5])
+
+    def test_ids_given_as_one_string_are_refused(self):
+        # a str or bytes is iterable, but would be read as one id per character
+        with pytest.raises(BadId, match="^artists must be a collection of ids, not 'ab'$"):
+            build_problem("ab", ["u1"], [[1], [2]])
+        with pytest.raises(BadId, match="^users must be a collection of ids, not b'ab'$"):
+            build_problem(["1"], b"ab", [[1, 1]])
+
+    def test_ids_that_are_not_strings_are_refused(self):
+        with pytest.raises(BadId, match="^user id 3 is not a str$"):
+            build_problem(["1", "2"], ["a", 3], [[1, 0], [0, 1]])
+        with pytest.raises(BadId, match="^artist id None is not a str$"):
+            build_problem([None], ["a"], [[1]])
+
+    def test_other_iterables_of_ids_are_accepted(self):
+        p = build_problem((a for a in "12"), dict.fromkeys("ab"), [[1, 0], [0, 1]])
+        assert p.artists == ("1", "2") and p.users == ("a", "b")
 
 
 class TestRemoveArtist:
@@ -137,6 +155,15 @@ class TestSplitByUsers:
             split_by_users(p, ["a", "b"], ["b", "c"])
         with pytest.raises(BadPartition):
             split_by_users(p, ["a"], ["b"])
+
+    def test_string_part_is_refused(self):
+        # a str would be read as one user per character: "ab" as users a and b
+        p = example_1()
+        with pytest.raises(BadPartition,
+                           match="^a part must be a collection of users, not 'ab'$"):
+            split_by_users(p, "ab", ["c"])
+        with pytest.raises(BadPartition, match="not b'c'$"):
+            split_by_users(p, ["a", "b"], b"c")
 
     def test_unknown_user_is_named(self):
         p = example_1()

@@ -10,8 +10,10 @@ cover was restructured, and reports must stay byte-identical:
 other inputs) and, in text, on the dense one; ``game --seed 7`` under each
 of the three stances on a 6 x 25 input (the dual one in JSON too), and plain
 ``audit`` (every axiom against the three table indices), ``audit --table``
-and ``audit --independence`` with ``--trials 60 --seed 7`` in JSON, and the
-last in text too.
+and ``audit --independence`` with ``--trials 60 --seed 7``, each in JSON and
+in text. The text reports pin a witness's entries in each shape: a modified
+problem with its manipulating artist or user (the plain audit), and a user
+split (the independence suite).
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
 not pin the random instance generators. ``instances.json`` does: for each
@@ -52,7 +54,9 @@ CASES = {  # file name: (argv, exit code)
     "game_dual.json": (["game", "--input", "game.csv", "--stance", "dual",
                         "--format", "json", "--seed", "7"], 0),
     "audit_plain.json": (["audit", "--format", "json", *AUDIT], 0),
+    "audit_plain.txt": (["audit", *AUDIT], 0),
     "audit_table.json": (["audit", "--table", "--format", "json", *AUDIT], 0),
+    "audit_table.txt": (["audit", "--table", *AUDIT], 0),
     "audit_independence.json": (["audit", "--independence", "--format", "json", *AUDIT], 3),
     "audit_independence.txt": (["audit", "--independence", *AUDIT], 3),
 }

@@ -5,20 +5,21 @@ from fractions import Fraction as F
 import pytest
 
 from streamshare import build_problem, make_rule
-from streamshare.axioms import audit
+from streamshare.axioms import Verdict, audit
 from streamshare.core import DuplicateId, NegativeStream, SilentUser
 from streamshare.reporting import (
     MAX_COUNT_DIGITS,
     ParseError,
     allocation_json,
     allocation_text,
-    audit_document,
+    audit_json,
+    audit_text,
     game_export_text,
     game_json,
     parse_matrix,
     render_json,
-    render_text,
-    suite_document,
+    suite_json,
+    suite_text,
 )
 
 from helpers import EXAMPLE_1, example_1, random_problem, serialize_matrix
@@ -256,42 +257,49 @@ class TestRendering:
         text = game_export_text(example_1(), "pessimistic")
         assert text == "00,0\n01,1\n10,2\n11,3\n"
 
-    def test_audit_document_includes_witness(self):
+    def test_audit_report_includes_witness(self):
         v = audit("symmetry_on_fans", make_rule("pro-rata"), trials=20, seed=3)
-        doc = audit_document([v])
-        (entry,) = doc["verdicts"]
+        (entry,) = json.loads(audit_json([v]))["verdicts"]
         assert entry["outcome"] == "counterexample"
         assert "witness" in entry and "details" in entry
-        text = render_text(doc)
+        text = audit_text([v])
         assert "counterexample" in text
         assert "witness problem:" in text
 
-    def test_audit_document_holds_has_no_witness(self):
+    def test_audit_report_holds_has_no_witness(self):
         v = audit("additivity", make_rule("shapley"), trials=20, seed=3)
-        (entry,) = audit_document([v])["verdicts"]
+        (entry,) = json.loads(audit_json([v]))["verdicts"]
         assert "witness" not in entry
 
-    def test_table_document_roundtrips_through_json(self, table_run):
-        doc = suite_document(table_run)
+    def test_table_report_roundtrips_through_json(self, table_run):
+        text = suite_json(table_run)
+        doc = json.loads(text)
         assert doc["all_match"] is True
         assert len(doc["cells"]) == 30
-        assert json.loads(render_json(doc)) == doc
-        assert "all_match=True" in render_text(doc)
+        assert render_json(doc) == text
+        assert "all_match=True" in suite_text(table_run)
 
-    def test_independence_document_flags_mismatches(self, independence_run):
-        doc = suite_document(independence_run)
+    def test_independence_report_flags_mismatches(self, independence_run):
+        doc = json.loads(suite_json(independence_run))
         assert doc["all_match"] is False
-        text = render_text(doc)
+        text = suite_text(independence_run)
         assert "MISMATCH" in text
         mismatched = [c for c in doc["cells"] if not c["matches"]]
         assert {c["axiom"] for c in mismatched} == {"reasonable_lower_bound"}
 
-    def test_text_refuses_an_unknown_kind(self):
-        with pytest.raises(ValueError, match="^unknown document kind 'allocation'$"):
-            render_text({"kind": "allocation"})
-
     def test_text_renders_modified_problem_witnesses(self):
         v = audit("click_fraud_proofness", make_rule("pro-rata"), trials=20, seed=3)
-        text = render_text(audit_document([v]))
+        text = audit_text([v])
         assert "witness modified problem:" in text
         assert "witness user:" in text
+
+    def test_text_prints_witness_entries_in_instance_order(self):
+        problem = {"artists": ["1"], "users": ["a"], "streams": [[2]]}
+        v = Verdict("null_artists", "shapley", "counterexample", 1, 0, 0, 5,
+                    {"note": ["x"], "problem": problem, "other": problem}, {"artist": "1"})
+        assert audit_text([v]) == (
+            "null_artists x shapley: counterexample (grid=0, trials=1, skipped=0, seed=5)\n"
+            "  violation: artist=1\n"
+            "  witness note: ['x']\n"
+            "  witness problem:\n    artist,a\n    1,2\n"
+            "  witness other problem:\n    artist,a\n    1,2\n")

@@ -12,6 +12,7 @@ from streamshare import (
     split_by_users,
 )
 from streamshare.core import (
+    BadId,
     DimensionMismatch,
     DuplicateId,
     EmptyArtists,
@@ -117,6 +118,15 @@ class TestSparseConstructorChecks:
             self.build([([0], [1]), ([1], [1])], artists=("x", "x"))
         with pytest.raises(DuplicateId, match="duplicate user identifier 'a'"):
             self.build([([0], [1]), ([1], [1])], users=("a", "a"))
+
+    def test_id_types_checked(self):
+        columns = [([0], [1]), ([1], [1])]
+        with pytest.raises(BadId, match="^artists must be a collection of ids, not 'xy'$"):
+            self.build(columns, artists="xy")
+        with pytest.raises(BadId, match="^users must be a collection of ids, not b'ab'$"):
+            self.build(columns, users=b"ab")
+        with pytest.raises(BadId, match="^user id 3 is not a str$"):
+            self.build(columns, users=("a", 3))
 
     def test_shape(self):
         with pytest.raises(DimensionMismatch):
