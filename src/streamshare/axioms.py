@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from copy import deepcopy
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, product
 from operator import le
 
@@ -65,21 +65,20 @@ class Verdict(namedtuple("Verdict", "axiom rule outcome trials grid_cases skippe
 
 
 def problem_to_dict(p: Problem) -> dict:
-    return {
-        "artists": list(p.artists),
-        "users": list(p.users),
-        "streams": [list(row) for row in p.streams],
-    }
+    return {"artists": list(p.artists), "users": list(p.users),
+            "streams": [list(row) for row in p.streams]}
 
 
 # ---------------------------------------------------------------------------
 # Single-instance checks
 #
-# A checker returns ``(details, skipped)``: ``details`` describes the
-# violation (``None`` when the axiom holds on the instance) and ``skipped``
-# counts quantified cases whose reduced problem falls outside the model (only
-# relevant to the artist-removal axiom). Each docstring says what a violation
-# means.
+# An axiom checks in two steps. ``prepare(instance)`` does what no rule changes:
+# it builds and validates the problems and derives the split parts, removals,
+# worth table or checked manipulation. ``check(rule, prepared)`` scores that under
+# ``rule``, any callable from a problem to its vector, and returns ``(details,
+# skipped)``: ``details`` is the violation (``None`` when the axiom holds; each
+# docstring says what a violation means), ``skipped`` counts quantified cases
+# whose reduced problem falls outside the model (only the artist-removal axiom).
 #
 # Index values are compared as integers (``IndexVector.nums`` over
 # ``common``) by artist position: values of one vector share its common
@@ -89,16 +88,15 @@ def problem_to_dict(p: Problem) -> dict:
 
 
 def check_instance(axiom: str, rule: IndexRule, instance: dict):
-    """Evaluate one axiom on one instance with exact arithmetic.
+    """Evaluate one axiom on one instance with exact arithmetic: ``check(rule, prepare(instance))``.
 
-    Returns ``(details, skipped)``; ``details`` is ``None`` when the axiom's
-    condition holds on the instance. The ``problem`` (and ``modified``) entry
-    is a dict of ``artists`` and ``users`` (lists of ids) and ``streams``,
-    built and validated here, or a ``Problem`` that is already built
-    (generated instances hold built ones). Malformed data raises
-    :class:`ShapeMismatch`.
+    Returns ``(details, skipped)``, ``details`` being ``None`` when the axiom holds. The
+    ``problem`` (and ``modified``) entry is a dict of ``artists`` and ``users`` (lists of
+    ids) and ``streams``, built and validated here, or a ``Problem`` that is already
+    built (generated instances hold built ones). Malformed data raises :class:`ShapeMismatch`.
     """
-    return _lookup(axiom).check(rule, instance)
+    ax = _lookup(axiom)
+    return ax.check(rule, ax.prepare(instance))
 
 
 def _get_problem(instance: dict, key: str = "problem") -> Problem:
@@ -113,16 +111,26 @@ def _get_problem(instance: dict, key: str = "problem") -> Problem:
         raise ShapeMismatch(f"invalid {key!r}: {exc}") from None
 
 
-def _modified_pair(instance: dict, key: str) -> tuple[Problem, Problem, str]:
-    """The problem, its ``modified`` twin and the manipulating ``key`` ("artist" or "user")."""
+def _modified_pair(instance: dict, key: str) -> tuple[Problem, Problem, str, int]:
+    """The problem, its ``modified`` twin, the manipulating ``key`` ("artist" or "user")
+    and its position. The two may differ only in that artist's row, whose streams may
+    grow but gain or lose no fan, or in that user's column."""
     p = _get_problem(instance)
     q = _get_problem(instance, "modified")
-    ident = instance.get(key)
-    if ident not in (p.artists if key == "artist" else p.users):
+    ident, ids = instance.get(key), p.artists if key == "artist" else p.users
+    if ident not in ids:
         raise ShapeMismatch(f"unknown {key} {ident!r}")
     if p.artists != q.artists or p.users != q.users:
         raise ShapeMismatch("both problems must share artists and users")
-    return p, q, ident
+    k = ids.index(ident)
+    a, b = (p.streams, q.streams) if key == "artist" else (p.columns, q.columns)
+    if a[:k] + a[k + 1:] != b[:k] + b[k + 1:]:
+        part = "row" if key == "artist" else "column"
+        raise ShapeMismatch(f"problems differ outside the manipulating {key}'s {part}")
+    if key == "artist" and any(lo > hi or (lo == 0) != (hi == 0) for lo, hi in zip(a[k], b[k])):
+        raise ShapeMismatch(
+            "modified row must weakly increase streams without changing the fan set")
+    return p, q, ident, k
 
 
 def _same(x: int, dx: int, y: int, dy: int) -> bool:
@@ -130,13 +138,17 @@ def _same(x: int, dx: int, y: int, dy: int) -> bool:
     return x * dy == y * dx
 
 
-def _check_additivity(rule: IndexRule, instance: dict):
-    """Index on the whole problem differs from the sum over the user split."""
+def _prepare_additivity(instance: dict):
     p = _get_problem(instance)
     try:
-        p1, p2 = split_by_users(p, instance["first_users"], instance["second_users"])
+        return (p, *split_by_users(p, instance["first_users"], instance["second_users"]))
     except (KeyError, ProblemError, TypeError) as exc:
         raise ShapeMismatch(f"invalid user split: {exc}") from None
+
+
+def _check_additivity(rule, prepared):
+    """Index on the whole problem differs from the sum over the user split."""
+    p, p1, p2 = prepared
     whole, part1, part2 = rule(p), rule(p1), rule(p2)
     cw, c1, c2 = whole.common, part1.common, part2.common
     c12 = c1 * c2
@@ -147,16 +159,20 @@ def _check_additivity(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
-    """Artists streamed by a user group receive less than the group paid."""
+def _prepare_reasonable_lower_bound(instance: dict):
     p = _get_problem(instance)
+    try:
+        return p, _user_mask_counts(p)  # worth[S]: the users who stream only inside S
+    except TooManyArtists as exc:
+        raise ShapeMismatch(str(exc)) from None
+
+
+def _check_reasonable_lower_bound(rule, prepared):
+    """Artists streamed by a user group receive less than the group paid."""
+    p, worth = prepared
     # payout i is pays[i] / total, so a group's payout sum is below its size
     # exactly when the sum of its pays < size * total
     pays, total = reward_shares(rule(p), len(p.users))
-    try:
-        worth = _user_mask_counts(p)  # worth[S]: the users who stream only inside S
-    except TooManyArtists as exc:
-        raise ShapeMismatch(str(exc)) from None
     # A group that streams S lies among the worth[S] users who stream only
     # inside S. Those stream all of S just when S is closed (dropping any
     # artist of S loses one of them), so only closed S can bind. Worth grows with
@@ -174,23 +190,24 @@ def _check_reasonable_lower_bound(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_equal_global_impact_of_users(rule: IndexRule, instance: dict):
+def _prepare_equal_global_impact_of_users(instance: dict):
+    p = _get_problem(instance)  # then p without each user, if it has two or more
+    return (p, *[remove_user(p, u) for u in p.users]) if len(p.users) > 1 else (p,)
+
+
+def _check_equal_global_impact_of_users(rule, prepared):
     """Removing different users shifts the index total by different amounts."""
-    p = _get_problem(instance)
-    if len(p.users) < 2:
-        return None, 0
-    base, *others = [rule(remove_user(p, u)) for u in p.users]
-    t0, c0 = sum(base.nums), base.common
-    for u, vec in zip(p.users[1:], others):
-        if not _same(sum(vec.nums), vec.common, t0, c0):
-            return {"user": p.users[0], "other_user": u, "total_without_user": _ratio(t0, c0),
-                    "total_without_other": _ratio(sum(vec.nums), vec.common)}, 0
+    p, *reduced = prepared
+    totals = [(sum(vec.nums), vec.common) for vec in map(rule, reduced)]
+    for u, (t, c) in zip(p.users[1:], totals[1:]):
+        if not _same(t, c, *totals[0]):
+            return {"user": p.users[0], "other_user": u, "total_without_user": _ratio(*totals[0]),
+                    "total_without_other": _ratio(t, c)}, 0
     return None, 0
 
 
-def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
+def _check_symmetry_on_fans(rule, p: Problem):
     """Two artists with identical fan sets get different index values."""
-    p = _get_problem(instance)
     fans = [frozenset(compress(p.users, row)) for row in p.streams]
     vec = rule(p)
     nums, c, n = vec.nums, vec.common, len(p.artists)
@@ -203,9 +220,8 @@ def _check_symmetry_on_fans(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_order_preservation(rule: IndexRule, instance: dict):
+def _check_order_preservation(rule, p: Problem):
     """An artist dominated stream-by-stream outranks the dominating artist."""
-    p = _get_problem(instance)
     vec = rule(p)
     nums, rows, n = vec.nums, p.streams, len(p.artists)
     for x in range(n):
@@ -217,17 +233,9 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
+def _check_non_unilateral_manipulability(rule, prepared):
     """Inflating own streams from existing fans raised the artist's index."""
-    p, q, artist = _modified_pair(instance, "artist")
-    i = p.artists.index(artist)
-    if p.streams[:i] + p.streams[i + 1:] != q.streams[:i] + q.streams[i + 1:]:
-        raise ShapeMismatch("problems differ outside the manipulating artist's row")
-    for lo, hi in zip(p.streams[i], q.streams[i]):
-        if lo > hi or (lo == 0) != (hi == 0):
-            raise ShapeMismatch(
-                "modified row must weakly increase streams without changing the fan set"
-            )
+    p, q, artist, i = prepared
     before, after = rule(p), rule(q)
     x, y = before.nums[i], after.nums[i]
     if y * before.common > x * after.common:
@@ -236,22 +244,24 @@ def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
-    """One artist's departure changes the other's index asymmetrically."""
-    p = _get_problem(instance)
-    if len(p.artists) < 2:
-        return None, 0
-    vec = rule(p)
-    reduced = []
-    for a in p.artists:
+def _prepare_equal_impact_of_artists(instance: dict):
+    p = _get_problem(instance)  # then p without each artist, or None where that silences a user
+    prepared = [p]
+    for a in p.artists if len(p.artists) > 1 else ():
         try:
-            reduced.append(rule(remove_artist(p, a)))
+            prepared.append(remove_artist(p, a))
         except SilentUser:
-            reduced.append(None)
+            prepared.append(None)
+    return tuple(prepared)
+
+
+def _check_equal_impact_of_artists(rule, prepared):
+    """One artist's departure changes the other's index asymmetrically."""
+    p, *reduced = prepared
+    vec, reduced = rule(p), [None if r is None else rule(r) for r in reduced]
     v, c, n = vec.nums, vec.common, len(p.artists)
     skipped = 0
-    for x in range(n):
-        ra = reduced[x]
+    for x, ra in enumerate(reduced):  # none for a single artist
         for y in range(x + 1, n):
             rb = reduced[y]
             # removal outside the model (a silenced user): not pass, not fail
@@ -270,9 +280,8 @@ def _check_equal_impact_of_artists(rule: IndexRule, instance: dict):
     return None, skipped
 
 
-def _check_null_artists(rule: IndexRule, instance: dict):
+def _check_null_artists(rule, p: Problem):
     """An artist with zero streams has a nonzero index."""
-    p = _get_problem(instance)
     vec = rule(p)
     for i, (x, row) in enumerate(zip(vec.nums, p.streams)):
         if x and not any(row):
@@ -295,9 +304,8 @@ def _row_ratio(row, other) -> tuple[int, int] | None:
     return ratio  # None when the base row is all zero
 
 
-def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
+def _check_pairwise_homogeneity(rule, p: Problem):
     """A constant per-user stream ratio between two artists is not preserved."""
-    p = _get_problem(instance)
     vec = rule(p)
     nums, c, rows, n = vec.nums, vec.common, p.streams, len(p.artists)
     for x in range(n):
@@ -310,12 +318,9 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
     return None, 0
 
 
-def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
+def _check_click_fraud_proofness(rule, prepared):
     """One user's altered streams moved an artist's payout by more than that user's subscription."""
-    p, q, user = _modified_pair(instance, "user")
-    j = p.users.index(user)
-    if p.columns[:j] + p.columns[j + 1:] != q.columns[:j] + q.columns[j + 1:]:
-        raise ShapeMismatch("problems differ outside the manipulating user's column")
+    p, q, user, _ = prepared
     before, tp = reward_shares(rule(p), len(p.users))
     after, tq = reward_shares(rule(q), len(p.users))
     bound = tp * tq
@@ -338,19 +343,17 @@ def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
 # into its instances.
 #
 # Grid and random instances hold built problems from the start: the 505 base
-# problems are built once per process and shared by every instance expanded
-# from them, and each modified problem is built once per axiom. Only the last
-# axiom's grid is kept, so a suite that runs axiom by axiom builds each grid
-# once and shares it among all its rules. Generated rows, valid by construction,
-# are built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
+# problems are built once per process, each modified one once per axiom (only
+# the last axiom's grid is kept), and generated rows, valid by construction, are
+# built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 #
-# A suite (and a CLI audit of several cells) computes each rule once per base
-# grid problem, though every axiom checks each base problem, some of them once
-# per split, inflation or column change: :func:`audit_pairs` fills up front a
-# table of each rule's vectors on the 505 base problems it holds, keyed by their
-# identity (505 kernel calls even for one cell that needs none), for that call
-# only. Split, reduced, modified and drawn problems go to the kernel, unhashed.
+# An audit prepares each axiom's grid once for all of its rules. It interns each
+# derived problem (a split part, removal or modified problem) by content, in a
+# table that lives for the call and starts with the base problems, and each rule
+# scores the grid through a memo keyed by problem identity. So a rule computes
+# each grid problem once per call (each of the 9 base problems that repeat
+# another in content on its own); drawn problems go straight to its kernel.
 
 
 @lru_cache(maxsize=1)
@@ -378,8 +381,10 @@ def _with_row(p: Problem, i: int, row) -> Problem:
 
 def _with_column(p: Problem, j: int, col) -> Problem:
     """``p`` with column ``j`` of its streams replaced by generated ``col``."""
-    return _problem_from_rows(p.artists, p.users, tuple(
-        [r[:j] + (x,) + r[j + 1:] for r, x in zip(p.streams, col)]))
+    new = (tuple(compress(range(len(col)), col)), tuple(filter(None, col)))
+    if not new[0]:
+        raise SilentUser(p.users[j])
+    return tuple.__new__(Problem, (p.artists, p.users, p.columns[:j] + (new,) + p.columns[j + 1:]))
 
 
 def _single(p: Problem):
@@ -468,8 +473,10 @@ def _random_rows(
     n = min_n + _below(bits, MAX_ARTISTS - min_n + 1)
     m = min_m + _below(bits, MAX_USERS - min_m + 1)
     max_entry = HEAVY_ENTRY if rand() < HEAVY_CHANCE else MAX_ENTRY
-    rows = [[0 if rand() < zero_chance else 1 + _below(bits, max_entry) for _ in range(m)]
-            for _ in range(n)]
+    k = max_entry.bit_length()  # each entry's first draw of _below, made inline
+    rows = [[0 if rand() < zero_chance else
+             1 + (r if (r := bits(k)) < max_entry else _below(bits, max_entry))
+             for _ in range(m)] for _ in range(n)]
     for j in _empty_columns(rows):
         rows[_below(bits, n)][j] = 1 + _below(bits, max_entry)
     return rows
@@ -487,11 +494,8 @@ def _bump_column(rng, rows, j, avoid):
 
 
 def _refill_pair(rng, rows, i, k, partner):
-    """Refill empty columns from rows other than ``i`` and ``k``, if any.
-
-    With only those two rows, row ``i`` gets a fresh entry ``v`` and row
-    ``k`` gets ``partner(v)``.
-    """
+    """Refill empty columns from rows other than ``i`` and ``k``, if any; with only
+    those two rows, row ``i`` gets a fresh entry ``v`` and row ``k`` gets ``partner(v)``."""
     for j in _empty_columns(rows):
         if len(rows) > 2:
             _bump_column(rng, rows, j, {i, k})
@@ -586,10 +590,8 @@ def _generate_click_fraud_proofness(rng):
 
 
 def generate_instance(axiom: str, rng: random.Random) -> dict:
-    """Draw one random instance of the shape the axiom expects, its problems built.
-
-    :func:`instance_to_dict` turns it into plain data.
-    """
+    """Draw one random instance of the shape the axiom expects, its problems built
+    (:func:`instance_to_dict` turns it into plain data)."""
     return _lookup(axiom).generate(rng)
 
 
@@ -597,30 +599,32 @@ def generate_instance(axiom: str, rng: random.Random) -> dict:
 # The axiom registry
 
 
-# One axiom: its single-instance check ``check(rule, instance) -> (details or
-# None, skipped)``, a random-instance generator ``generate(rng) -> instance``,
-# and ``expand(problem)``, the instances it builds from one grid problem.
-Axiom = namedtuple("Axiom", "check generate expand", defaults=(_single,))
+# One axiom: ``check`` and ``prepare`` (see the single-instance checks), a random-instance
+# generator ``generate(rng)``, and ``expand(problem)``, its instances from one grid problem.
+Axiom = namedtuple("Axiom", "check generate prepare expand", defaults=(_get_problem, _single))
 
 
 AXIOMS: dict[str, Axiom] = {
-    "additivity": Axiom(_check_additivity, _generate_additivity, _user_splits),
-    "reasonable_lower_bound": Axiom(_check_reasonable_lower_bound, _plain()),
+    "additivity": Axiom(_check_additivity, _generate_additivity, _prepare_additivity, _user_splits),
+    "reasonable_lower_bound": Axiom(
+        _check_reasonable_lower_bound, _plain(), _prepare_reasonable_lower_bound),
     "equal_global_impact_of_users": Axiom(
-        _check_equal_global_impact_of_users, _plain(min_m=2)),
+        _check_equal_global_impact_of_users, _plain(min_m=2),
+        _prepare_equal_global_impact_of_users),
     "symmetry_on_fans": Axiom(_check_symmetry_on_fans, _generate_symmetry_on_fans),
     "order_preservation": Axiom(_check_order_preservation, _generate_order_preservation),
     "non_unilateral_manipulability": Axiom(
         _check_non_unilateral_manipulability, _generate_non_unilateral_manipulability,
-        _row_inflations),
+        partial(_modified_pair, key="artist"), _row_inflations),
     # dense matrices keep most artist removals inside the model
     "equal_impact_of_artists": Axiom(
-        _check_equal_impact_of_artists, _plain(min_n=2, zero_chance=0.15)),
+        _check_equal_impact_of_artists, _plain(min_n=2, zero_chance=0.15),
+        _prepare_equal_impact_of_artists),
     "null_artists": Axiom(_check_null_artists, _generate_null_artists),
-    "pairwise_homogeneity": Axiom(
-        _check_pairwise_homogeneity, _generate_pairwise_homogeneity),
+    "pairwise_homogeneity": Axiom(_check_pairwise_homogeneity, _generate_pairwise_homogeneity),
     "click_fraud_proofness": Axiom(
-        _check_click_fraud_proofness, _generate_click_fraud_proofness, _column_changes),
+        _check_click_fraud_proofness, _generate_click_fraud_proofness,
+        partial(_modified_pair, key="user"), _column_changes),
 }
 
 AXIOM_IDS = tuple(AXIOMS)
@@ -639,31 +643,14 @@ def _lookup(axiom: str) -> Axiom:
 
 def audit(axiom: str, rule: IndexRule, trials: int = DEFAULT_TRIALS, seed: int = 42) -> Verdict:
     """Search for a counterexample: exhaustive grid first, then seeded trials.
-
     Deterministic in ``seed``; the earliest counterexample in the fixed scan
-    order is the one reported.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    grid = _grid(axiom)
-    rng = random.Random(f"{seed}|{axiom}|{rule.name}")
-    drawn = (generate_instance(axiom, rng) for _ in range(trials))
-    skipped = 0
-    for k, instance in enumerate(chain(grid, drawn), 1):
-        details, sk = check_instance(axiom, rule, instance)
-        skipped += sk
-        if details is not None:
-            grid_cases = min(k, len(grid))
-            return Verdict(axiom, rule.name, "counterexample", k - grid_cases,
-                           grid_cases, skipped, seed, instance_to_dict(instance), details)
-    return Verdict(axiom, rule.name, "holds", trials, len(grid), skipped, seed)
+    order is the one reported."""
+    return audit_pairs([(axiom, rule)], trials, seed)[0]
 
 
 def replay_witness(verdict: Verdict, rule: IndexRule) -> bool:
-    """Re-run the single-instance check on a stored witness.
-
-    True when the recorded violation reproduces exactly.
-    """
+    """Re-run the single-instance check on a stored witness: True when the
+    recorded violation reproduces exactly."""
     if verdict.witness is None:
         return False
     details, _ = check_instance(verdict.axiom, rule, verdict.witness)
@@ -684,35 +671,63 @@ class SuiteResult(namedtuple("SuiteResult", "kind trials seed cells")):
 
 
 def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Verdict]:
-    """The :func:`audit` verdict of each ``(axiom, rule name)`` pair, in order.
-
-    Each rule is made once, before any audit (an unknown rule is named before
-    an unknown axiom), with the call's own table of its vectors on the 505 base
-    grid problems, filled up front (see the grid notes). Each distinct pair is
-    audited once, axiom by axiom so that every axiom's grid is built once.
-    """
-    grid = _grid_problems()  # held, so no base problem's id is reused during the call
-    rules = {name: _memoized(make_rule(name, seed=seed), grid)
-             for name in dict.fromkeys(name for _, name in pairs)}
-    todo = dict.fromkeys(pairs)
-    verdicts = {(a, name): audit(a, rules[name], trials, seed)
-                for axiom in dict.fromkeys(a for a, _ in todo) for a, name in todo if a == axiom}
+    """The :func:`audit` verdict of each ``(axiom, rule)`` pair, in order; a rule is an
+    ``IndexRule`` or a name, made into its rule once before any audit (so an unknown
+    rule is named before an unknown axiom). Each axiom's grid is prepared once for
+    all of its rules (see the grid notes)."""
+    rules = {r: make_rule(r, seed=seed) if type(r) is str else r
+             for r in dict.fromkeys(r for _, r in pairs)}
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    canon, memos, verdicts = {}, {r: _memoized(rule.fn) for r, rule in rules.items()}, {}
+    for p in _grid_problems():  # a derived problem equal to a base one is scored as that one
+        canon.setdefault(p, p)
+    for axiom in dict.fromkeys(a for a, _ in pairs):
+        ax, grid = _lookup(axiom), _grid(axiom)
+        prepared = [(i, _interned(ax.prepare(i), canon)) for i in grid]
+        for r in dict.fromkeys(r for a, r in pairs if a == axiom):
+            rule, memo, skipped = rules[r], memos[r], 0
+            rng = random.Random(f"{seed}|{axiom}|{rule.name}")
+            drawn = ((i, ax.prepare(i)) for i in (ax.generate(rng) for _ in range(trials)))
+            for k, (instance, prep) in enumerate(chain(prepared, drawn), 1):
+                # the grid through the memo, the trials straight to the rule's kernel
+                details, sk = ax.check(memo if k <= len(grid) else rule.fn, prep)
+                skipped += sk
+                if details is not None:
+                    n = min(k, len(grid))
+                    verdicts[axiom, r] = Verdict(axiom, rule.name, "counterexample", k - n, n,
+                                                 skipped, seed, instance_to_dict(instance), details)
+                    break
+            else:
+                verdicts[axiom, r] = Verdict(axiom, rule.name, "holds", trials, len(grid),
+                                             skipped, seed)
     return [verdicts[pair] for pair in pairs]
 
 
-def _memoized(rule: IndexRule, grid) -> IndexRule:
-    """``rule``, its vector on each problem of ``grid`` computed once, up front."""
-    memo, fn = {id(p): rule.fn(p) for p in grid}, rule.fn
-    return rule._replace(fn=lambda p: memo[id(p)] if id(p) in memo else fn(p))
+def _interned(prep, canon: dict):
+    """A grid instance's prepared form ``prep``, each problem derived from the base
+    problem (every one but the first) replaced by its first content-equal twin in ``canon``."""
+    if type(prep) is Problem:
+        return prep
+    return (prep[0], *[canon.setdefault(x, x) if type(x) is Problem else x for x in prep[1:]])
+
+
+def _memoized(fn):
+    """``fn``, keeping each vector by the problem's identity; it holds each problem
+    it computed, whose id thus stays its own. A content-equal twin is computed anew."""
+    memo, held = {}, []
+    def call(p):
+        vec = memo.get(id(p))
+        if vec is None:
+            vec = memo[id(p)] = fn(p)
+            held.append(p)
+        return vec
+    return call
 
 
 def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:
-    """One cell per claim ``(axiom_set, axiom, rule, expected_holds)``, in claim order.
-
-    Each distinct (axiom, rule) pair is audited once by :func:`audit_pairs`,
-    so the suite computes each rule once per base grid problem; that memo
-    lives for this one suite call and holds no other problem.
-    """
+    """One cell per claim ``(axiom_set, axiom, rule, expected_holds)``, in claim order;
+    each distinct (axiom, rule) pair is audited once, by one :func:`audit_pairs` call."""
     verdicts = audit_pairs([(axiom, rule) for _, axiom, rule, _ in claims], trials, seed)
     return SuiteResult(kind, trials, seed, tuple(
         v._replace(expected="holds" if holds else "counterexample", axiom_set=set_name)

@@ -4,8 +4,10 @@ These are the single-instance checkers that ``streamshare.axioms`` replaced
 with integer comparisons over each index vector's common denominator. They
 are kept here verbatim, slow and obviously correct, so tests can require
 :func:`streamshare.axioms.check_instance` to return exactly the same
-``(details, skipped)`` as :func:`check_instance` below. Reading and
-validating an instance (``_get_problem``, ``_modified_pair``) is shared with
+``(details, skipped)`` as :func:`check_instance` below. :func:`audit` is the
+audit loop on top of them, one instance at a time, as an oracle for the
+runner that audits many rules per grid pass. Reading and validating an
+instance (``_get_problem``, ``_modified_pair``) is shared with
 ``streamshare.axioms``; only the comparisons are kept here.
 
 The lower-bound checker here enumerates every user group, so it refuses more
@@ -17,10 +19,19 @@ verdicts with this checker's and replay its witness on its own.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
-from streamshare.axioms import ShapeMismatch, _get_problem, _modified_pair
+from streamshare.axioms import (
+    ShapeMismatch,
+    Verdict,
+    _get_problem,
+    _modified_pair,
+    generate_instance,
+    grid_instances,
+    instance_to_dict,
+)
 from streamshare.core import (
     ProblemError,
     SilentUser,
@@ -40,6 +51,27 @@ SUBSET_ENUMERATION_CAP = 10
 def check_instance(axiom, rule, instance):
     """``(details, skipped)`` of the reference checker for ``axiom``."""
     return CHECKERS[axiom](rule, instance)
+
+
+def audit(axiom, rule, trials, seed):
+    """The verdict of ``streamshare.axioms.audit`` by its definition, one instance at a time.
+
+    The axiom's grid as plain dicts, in scan order, then ``trials`` draws from the
+    cell's own seeded generator, each checked alone by :func:`check_instance` here;
+    the first violation is the counterexample.
+    """
+    grid = grid_instances(axiom)
+    rng = random.Random(f"{seed}|{axiom}|{rule.name}")
+    drawn = (generate_instance(axiom, rng) for _ in range(trials))
+    skipped = 0
+    for k, instance in enumerate(chain(grid, drawn), 1):
+        details, sk = check_instance(axiom, rule, instance)
+        skipped += sk
+        if details is not None:
+            grid_cases = min(k, len(grid))
+            return Verdict(axiom, rule.name, "counterexample", k - grid_cases, grid_cases,
+                           skipped, seed, instance_to_dict(instance), details)
+    return Verdict(axiom, rule.name, "holds", trials, len(grid), skipped, seed)
 
 
 def _check_additivity(rule: IndexRule, instance: dict):
@@ -147,7 +179,7 @@ def _check_order_preservation(rule: IndexRule, instance: dict):
 
 def _check_non_unilateral_manipulability(rule: IndexRule, instance: dict):
     """Inflating own streams from existing fans raised the artist's index."""
-    p, q, artist = _modified_pair(instance, "artist")
+    p, q, artist, _ = _modified_pair(instance, "artist")
     i = p.artists.index(artist)
     for x in range(p.n):
         if x != i and p.streams[x] != q.streams[x]:
@@ -249,7 +281,7 @@ def _check_pairwise_homogeneity(rule: IndexRule, instance: dict):
 
 def _check_click_fraud_proofness(rule: IndexRule, instance: dict):
     """One user's altered streams moved an artist's payout by more than that user's subscription."""
-    p, q, user = _modified_pair(instance, "user")
+    p, q, user, _ = _modified_pair(instance, "user")
     j = p.users.index(user)
     for x in range(p.n):
         row_p = p.streams[x][:j] + p.streams[x][j + 1:]

@@ -44,6 +44,7 @@ from streamshare.axioms import (
     _get_problem,
     _grid,
     _grid_problems,
+    audit,
     check_instance,
     generate_instance,
 )
@@ -55,6 +56,7 @@ from streamshare.indices import (
     ZeroTotalIndex,
     artist_weighted_index,
     make_rule,
+    pro_rata_index,
     shapley_index,
     user_weighted_index,
 )
@@ -255,3 +257,43 @@ def test_vectors_built_from_values_or_numerators_are_equal():
             setattr(p, field, ())
     with pytest.raises(AttributeError):
         Verdict("additivity", "shapley", "holds", 1, 0, 0, 0).outcome = "counterexample"
+
+
+def _reference_cells(result, every):
+    """Every ``every``-th distinct (axiom, rule) cell of ``result``, with its reference audit."""
+    cells = list({(c.axiom, c.rule): c for c in result.cells}.values())[::every]
+    return [(c, ref.audit(c.axiom, make_rule(c.rule, seed=result.seed), result.trials,
+                          result.seed)) for c in cells]
+
+
+def test_suite_cells_equal_reference_audits(table_run, independence_run):
+    """Outcome, position, witness, details and ``skipped`` of a sample of suite
+    cells equal those of the reference audit loop, which shares no code with
+    the runner past the instance generators and the grid."""
+    sample = _reference_cells(table_run, 2) + _reference_cells(independence_run, 2)
+    for cell, want in sample:
+        got = cell._replace(expected=None, axiom_set=None)
+        if cell.axiom == "reasonable_lower_bound" and cell.details is not None:
+            # the reference may name another violating group on the same instance
+            assert got._replace(details=None) == want._replace(details=None)
+            rule = make_rule(cell.rule, seed=cell.seed)
+            assert_lower_bound_witness(rule, cell.witness, cell.details)
+        else:
+            assert got == want
+    assert {c.outcome for c, _ in sample} == {"holds", "counterexample"}
+    assert any(c.axiom == "reasonable_lower_bound" and c.details for c, _ in sample)
+
+
+def _late_mutant(p):
+    """Shapley, except pro-rata once the problem has 4 artists or 4 users: no grid
+    problem is that large, so only the seeded trials can catch it."""
+    return (pro_rata_index if max(len(p.artists), len(p.users)) >= 4 else shapley_index)(p)
+
+
+@pytest.mark.parametrize("axiom", ["additivity", "equal_global_impact_of_users",
+                                   "equal_impact_of_artists", "null_artists"])
+def test_trial_counterexamples_equal_reference_audits(axiom):
+    rule = IndexRule("late-mutant", _late_mutant)
+    got = audit(axiom, rule, trials=60, seed=11)
+    assert got == ref.audit(axiom, rule, 60, 11)
+    assert got.holds == (axiom == "null_artists") and got.trials > 0

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from streamshare import IndexRule, Problem, build_problem, indices, make_rule
+from streamshare import Problem, axioms, build_problem, indices, make_rule
 from streamshare.axioms import (
     AXIOM_IDS,
     INDEPENDENCE_CLAIMS,
@@ -23,7 +23,7 @@ from streamshare.axioms import (
     replay_witness,
     reproduce_table,
 )
-from streamshare.axioms import _grid, _grid_problems, _memoized
+from streamshare.axioms import AXIOMS, _grid, _grid_problems, _interned, _memoized
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -348,13 +348,20 @@ class TestIndependence:
 class TestGrid:
     def test_grid_is_built_once(self):
         bases = {id(p) for p in _grid_problems()}
-        assert len(bases) == 505
+        # 9 base problems repeat another in content (the 2x2 0/1 matrices are also
+        # in the {0, 1, 3} family); each is still its own problem
+        assert len(bases) == 505 and len(set(_grid_problems())) == 496
+        canon = {}
         for axiom in AXIOM_IDS:
             grid = _grid(axiom)
             assert grid is _grid(axiom)
             # every instance shares its base problem; only modified ones are new
             assert {id(i["problem"]) for i in grid} <= bases
             assert all(type(i.get("modified", i["problem"])) is Problem for i in grid)
+            # the grid pass scores each instance's own base problem, not a twin of it
+            for i in grid:
+                prepared = _interned(AXIOMS[axiom].prepare(i), canon)
+                assert (prepared if type(prepared) is Problem else prepared[0]) is i["problem"]
         assert _grid.cache_info().currsize == 1
 
     @pytest.mark.parametrize("axiom", AXIOM_IDS)
@@ -415,19 +422,53 @@ class TestGrid:
             assert len(calls) == rules * len(bases)
             assert set(calls.values()) == {1}
 
-    def test_memo_holds_only_the_base_problems(self):
+    def test_memo_serves_only_the_problem_it_computed(self):
         seen = []
 
         def kernel(p):
             seen.append(p)
             return indices.shapley_index(p)
-        rule = _memoized(IndexRule("shapley", kernel), _grid_problems())
-        assert len(seen) == len(_grid_problems())  # the table is filled up front
-        seen.clear()
+        fn = _memoized(kernel)
+        assert seen == []  # filled as problems come, not up front
         base = _grid_problems()[0]
         twin = build_problem(base.artists, base.users, base.streams)  # equal, not the same
-        assert [rule(p) for p in (base, base, twin, twin)] == [SHAPLEY(base)] * 4
-        assert [p is twin for p in seen] == [True, True]
+        assert [fn(p) for p in (base, base, twin, twin)] == [SHAPLEY(base)] * 4
+        assert [p is base for p in seen] == [True, False] and seen[1] is twin
+
+    def test_memo_holds_every_problem_it_computed(self):
+        # a problem freed while the memo lives could pass its id on to a new one
+        fn = _memoized(indices.shapley_index)
+        rows = [[1, 0], [2, 3]]
+        p = build_problem(["a1", "a2"], ["u1", "u2"], rows)
+        key, vec = id(p), fn(p)
+        del p
+        later = [build_problem(["a1", "a2"], ["u1", "u2"], [[5, 0], [0, 5]]) for _ in range(200)]
+        assert key not in map(id, later)
+        assert [fn(q) for q in later[:3]] == [SHAPLEY(later[0])] * 3 != [vec] * 3
+
+    def test_grid_pass_computes_each_distinct_problem_once(self, monkeypatch):
+        # at seed 42 with 500 trials: 39718 and 50445 kernel calls when each rule
+        # was computed once per base problem only
+        bases = {id(p) for p in _grid_problems()}
+        calls, computed = Counter(), Counter()
+        for kernel, _ in indices.RULES.values():  # make_rule picks up the counting kernels
+            def counted(p, *weights, kernel=kernel, fn=getattr(indices, kernel)):
+                calls[kernel] += 1
+                return fn(p, *weights)
+            monkeypatch.setattr(indices, kernel, counted)
+
+        def memoized(fn, real=_memoized):  # counts what reaches each rule through its memo
+            def through(p):
+                computed[through, id(p) if id(p) in bases else p] += 1
+                return fn(p)
+            return real(through)
+        monkeypatch.setattr(axioms, "_memoized", memoized)
+        for suite, expected in ((reproduce_table, 27807), (independence_suite, 36381)):
+            calls.clear()
+            computed.clear()
+            suite(trials=500, seed=42)
+            assert sum(calls.values()) == expected, suite.__name__
+            assert computed and set(computed.values()) == {1}
 
     def test_suite_cells_follow_the_claims(self, independence_run):
         assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [

@@ -5,14 +5,16 @@ rejection loop ``axioms._below``, in place of a ``random`` method:
 ``seq[_below(getrandbits, len(seq))]`` for ``choice(seq)``, and
 ``axioms._pair(getrandbits, n)`` for ``sample(range(n), 2)``. Each test draws
 the same values as the method it replaces and leaves the generator in the same
-state. On a Python whose ``random`` draws otherwise, these tests fail by name,
+state; so does ``axioms._random_rows``, which makes each entry's first draw
+inline and calls ``_below`` only after a rejection. On a Python whose ``random`` draws otherwise, these tests fail by name,
 ahead of the pinned instance digests."""
 
 import random
 
 import pytest
 
-from streamshare.axioms import HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS, _below, _pair
+from streamshare.axioms import (HEAVY_CHANCE, HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS,
+                                _below, _pair, _random_rows)
 
 # every randint(a, b) of the generators: the shape in _random_rows, with
 # min_n and min_m of 1 or 2 as the generators ask; the entries, light and
@@ -63,4 +65,25 @@ def test_pair_draws_as_sample(n, seed):
     ours, reference = twins(seed)
     assert [_pair(ours.getrandbits, n) for _ in range(DRAWS)] == \
         [tuple(reference.sample(range(n), 2)) for _ in range(DRAWS)]
+    assert ours.getstate() == reference.getstate()
+
+
+def reference_rows(rng, min_n=1, min_m=1, zero_chance=0.35):
+    """``axioms._random_rows`` drawn through the ``random`` methods it replaces."""
+    n, m = rng.randint(min_n, MAX_ARTISTS), rng.randint(min_m, MAX_USERS)
+    max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
+    rows = [[0 if rng.random() < zero_chance else rng.randint(1, max_entry) for _ in range(m)]
+            for _ in range(n)]
+    for j in range(m):
+        if not any(row[j] for row in rows):
+            rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
+    return rows
+
+
+@pytest.mark.parametrize("shape", [{}, {"min_m": 2}, {"min_n": 2, "zero_chance": 0.15}])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_rows_draw_as_randint(shape, seed):
+    ours, reference = twins(seed)
+    assert [_random_rows(ours, **shape) for _ in range(DRAWS)] == \
+        [reference_rows(reference, **shape) for _ in range(DRAWS)]
     assert ours.getstate() == reference.getstate()
