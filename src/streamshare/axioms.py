@@ -21,6 +21,7 @@ from collections import namedtuple
 from copy import deepcopy
 from functools import lru_cache, partial
 from itertools import chain, compress, product
+from math import gcd
 from operator import le
 
 from .core import (Problem, ProblemError, SilentUser, _problem_from_rows, build_problem,
@@ -289,31 +290,19 @@ def _check_null_artists(rule, p: Problem):
     return None, 0
 
 
-def _row_ratio(row, other) -> tuple[int, int] | None:
-    """The positive constant ratio other/row as ``(num, den)``, or None when
-    no such ratio exists."""
-    ratio = None
-    for x, y in zip(row, other):
-        if (x == 0) != (y == 0):
-            return None
-        if x:
-            if ratio is None:
-                ratio = (y, x)
-            elif not _same(y, x, *ratio):
-                return None
-    return ratio  # None when the base row is all zero
-
-
 def _check_pairwise_homogeneity(rule, p: Problem):
     """A constant per-user stream ratio between two artists is not preserved."""
     vec = rule(p)
-    nums, c, rows, n = vec.nums, vec.common, p.streams, len(p.artists)
+    nums, c, n = vec.nums, vec.common, len(p.artists)
+    # rows x and y are proportional, with ratio g[y] / g[x], exactly when both are
+    # nonzero and equal once each is divided by the gcd g of its entries
+    g = [gcd(*row) for row in p.streams]
+    forms = [d and tuple([v // d for v in row]) for row, d in zip(p.streams, g)]
     for x in range(n):
         for y in range(n):
-            ratio = None if x == y else _row_ratio(rows[x], rows[y])
-            if ratio is not None and not _same(nums[y], nums[x], *ratio):
+            if x != y and g[x] and forms[x] == forms[y] and not _same(nums[y], nums[x], g[y], g[x]):
                 return {"artist": p.artists[x], "other_artist": p.artists[y],
-                        "ratio": _ratio(*ratio), "value": _ratio(nums[x], c),
+                        "ratio": _ratio(g[y], g[x]), "value": _ratio(nums[x], c),
                         "other_value": _ratio(nums[y], c)}, 0
     return None, 0
 
@@ -348,12 +337,12 @@ def _check_click_fraud_proofness(rule, prepared):
 # built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 #
-# An audit prepares each axiom's grid once for all of its rules. It interns each
-# derived problem (a split part, removal or modified problem) by content, in a
-# table that lives for the call and starts with the base problems, and each rule
-# scores the grid through a memo keyed by problem identity. So a rule computes
-# each grid problem once per call (each of the 9 base problems that repeat
-# another in content on its own); drawn problems go straight to its kernel.
+# An audit prepares each axiom's grid once for all of its rules. It interns every
+# problem it will score (base problems, split parts, removals and modified
+# problems) by content, as each grid is prepared, in a table that lives for the
+# call, and each rule scores the grid through a memo keyed by problem identity.
+# So a rule computes each distinct grid problem once per call; drawn problems go
+# straight to its kernel.
 
 
 @lru_cache(maxsize=1)
@@ -680,8 +669,6 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
     if trials < 1:
         raise ValueError("trials must be at least 1")
     canon, memos, verdicts = {}, {r: _memoized(rule.fn) for r, rule in rules.items()}, {}
-    for p in _grid_problems():  # a derived problem equal to a base one is scored as that one
-        canon.setdefault(p, p)
     for axiom in dict.fromkeys(a for a, _ in pairs):
         ax, grid = _lookup(axiom), _grid(axiom)
         prepared = [(i, _interned(ax.prepare(i), canon)) for i in grid]
@@ -705,11 +692,11 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
 
 
 def _interned(prep, canon: dict):
-    """A grid instance's prepared form ``prep``, each problem derived from the base
-    problem (every one but the first) replaced by its first content-equal twin in ``canon``."""
+    """A grid instance's prepared form ``prep``, a bare problem or a tuple, each problem
+    in it replaced by the first content-equal problem of the run's table ``canon``."""
     if type(prep) is Problem:
-        return prep
-    return (prep[0], *[canon.setdefault(x, x) if type(x) is Problem else x for x in prep[1:]])
+        return canon.setdefault(prep, prep)
+    return tuple([canon.setdefault(x, x) if type(x) is Problem else x for x in prep])
 
 
 def _memoized(fn):

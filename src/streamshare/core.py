@@ -254,8 +254,9 @@ def remove_user(p: Problem, user: str) -> Problem:
 def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
     """Split the user set into two disjoint nonempty groups, keeping all artists.
 
-    Column order within each part follows the original problem. An id that is
-    not a user raises :class:`UnknownUser`, the first such id in part order.
+    Column order within each part follows the original problem. A user listed
+    twice raises :class:`BadPartition`, and an id that is not a user raises
+    :class:`UnknownUser`, the first such id in part order.
     """
     for part in (first, second):
         if isinstance(part, (str, bytes)):  # else read as one user per character
@@ -266,6 +267,10 @@ def split_by_users(p: Problem, first, second) -> tuple[Problem, Problem]:
         raise BadPartition("both parts must be nonempty")
     if first & second:
         raise BadPartition("parts overlap")
+    for part, kept in zip(parts, (first, second)):
+        if len(kept) < len(part):
+            twice = next(u for u in part if part.count(u) > 1)
+            raise BadPartition(f"user {twice!r} is listed twice")
     users = set(p.users)
     if first | second != users:
         for u in chain(*parts):

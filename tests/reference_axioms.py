@@ -10,6 +10,10 @@ runner that audits many rules per grid pass. Reading and validating an
 instance (``_get_problem``, ``_modified_pair``) is shared with
 ``streamshare.axioms``; only the comparisons are kept here.
 
+The homogeneity checker here scans each pair of rows for one ``Fraction``
+ratio; ``streamshare.axioms`` compares gcd-reduced rows instead, so the two
+are independent formulations of one verdict.
+
 The lower-bound checker here enumerates every user group, so it refuses more
 than ``SUBSET_ENUMERATION_CAP`` users. ``streamshare.axioms`` scans the closed
 artist coalitions of the pessimistic game instead, which reaches the same

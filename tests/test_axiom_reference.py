@@ -19,6 +19,9 @@ none) must agree, and the reported group must violate under ``Fraction``
 arithmetic and be exactly the users who stream only inside its
 ``streamed_artists``. A Hypothesis property compares the verdicts on problems
 of up to six artists and 10 users, under a rule with negative values too.
+Another holds the pairwise-homogeneity checker, which compares gcd-reduced
+rows, to the reference's ratio scan on problems with a planted proportional
+pair of rows ``a * r`` and ``b * r``, for any scales up to 7.
 
 The rules are the seven named ones with their seeded weights, the two
 reference weighted kernels with fractional weights, and a rule whose vectors
@@ -37,6 +40,7 @@ from hypothesis import strategies as st
 
 import reference_axioms as ref
 import reference_indices
+from streamshare import build_problem
 from streamshare.axioms import (
     AXIOM_IDS,
     MAX_ENTRY,
@@ -56,12 +60,12 @@ from streamshare.indices import (
     ZeroTotalIndex,
     artist_weighted_index,
     make_rule,
-    pro_rata_index,
     shapley_index,
     user_weighted_index,
 )
 
 from helpers import problems, random_problem, vector
+from mutants import MUTANTS
 from reference_indices import reference_rule, rewards
 
 SEED = 3
@@ -165,6 +169,32 @@ def test_lower_bound_needs_no_sign_assumption():
     fixed = IndexRule("fixed", lambda p: IndexVector(p.artists, (1, -1, 2), 1))
     instance = {"problem": _problem([[1, 0], [0, 1], [0, 1]])}
     assert assert_same_as_reference("reasonable_lower_bound", fixed, instance) == (None, 0)
+
+
+@st.composite
+def planted_pairs(draw, max_n=5, max_m=6, max_entry=5, max_scale=7):
+    """A random problem whose rows ``i`` and ``k`` are ``a * r`` and ``b * r``: a
+    nonnegative row ``r`` with zeros and scales up to ``max_scale``, coprime or not."""
+    n, m = draw(st.integers(2, max_n)), draw(st.integers(1, max_m))
+    entries = st.lists(st.integers(0, max_entry), min_size=m, max_size=m)
+    rows = [draw(entries) for _ in range(n)]
+    i, k = draw(st.permutations(range(n)))[:2]
+    rows[k] = r = rows[i]
+    for j in range(m):
+        if not any(row[j] for row in rows):  # a silent user: r or another row streams
+            others = [x for x in range(n) if x not in (i, k)]
+            rows[draw(st.sampled_from(others)) if others else i][j] = draw(st.integers(1, max_entry))
+    a, b = draw(st.integers(1, max_scale)), draw(st.integers(1, max_scale))
+    rows[i], rows[k] = [a * x for x in r], [b * x for x in r]
+    return build_problem([f"a{x}" for x in range(1, n + 1)], [f"u{j}" for j in range(1, m + 1)],
+                         rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_pairs(), st.sampled_from(PROPERTY_RULES))
+def test_homogeneity_on_planted_pairs_matches_reference(p, rule):
+    # the generators and the {0, 1, 3} grid plant only the ratios 2, 3 and 1/3
+    assert_same_as_reference("pairwise_homogeneity", rule, {"problem": p})
 
 
 def _problem(streams, artists="abc", users="uvw"):
@@ -284,16 +314,12 @@ def test_suite_cells_equal_reference_audits(table_run, independence_run):
     assert any(c.axiom == "reasonable_lower_bound" and c.details for c, _ in sample)
 
 
-def _late_mutant(p):
-    """Shapley, except pro-rata once the problem has 4 artists or 4 users: no grid
-    problem is that large, so only the seeded trials can catch it."""
-    return (pro_rata_index if max(len(p.artists), len(p.users)) >= 4 else shapley_index)(p)
-
-
 @pytest.mark.parametrize("axiom", ["additivity", "equal_global_impact_of_users",
                                    "equal_impact_of_artists", "null_artists"])
 def test_trial_counterexamples_equal_reference_audits(axiom):
-    rule = IndexRule("late-mutant", _late_mutant)
+    # shapley, except pro-rata from 4 artists or 4 users: beyond the grid, so only
+    # the seeded trials can catch it
+    rule = MUTANTS[0]
     got = audit(axiom, rule, trials=60, seed=11)
     assert got == ref.audit(axiom, rule, 60, 11)
     assert got.holds == (axiom == "null_artists") and got.trials > 0

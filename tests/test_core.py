@@ -156,6 +156,14 @@ class TestSplitByUsers:
         with pytest.raises(BadPartition):
             split_by_users(p, ["a"], ["b"])
 
+    def test_user_listed_twice_is_refused(self):
+        p = example_1()
+        # the parts neither overlap nor miss a user; the repeat is the fault
+        with pytest.raises(BadPartition, match="^user 'a' is listed twice$"):
+            split_by_users(p, ["a", "a"], ["b", "c"])
+        with pytest.raises(BadPartition, match="^user 'c' is listed twice$"):
+            split_by_users(p, ["a"], ["b", "c", "c"])
+
     def test_string_part_is_refused(self):
         # a str would be read as one user per character: "ab" as users a and b
         p = example_1()
