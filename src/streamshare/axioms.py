@@ -337,12 +337,13 @@ def _check_click_fraud_proofness(rule, prepared):
 # built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 #
-# An audit prepares each axiom's grid once for all of its rules. It interns every
-# problem it will score (base problems, split parts, removals and modified
-# problems) by content, as each grid is prepared, in a table that lives for the
-# call, and each rule scores the grid through a memo keyed by problem identity.
-# So a rule computes each distinct grid problem once per call; drawn problems go
-# straight to its kernel.
+# An audit runs each axiom's grid and then ``trials`` draws from one generator, seeded
+# by the seed and the axiom, one instance at a time: it prepares each once and checks it
+# under every rule not yet refuted, so a rule's draws are a fixed prefix of the axiom's
+# stream. Every grid problem it scores (base problems, split parts, removals, modified
+# problems) is interned by content in a table that lives for the call, and each rule
+# scores the grid through a memo keyed by problem identity: a rule computes each
+# distinct grid problem once per call. Drawn problems go straight to its kernel.
 
 
 @lru_cache(maxsize=1)
@@ -662,32 +663,30 @@ class SuiteResult(namedtuple("SuiteResult", "kind trials seed cells")):
 def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Verdict]:
     """The :func:`audit` verdict of each ``(axiom, rule)`` pair, in order; a rule is an
     ``IndexRule`` or a name, made into its rule once before any audit (so an unknown
-    rule is named before an unknown axiom). Each axiom's grid is prepared once for
-    all of its rules (see the grid notes)."""
+    rule is named before an unknown axiom). Each instance of an axiom is prepared once
+    and checked under every rule it has not yet refuted (see the grid notes)."""
     rules = {r: make_rule(r, seed=seed) if type(r) is str else r
              for r in dict.fromkeys(r for _, r in pairs)}
     if trials < 1:
         raise ValueError("trials must be at least 1")
     canon, memos, verdicts = {}, {r: _memoized(rule.fn) for r, rule in rules.items()}, {}
     for axiom in dict.fromkeys(a for a, _ in pairs):
-        ax, grid = _lookup(axiom), _grid(axiom)
-        prepared = [(i, _interned(ax.prepare(i), canon)) for i in grid]
-        for r in dict.fromkeys(r for a, r in pairs if a == axiom):
-            rule, memo, skipped = rules[r], memos[r], 0
-            rng = random.Random(f"{seed}|{axiom}|{rule.name}")
-            drawn = ((i, ax.prepare(i)) for i in (ax.generate(rng) for _ in range(trials)))
-            for k, (instance, prep) in enumerate(chain(prepared, drawn), 1):
-                # the grid through the memo, the trials straight to the rule's kernel
-                details, sk = ax.check(memo if k <= len(grid) else rule.fn, prep)
-                skipped += sk
+        ax, grid, rng = _lookup(axiom), _grid(axiom), random.Random(f"{seed}|{axiom}")
+        live = dict.fromkeys((r for a, r in pairs if a == axiom), 0)  # rule: skipped so far
+        for k, instance in enumerate(chain(grid, (ax.generate(rng) for _ in range(trials))), 1):
+            n = min(k, len(grid))  # k == n on the grid: interned, scored through the memos
+            prep = _interned(ax.prepare(instance), canon) if k == n else ax.prepare(instance)
+            for r in tuple(live):
+                details, sk = ax.check(memos[r] if k == n else rules[r].fn, prep)
+                live[r] += sk
                 if details is not None:
-                    n = min(k, len(grid))
-                    verdicts[axiom, r] = Verdict(axiom, rule.name, "counterexample", k - n, n,
-                                                 skipped, seed, instance_to_dict(instance), details)
-                    break
-            else:
-                verdicts[axiom, r] = Verdict(axiom, rule.name, "holds", trials, len(grid),
-                                             skipped, seed)
+                    verdicts[axiom, r] = Verdict(axiom, rules[r].name, "counterexample", k - n, n,
+                                                 live.pop(r), seed, instance_to_dict(instance),
+                                                 details)
+            if not live:
+                break
+        verdicts.update({(axiom, r): Verdict(axiom, rules[r].name, "holds", trials, len(grid),
+                                             skipped, seed) for r, skipped in live.items()})
     return [verdicts[pair] for pair in pairs]
 
 

@@ -61,11 +61,12 @@ def audit(axiom, rule, trials, seed):
     """The verdict of ``streamshare.axioms.audit`` by its definition, one instance at a time.
 
     The axiom's grid as plain dicts, in scan order, then ``trials`` draws from the
-    cell's own seeded generator, each checked alone by :func:`check_instance` here;
-    the first violation is the counterexample.
+    axiom's generator, ``random.Random(f"{seed}|{axiom}")``, which every rule of the
+    axiom shares, each checked alone by :func:`check_instance` here; the first
+    violation is the counterexample.
     """
     grid = grid_instances(axiom)
-    rng = random.Random(f"{seed}|{axiom}|{rule.name}")
+    rng = random.Random(f"{seed}|{axiom}")
     drawn = (generate_instance(axiom, rng) for _ in range(trials))
     skipped = 0
     for k, instance in enumerate(chain(grid, drawn), 1):

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -44,6 +45,20 @@ def assert_cells_equal_standalone_audits(result):
             rule = make_rule(cell.rule, seed=result.seed)
             standalone[key] = audit(cell.axiom, rule, result.trials, result.seed)
         assert cell._replace(expected=None, axiom_set=None) == standalone[key]
+
+
+def _count_axiom_calls(monkeypatch, *fields):
+    """A counter of the audits' calls of each axiom's ``fields`` ("generate", "prepare"),
+    keyed by ``(field, axiom)``."""
+    calls = Counter()
+    for axiom, ax in AXIOMS.items():
+        def counted(field, axiom=axiom, ax=ax):
+            def call(*args):
+                calls[field, axiom] += 1
+                return getattr(ax, field)(*args)
+            return call
+        monkeypatch.setitem(AXIOMS, axiom, ax._replace(**{f: counted(f) for f in fields}))
+    return calls
 
 
 class TestInstanceChecks:
@@ -486,12 +501,38 @@ class TestGrid:
                 return fn(p)
             return real(through)
         monkeypatch.setattr(axioms, "_memoized", memoized)
-        for suite, expected in ((reproduce_table, 27780), (independence_suite, 36336)):
+        for suite, expected in ((reproduce_table, 27608), (independence_suite, 36219)):
             calls.clear()
             computed.clear()
             suite(trials=500, seed=42)
             assert sum(calls.values()) == expected, suite.__name__
             assert computed and set(computed.values()) == {1}
+
+    def test_each_axiom_draws_its_trials_once_for_all_rules(self, monkeypatch):
+        calls = _count_axiom_calls(monkeypatch, "generate")
+        independence_axioms = set(chain.from_iterable(THEOREM_AXIOM_SETS.values()))
+        for suite, audited, draws in ((reproduce_table, AXIOM_IDS, 5000),
+                                      (independence_suite, independence_axioms, 3500)):
+            calls.clear()
+            suite(trials=500, seed=42)
+            assert calls == {("generate", axiom): 500 for axiom in audited}, suite.__name__
+            assert sum(calls.values()) == draws
+
+    def test_cells_that_hold_share_their_axiom_s_skipped_count(self, table_run,
+                                                               independence_run):
+        for result in (table_run, independence_run):
+            skipped = {}
+            for cell in result.cells:
+                if cell.holds:
+                    skipped.setdefault(cell.axiom, set()).add(cell.skipped)
+            assert all(len(counts) == 1 for counts in skipped.values()), result.kind
+            assert skipped["equal_impact_of_artists"] != {0}
+
+    def test_audit_prepares_up_to_its_only_rule_s_first_counterexample(self, monkeypatch):
+        calls = _count_axiom_calls(monkeypatch, "generate", "prepare")
+        verdict = audit("additivity", make_rule("active-uniform"), trials=500, seed=1)
+        assert verdict.trials == 0 and verdict.grid_cases < len(_grid("additivity"))
+        assert calls == {("prepare", "additivity"): verdict.grid_cases}  # and no draw
 
     def test_suite_cells_follow_the_claims(self, independence_run):
         assert [(c.axiom_set, c.rule, c.axiom) for c in independence_run.cells] == [
