@@ -340,10 +340,10 @@ def _check_click_fraud_proofness(rule, prepared):
 # An audit runs each axiom's grid and then ``trials`` draws from one generator, seeded
 # by the seed and the axiom, one instance at a time: it prepares each once and checks it
 # under every rule not yet refuted, so a rule's draws are a fixed prefix of the axiom's
-# stream. Every grid problem it scores (base problems, split parts, removals, modified
-# problems) is interned by content in a table that lives for the call, and each rule
-# scores the grid through a memo keyed by problem identity: a rule computes each
-# distinct grid problem once per call. Drawn problems go straight to its kernel.
+# stream. Each rule scores the grid through its own ``lru_cache``, keyed by problem
+# content (ids included, which the weighted rules read), so it computes each distinct
+# grid problem (base problems, split parts, removals, modified problems) once per call.
+# Drawn problems go straight to its kernel: kept too, they would raise the peak memory.
 
 
 @lru_cache(maxsize=1)
@@ -663,19 +663,19 @@ class SuiteResult(namedtuple("SuiteResult", "kind trials seed cells")):
 def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Verdict]:
     """The :func:`audit` verdict of each ``(axiom, rule)`` pair, in order; a rule is an
     ``IndexRule`` or a name, made into its rule once before any audit (so an unknown
-    rule is named before an unknown axiom). Each instance of an axiom is prepared once
-    and checked under every rule it has not yet refuted (see the grid notes)."""
+    rule is named before an unknown axiom). Each instance of an axiom is prepared once and
+    checked under every rule not yet refuted, on the grid through its memo (see grid notes)."""
     rules = {r: make_rule(r, seed=seed) if type(r) is str else r
              for r in dict.fromkeys(r for _, r in pairs)}
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    canon, memos, verdicts = {}, {r: _memoized(rule.fn) for r, rule in rules.items()}, {}
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
+    memos, verdicts = {r: lru_cache(None)(rule.fn) for r, rule in rules.items()}, {}
     for axiom in dict.fromkeys(a for a, _ in pairs):
         ax, grid, rng = _lookup(axiom), _grid(axiom), random.Random(f"{seed}|{axiom}")
         live = dict.fromkeys((r for a, r in pairs if a == axiom), 0)  # rule: skipped so far
         for k, instance in enumerate(chain(grid, (ax.generate(rng) for _ in range(trials))), 1):
-            n = min(k, len(grid))  # k == n on the grid: interned, scored through the memos
-            prep = _interned(ax.prepare(instance), canon) if k == n else ax.prepare(instance)
+            n = min(k, len(grid))  # k == n on the grid, scored through the memos
+            prep = ax.prepare(instance)
             for r in tuple(live):
                 details, sk = ax.check(memos[r] if k == n else rules[r].fn, prep)
                 live[r] += sk
@@ -688,27 +688,6 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
         verdicts.update({(axiom, r): Verdict(axiom, rules[r].name, "holds", trials, len(grid),
                                              skipped, seed) for r, skipped in live.items()})
     return [verdicts[pair] for pair in pairs]
-
-
-def _interned(prep, canon: dict):
-    """A grid instance's prepared form ``prep``, a bare problem or a tuple, each problem
-    in it replaced by the first content-equal problem of the run's table ``canon``."""
-    if type(prep) is Problem:
-        return canon.setdefault(prep, prep)
-    return tuple([canon.setdefault(x, x) if type(x) is Problem else x for x in prep])
-
-
-def _memoized(fn):
-    """``fn``, keeping each vector by the problem's identity; it holds each problem
-    it computed, whose id thus stays its own. A content-equal twin is computed anew."""
-    memo, held = {}, []
-    def call(p):
-        vec = memo.get(id(p))
-        if vec is None:
-            vec = memo[id(p)] = fn(p)
-            held.append(p)
-        return vec
-    return call
 
 
 def _run_suite(kind: str, claims, trials: int, seed: int) -> SuiteResult:

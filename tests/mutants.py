@@ -6,9 +6,11 @@ axiom the substitute rule breaks has missed a fault, so the audits' kill table
 (``tests/test_mutants.py``) measures how much a "holds" is worth, and where
 each kill comes from: the exhaustive grid or the seeded trials.
 
-The names are fixed because an audit seeds each rule's trials on its name.
+An audit seeds an axiom's trials on the seed and the axiom alone, so every mutant
+meets the same instances; the names only label the kill table's rows.
 """
 
+from streamshare.axioms import MAX_ENTRY
 from streamshare.indices import IndexRule, pro_rata_index, shapley_index, user_centric_index
 
 
@@ -28,8 +30,21 @@ def _heavy(p):
     return (user_centric_index if heavy else shapley_index)(p)
 
 
+def _pair(p):
+    """Pro-rata once some user streams exactly two artists."""
+    return (pro_rata_index if any(len(idx) == 2 for idx, _ in p.columns) else shapley_index)(p)
+
+
+def _bulky(p):
+    """Pro-rata once a count exceeds ``MAX_ENTRY``: heavy trials and some modified grid problems."""
+    bulky = any(x > MAX_ENTRY for _, counts in p.columns for x in counts)
+    return (pro_rata_index if bulky else shapley_index)(p)
+
+
 MUTANTS = (
     IndexRule("mutant-large", _large),
     IndexRule("mutant-3x3", _three_by_three),
     IndexRule("mutant-heavy", _heavy),
+    IndexRule("mutant-pair", _pair),
+    IndexRule("mutant-bulky", _bulky),
 )

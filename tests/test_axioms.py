@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from streamshare import Problem, axioms, build_problem, indices, make_rule
+from streamshare import Problem, build_problem, indices, make_rule
 from streamshare.axioms import (
     AXIOM_IDS,
     INDEPENDENCE_CLAIMS,
@@ -24,7 +24,7 @@ from streamshare.axioms import (
     replay_witness,
     reproduce_table,
 )
-from streamshare.axioms import AXIOMS, _grid, _grid_problems, _interned, _memoized
+from streamshare.axioms import AXIOMS, _grid, _grid_problems
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -58,6 +58,28 @@ def _count_axiom_calls(monkeypatch, *fields):
                 return getattr(ax, field)(*args)
             return call
         monkeypatch.setitem(AXIOMS, axiom, ax._replace(**{f: counted(f) for f in fields}))
+    return calls
+
+
+def _count_kernel_calls(monkeypatch):
+    """A counter of the audits' kernel calls, keyed by ``(on_grid, kernel, problem)``, the
+    problem by content; ``on_grid`` is False for the problems of a drawn instance. The
+    runner prepares each instance just before scoring it, a drawn one just after drawing it."""
+    calls, drawn, on_grid = Counter(), [None], [False]
+    for axiom, ax in AXIOMS.items():
+        def generate(rng, real=ax.generate):
+            drawn[0] = real(rng)
+            return drawn[0]
+
+        def prepare(instance, real=ax.prepare):
+            on_grid[0] = instance is not drawn[0]
+            return real(instance)
+        monkeypatch.setitem(AXIOMS, axiom, ax._replace(generate=generate, prepare=prepare))
+    for kernel, _ in indices.RULES.values():  # make_rule picks up the counting kernels
+        def counted(p, *weights, kernel=kernel, fn=getattr(indices, kernel)):
+            calls[on_grid[0], kernel, p] += 1
+            return fn(p, *weights)
+        monkeypatch.setattr(indices, kernel, counted)
     return calls
 
 
@@ -269,9 +291,10 @@ class TestAudit:
         b = audit("order_preservation", USER_CENTRIC, trials=40, seed=9)
         assert a == b
 
-    def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            audit("additivity", SHAPLEY, trials=0, seed=1)
+    @pytest.mark.parametrize("trials", [0, True, 2.0, "3", None])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials must be an int of at least 1"):
+            audit("additivity", SHAPLEY, trials=trials, seed=1)
 
     def test_random_instances_are_well_formed(self):
         import random
@@ -373,24 +396,12 @@ class TestGrid:
         # 9 base problems repeat another in content (the 2x2 0/1 matrices are also
         # in the {0, 1, 3} family); each is still its own problem
         assert len(bases) == 505 and len(set(_grid_problems())) == 496
-        canon = {}
         for axiom in AXIOM_IDS:
             grid = _grid(axiom)
             assert grid is _grid(axiom)
             # every instance shares its base problem; only modified ones are new
             assert {id(i["problem"]) for i in grid} <= bases
             assert all(type(i.get("modified", i["problem"])) is Problem for i in grid)
-            # the grid pass scores every problem, the base one included, as the first
-            # content-equal problem of the run, which may have been derived from another
-            for i in grid:
-                prepared = _interned(AXIOMS[axiom].prepare(i), canon)
-                scored = [prepared] if type(prepared) is Problem else prepared
-                base, *derived = [x for x in scored if type(x) is Problem]
-                assert base == i["problem"] and base is canon[base]
-                assert all(x is canon[x] for x in derived)
-        # one problem per content, the 496 base contents among them
-        assert set(_grid_problems()) <= canon.keys()
-        assert all(key is p for key, p in canon.items())
         assert _grid.cache_info().currsize == 1
 
     @pytest.mark.parametrize("axiom", AXIOM_IDS)
@@ -438,75 +449,25 @@ class TestGrid:
 
     def test_suites_compute_each_rule_once_per_base_problem(self, monkeypatch):
         bases = set(_grid_problems())  # by content: the 9 twins count once
-        calls, scoring = Counter(), []  # scoring is nonempty inside a rule's memo
-        for kernel, _ in indices.RULES.values():  # make_rule picks up the counting kernels
-            def counted(p, *weights, kernel=kernel, fn=getattr(indices, kernel)):
-                if scoring and p in bases:  # a drawn problem may equal a base one
-                    calls[kernel, p] += 1
-                return fn(p, *weights)
-            monkeypatch.setattr(indices, kernel, counted)
-
-        def memoized(fn, real=_memoized):
-            def through(p):
-                scoring.append(p)
-                try:
-                    return fn(p)
-                finally:
-                    scoring.pop()
-            return real(through)
-        monkeypatch.setattr(axioms, "_memoized", memoized)
+        calls = _count_kernel_calls(monkeypatch)
         for suite, rules in ((reproduce_table, 3), (independence_suite, 5)):
             calls.clear()
             suite(trials=2, seed=5)
-            assert len(calls) == rules * len(bases)
-            assert set(calls.values()) == {1}
-
-    def test_memo_serves_only_the_problem_it_computed(self):
-        seen = []
-
-        def kernel(p):
-            seen.append(p)
-            return indices.shapley_index(p)
-        fn = _memoized(kernel)
-        assert seen == []  # filled as problems come, not up front
-        base = _grid_problems()[0]
-        twin = build_problem(base.artists, base.users, base.streams)  # equal, not the same
-        assert [fn(p) for p in (base, base, twin, twin)] == [SHAPLEY(base)] * 4
-        assert [p is base for p in seen] == [True, False] and seen[1] is twin
-
-    def test_memo_holds_every_problem_it_computed(self):
-        # a problem freed while the memo lives could pass its id on to a new one
-        fn = _memoized(indices.shapley_index)
-        rows = [[1, 0], [2, 3]]
-        p = build_problem(["a1", "a2"], ["u1", "u2"], rows)
-        key, vec = id(p), fn(p)
-        del p
-        later = [build_problem(["a1", "a2"], ["u1", "u2"], [[5, 0], [0, 5]]) for _ in range(200)]
-        assert key not in map(id, later)
-        assert [fn(q) for q in later[:3]] == [SHAPLEY(later[0])] * 3 != [vec] * 3
+            # a drawn problem may equal a base one; it is left out
+            on_bases = [n for (on_grid, _, p), n in calls.items() if on_grid and p in bases]
+            assert len(on_bases) == rules * len(bases)
+            assert set(on_bases) == {1}
 
     def test_grid_pass_computes_each_distinct_problem_once(self, monkeypatch):
         # at seed 42 with 500 trials; computing the 9 twin base problems apart
         # would add 27 and 45 kernel calls
-        calls, computed = Counter(), Counter()
-        for kernel, _ in indices.RULES.values():  # make_rule picks up the counting kernels
-            def counted(p, *weights, kernel=kernel, fn=getattr(indices, kernel)):
-                calls[kernel] += 1
-                return fn(p, *weights)
-            monkeypatch.setattr(indices, kernel, counted)
-
-        def memoized(fn, real=_memoized):  # counts what reaches each rule through its memo
-            def through(p):
-                computed[through, p] += 1  # by content
-                return fn(p)
-            return real(through)
-        monkeypatch.setattr(axioms, "_memoized", memoized)
+        calls = _count_kernel_calls(monkeypatch)
         for suite, expected in ((reproduce_table, 27608), (independence_suite, 36219)):
             calls.clear()
-            computed.clear()
             suite(trials=500, seed=42)
             assert sum(calls.values()) == expected, suite.__name__
-            assert computed and set(computed.values()) == {1}
+            on_grid = [n for (grid, _, _), n in calls.items() if grid]  # one kernel per rule
+            assert on_grid and set(on_grid) == {1}
 
     def test_each_axiom_draws_its_trials_once_for_all_rules(self, monkeypatch):
         calls = _count_axiom_calls(monkeypatch, "generate")

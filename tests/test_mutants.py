@@ -3,7 +3,7 @@
 One :func:`streamshare.axioms.audit_pairs` call audits every (mutant, axiom)
 pair at seed 42 with 500 trials. The table pins where each counterexample comes
 from: ``("grid", k)`` for the k-th grid instance, ``("trial", k)`` for the k-th
-seeded trial of the axiom's stream, which the three mutants share, or ``None``
+seeded trial of the axiom's stream, which the mutants share, or ``None``
 when the axiom holds. A change to the grid, the generators or the runner that
 loses or moves a kill shows here.
 
@@ -48,6 +48,28 @@ KILLS = {
     ("mutant-heavy", "null_artists"): None,
     ("mutant-heavy", "pairwise_homogeneity"): None,
     ("mutant-heavy", "click_fraud_proofness"): None,
+    # pro-rata once a user streams exactly two artists
+    ("mutant-pair", "additivity"): ("grid", 133),
+    ("mutant-pair", "reasonable_lower_bound"): ("grid", 61),
+    ("mutant-pair", "equal_global_impact_of_users"): ("grid", 9),
+    ("mutant-pair", "symmetry_on_fans"): ("grid", 469),
+    ("mutant-pair", "order_preservation"): None,
+    ("mutant-pair", "non_unilateral_manipulability"): ("grid", 6),
+    ("mutant-pair", "equal_impact_of_artists"): ("grid", 469),
+    ("mutant-pair", "null_artists"): None,
+    ("mutant-pair", "pairwise_homogeneity"): ("trial", 13),
+    ("mutant-pair", "click_fraud_proofness"): ("grid", 86),
+    # pro-rata once a count exceeds MAX_ENTRY: only heavy trials and grid modifications reach it
+    ("mutant-bulky", "additivity"): ("trial", 264),
+    ("mutant-bulky", "reasonable_lower_bound"): ("trial", 68),
+    ("mutant-bulky", "equal_global_impact_of_users"): ("trial", 1),
+    ("mutant-bulky", "symmetry_on_fans"): ("trial", 2),
+    ("mutant-bulky", "order_preservation"): None,
+    ("mutant-bulky", "non_unilateral_manipulability"): ("grid", 1157),
+    ("mutant-bulky", "equal_impact_of_artists"): ("trial", 264),
+    ("mutant-bulky", "null_artists"): None,
+    ("mutant-bulky", "pairwise_homogeneity"): ("grid", 472),
+    ("mutant-bulky", "click_fraud_proofness"): ("grid", 60),
 }
 
 
