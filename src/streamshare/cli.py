@@ -84,13 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, args) -> None:
-    """Write the report to ``--output`` or stdout; a failed write is a data error."""
+def _write(report, args) -> None:
+    """Write a report (:func:`_put`) to ``--output`` or stdout; a failed write is a data error."""
     try:
         if args.output is not None:
-            _replace_file(args.output, text)
+            _replace_file(args.output, report)
         else:
-            print(text, end="", flush=True)  # a failed write raises here, not at exit
+            _put(sys.stdout, report)
+            sys.stdout.flush()  # a failed write raises here, not at exit
     except OSError as exc:
         if args.output is None:  # fd 1 to devnull, so the flush at exit cannot fail too
             with open(os.devnull, "wb") as devnull:
@@ -100,10 +101,22 @@ def _write(text: str, args) -> None:
         raise ValueError(f"cannot write {args.output or 'stdout'}: {exc}") from None
 
 
-def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole, or leave what was there.
+def _put(f, report) -> None:
+    """Write a ``str`` report to the text stream ``f``, and ASCII ``bytes`` chunks to
+    its buffer, or as text to a stream with none (``io.StringIO``)."""
+    if isinstance(report, str):
+        f.write(report)
+    elif hasattr(f, "buffer"):
+        f.flush()  # text written before goes first
+        f.buffer.writelines(report)
+    else:
+        f.write(b"".join(report).decode("ascii"))
 
-    The text goes to a new file beside the file a symlink resolves to, with
+
+def _replace_file(path: Path, report) -> None:
+    """Write ``report`` (see :func:`_put`) to ``path`` whole, or leave what was there.
+
+    The report goes to a new file beside the file a symlink resolves to, with
     the mode a plain write leaves, and is renamed over it. An existing target
     that is not a regular file (``/dev/null``, a FIFO), or whose directory
     refuses the new file, is written directly.
@@ -124,13 +137,14 @@ def _replace_file(path: Path, text: str) -> None:
         except PermissionError:  # the directory refuses new files
             pass
     if fd is None:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            _put(f, report)
         return
     try:
         with open(fd, "w", encoding="utf-8") as f:
             if st is not None:
                 os.fchmod(fd, stat.S_IMODE(st.st_mode))
-            f.write(text)
+            _put(f, report)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -198,9 +212,9 @@ def _parse_price(text: str) -> Fraction:
 
 
 def _run_game(args) -> int:
-    p = _read_problem(args.input)  # either format straight from its template, with no document
-    export = reporting.game_json if args.format == "json" else reporting.game_export_text
-    _write(export(p, args.stance), args)
+    # every data error is raised here, before the first chunk is written
+    chunks = reporting.game_chunks(_read_problem(args.input), args.stance, args.format)
+    _write(chunks, args)
     return EXIT_OK
 
 

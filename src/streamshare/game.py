@@ -15,9 +15,9 @@ from collections import namedtuple
 
 from .core import Problem
 
-# No worth table is built for more artists than this. A text export costs
-# about 100 bytes per coalition (CLI peak RSS, CPython 3.11: 40 MB for the
-# dual game of 18 artists, 110 MB for 20), and each artist more doubles it.
+# No worth table is built for more artists than this. The export is streamed,
+# so the table sets the CLI's peak RSS (its own ru_maxrss, by fork/exec; CPython
+# 3.11, 2000 users, dual game, text or JSON): 20 MB at 18 artists, 30 MB at 20.
 MAX_TABLE_ARTISTS = 20
 
 
@@ -76,9 +76,6 @@ def optimistic_game(p: Problem) -> CoalitionGame:
     return CoalitionGame(p.artists, tuple(_user_mask_counts(p, complement=True)))
 
 
-# Stance name -> game; the builders are looked up per call, so wrappers set on them see it.
-STANCES = {
-    "pessimistic": lambda p: pessimistic_game(p),
-    "optimistic": lambda p: optimistic_game(p),
-    "dual": lambda p: optimistic_game(p),  # = dual_game(pessimistic) in tests/reference_game.py
-}
+# Stance name -> whether its table is the complement (``_user_mask_counts``).
+# The dual stance's is the optimistic one: = dual_game(pessimistic) in tests/reference_game.py.
+STANCES = {"pessimistic": False, "optimistic": True, "dual": True}

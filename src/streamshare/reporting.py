@@ -10,7 +10,8 @@ Each report has one writer per format, which reads its records directly: the
 allocation and game reports read the problem, the audit and suite reports the
 axioms' verdicts. Payouts are both exact fraction strings (authoritative) and
 six-decimal renderings (ties to even), built from the index's integer
-numerators, so right for any magnitude. The same inputs give the same bytes.
+numerators, so right for any magnitude. The game export, in either format,
+is a stream of ASCII ``bytes`` blocks. The same inputs give the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
-from .game import STANCES
+from .game import STANCES, _user_mask_counts
 from .indices import _ratio, make_rule, reward_shares
 
 SCHEMA_VERSION = 1
@@ -255,23 +256,47 @@ def _sections(p: Problem, rule_names, price: Fraction, seed: int):
             for a, x in zip(p.artists, pays)]
 
 
-def game_export_text(p: Problem, stance: str) -> str:
-    """One "bitmask,worth" line per coalition, ascending bitmask order.
+def game_chunks(p: Problem, stance: str, fmt: str = "text"):
+    """The game export in ``fmt`` ("text" or "json") as ASCII ``bytes`` blocks; the
+    table is built, and every data error raised, before this returns.
 
-    Bit k of the mask is the artist at position k, so the mask string's
-    rightmost character is the first artist.
+    A text row is "bitmask,worth", in ascending bitmask order. Bit k of the mask
+    is the artist at position k, so the mask string's rightmost character is the
+    first artist. JSON is :func:`render_json`'s layout of the ``players`` and a
+    string per row.
     """
     if stance not in STANCES:
         raise ValueError(f"unknown stance {stance!r}")
-    g = STANCES[stance](p)  # refuses too many artists before any template is built
-    # A mask string is its n - k high bits joined to its k low bits. The
-    # template holds one block per high half, each mask in it followed by
-    # ",%d\n", and one % fills in every worth: only mask digits reach it.
+    return _game_blocks(p, stance, fmt, _user_mask_counts(p, complement=STANCES[stance]))
+
+
+def _game_blocks(p: Problem, stance: str, fmt: str, worth):
+    """:func:`game_chunks` of the table ``worth``: any head, one block of rows per
+    high half of the mask bits, filled by one ``%`` so that only mask digits are
+    formatted, and the tail in place of the separator after the last row."""
+    sep = tail = b"\n"
+    if fmt == "json":
+        players = _block([*map(_json_str, p.artists)], 2)
+        yield f'{{\n  "kind": "game",\n  "players": {players},\n  "rows": [\n    "'.encode()
+        sep, tail = b'",\n    "', (f'"\n  ],\n  "schema_version": {SCHEMA_VERSION},\n'
+                                    f'  "stance": {_json_str(stance)}\n}}\n').encode()
     k = p.n // 2
-    lows = [format(l, f"0{k}b") for l in range(1 << k)] if k else [""]
-    highs = (format(h, f"0{p.n - k}b") for h in range(1 << p.n - k))
-    template = "".join(h + (",%d\n" + h).join(lows) + ",%d\n" for h in highs)
-    return template % g.worth
+    lows = [format(l, f"0{k}b").encode() for l in range(1 << k)] if k else [b""]
+    size = len(lows)
+    for start in range(0, len(worth), size):
+        high = format(start >> k, f"0{p.n - k}b").encode()
+        rows = (high + (b",%d" + sep + high).join(lows) + b",%d") % tuple(worth[start:start + size])
+        yield rows + (sep if start + size < len(worth) else tail)
+
+
+def game_export_text(p: Problem, stance: str) -> str:
+    """The text game export (:func:`game_chunks`) as one string."""
+    return b"".join(game_chunks(p, stance)).decode("ascii")
+
+
+def game_json(p: Problem, stance: str) -> str:
+    """The JSON game export (:func:`game_chunks`) as one string."""
+    return b"".join(game_chunks(p, stance, "json")).decode("ascii")
 
 
 def render_json(doc: dict) -> str:
@@ -292,27 +317,18 @@ def allocation_json(p: Problem, rule_names, price: Fraction = Fraction(1),
         SCHEMA_VERSION, _block(sections, 2))
 
 
-def game_json(p: Problem, stance: str) -> str:
-    """The game document in :func:`render_json`'s layout: the ``players``, and a
-    string per :func:`game_export_text` line, which holds only digits and ","."""
-    s, rows = _json_str, game_export_text(p, stance)[:-1].replace("\n", '",\n    "')
-    return _GAME % (s("game"), _block([*map(s, p.artists)], 2), _block([f'"{rows}"'], 2),
-                    SCHEMA_VERSION, s(stance))
-
-
 def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
     """JSON texts as ``json.dumps(indent=2)`` lays out an array (or an object) ``indent`` in."""
     inner, end = "\n" + " " * (indent + 2), "\n" + " " * indent + brackets[1]
     return brackets[0] + inner + ("," + inner).join(items) + end if items else brackets
 
 
-# The objects of the two large documents; strings go in by json.dumps's C encoder.
-_ALLOCATION, _PROBLEM, _SECTION, _REWARD, _GAME = (
+# The objects of the allocation report; strings go in by json.dumps's C encoder.
+_ALLOCATION, _PROBLEM, _SECTION, _REWARD = (
     _block([f'"{k}": %s' for k in keys.split()], indent, "{}") + end for keys, indent, end in (
         ("kind price_multiplier problem schema_version sections", 0, "\n"),
         ("artists m n users", 2, ""), ("index reward_total rewards values", 4, ""),
-        ("artist decimal fraction payout", 8, ""),
-        ("kind players rows schema_version stance", 0, "\n")))
+        ("artist decimal fraction payout", 8, "")))
 
 
 def allocation_text(p: Problem, rule_names, price: Fraction = Fraction(1),

@@ -14,9 +14,10 @@ optimistic table, which equals the pessimistic game's dual. The Möbius oracle
 dividends d(S) and gives each member of S the share d(S) / |S|; it reaches
 the table limit of 20 artists, where the n! player orders cannot be walked.
 
-``game_document`` is the game export as a document, which
-``json.dumps(doc, indent=2, sort_keys=True)`` turns into the bytes that
-``streamshare.reporting.game_json`` writes from its template.
+``export_rows`` is the game export's rows as the per-coalition loop writes
+them, one ``format`` per coalition, and ``game_document`` the export as a
+document, which ``json.dumps(doc, indent=2, sort_keys=True)`` turns into the
+bytes that ``streamshare.reporting.game_json`` writes block by block.
 """
 
 import math
@@ -25,7 +26,7 @@ from itertools import permutations, repeat
 
 from streamshare.game import CoalitionGame, TooManyArtists
 from streamshare.indices import IndexVector
-from streamshare.reporting import SCHEMA_VERSION, game_export_text
+from streamshare.reporting import SCHEMA_VERSION
 
 # The permutation oracle walks all n! player orders; 10! is 3.6 million of them.
 MAX_PERMUTATION_ARTISTS = 10
@@ -117,12 +118,21 @@ def shapley_value_mobius(g: CoalitionGame) -> IndexVector:
     return IndexVector(g.players, tuple(totals), common)
 
 
+def export_rows(p, stance: str) -> list[str]:
+    """One "mask,worth" row per coalition S, ascending: S as n binary digits,
+    then the stance's worth of S by the literal definitions above."""
+    counts = user_mask_counts(p)
+    worth = {"pessimistic": counts, "optimistic": optimistic_worth(p),
+             "dual": dual_worth(counts)}[stance]
+    return [f"{s:0{p.n}b},{w}" for s, w in enumerate(worth)]
+
+
 def game_document(p, stance: str) -> dict:
-    """The JSON game export's document: the players and one row per text line."""
+    """The JSON game export's document: the players and one row per coalition."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "game",
         "stance": stance,
         "players": list(p.artists),
-        "rows": game_export_text(p, stance).splitlines(),
+        "rows": export_rows(p, stance),
     }

@@ -68,6 +68,8 @@ from helpers import problems, random_problem, vector
 from mutants import MUTANTS
 from reference_indices import reference_rule, rewards
 
+pytestmark = pytest.mark.oracle
+
 SEED = 3
 DRAWS = 40
 # ids of every grid and random problem, and of the lower-bound property's six

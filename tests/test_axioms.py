@@ -391,6 +391,7 @@ class TestIndependence:
 
 
 class TestGrid:
+    @pytest.mark.oracle
     def test_grid_is_built_once(self):
         bases = {id(p) for p in _grid_problems()}
         # 9 base problems repeat another in content (the 2x2 0/1 matrices are also
@@ -437,9 +438,11 @@ class TestGrid:
         again = audit("additivity", rule, trials=1, seed=1)
         assert again.witness == grid_instances("additivity")[again.grid_cases - 1]
 
+    @pytest.mark.oracle
     def test_suite_cells_equal_standalone_audits(self, independence_run):
         assert_cells_equal_standalone_audits(independence_run)
 
+    @pytest.mark.oracle
     def test_suite_memo_is_scoped_to_one_suite(self):
         # the weighted rules' vectors depend on the seed, so a memo kept from
         # the first suite would change the second suite's weighted cells
@@ -447,6 +450,7 @@ class TestGrid:
         for result in runs:
             assert_cells_equal_standalone_audits(result)
 
+    @pytest.mark.oracle
     def test_suites_compute_each_rule_once_per_base_problem(self, monkeypatch):
         bases = set(_grid_problems())  # by content: the 9 twins count once
         calls = _count_kernel_calls(monkeypatch)
@@ -458,6 +462,7 @@ class TestGrid:
             assert len(on_bases) == rules * len(bases)
             assert set(on_bases) == {1}
 
+    @pytest.mark.oracle
     def test_grid_pass_computes_each_distinct_problem_once(self, monkeypatch):
         # at seed 42 with 500 trials; computing the 9 twin base problems apart
         # would add 27 and 45 kernel calls
@@ -469,6 +474,7 @@ class TestGrid:
             on_grid = [n for (grid, _, _), n in calls.items() if grid]  # one kernel per rule
             assert on_grid and set(on_grid) == {1}
 
+    @pytest.mark.oracle
     def test_each_axiom_draws_its_trials_once_for_all_rules(self, monkeypatch):
         calls = _count_axiom_calls(monkeypatch, "generate")
         independence_axioms = set(chain.from_iterable(THEOREM_AXIOM_SETS.values()))
@@ -479,6 +485,7 @@ class TestGrid:
             assert calls == {("generate", axiom): 500 for axiom in audited}, suite.__name__
             assert sum(calls.values()) == draws
 
+    @pytest.mark.oracle
     def test_cells_that_hold_share_their_axiom_s_skipped_count(self, table_run,
                                                                independence_run):
         for result in (table_run, independence_run):
@@ -489,6 +496,7 @@ class TestGrid:
             assert all(len(counts) == 1 for counts in skipped.values()), result.kind
             assert skipped["equal_impact_of_artists"] != {0}
 
+    @pytest.mark.oracle
     def test_audit_prepares_up_to_its_only_rule_s_first_counterexample(self, monkeypatch):
         calls = _count_axiom_calls(monkeypatch, "generate", "prepare")
         verdict = audit("additivity", make_rule("active-uniform"), trials=500, seed=1)

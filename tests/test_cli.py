@@ -32,6 +32,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment, with the package's source first on ``PYTHONPATH``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_unprivileged(*argv):
     """``(code, out, err)`` of the CLI run in a child, on an argv that ends
     with ``--output PATH``. Run as root, the child drops to uid 65534, to
@@ -44,11 +51,8 @@ def run_unprivileged(*argv):
              "    os.setgid(65534)\n"
              "    os.setuid(65534)\n"
              "sys.exit(main(sys.argv[1:]))\n")
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", child, *argv],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=child_env(), timeout=120)
     return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
@@ -345,6 +349,42 @@ class TestErrorsAndUsage:
         assert proc.returncode == 2, err
         assert err.startswith("streamshare: error: cannot write stdout: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_stdout_write_mid_stream_is_one_data_error(self, tmp_path, fmt):
+        # The dual export of 10 artists (1024 rows) outgrows a 4096-byte file
+        # size limit on stdout after its first blocks; with SIGXFSZ ignored
+        # the write fails with EFBIG.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("artist,u\n" + "".join(f"a{i},1\n" for i in range(10)),
+                        encoding="utf-8")
+        child = ("import resource, signal, sys\n"
+                 "from streamshare.cli import main\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        with open(tmp_path / "stdout", "wb") as out:
+            proc = subprocess.run([sys.executable, "-c", child, "game", "--stance", "dual",
+                                   "--format", fmt, "--input", str(wide)],
+                                  stdout=out, stderr=subprocess.PIPE, env=child_env(),
+                                  timeout=120)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2, err
+        assert err.startswith("streamshare: error: cannot write stdout: ")
+        assert err.endswith("File too large\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_too_many_artists_writes_no_byte(self, tmp_path, fmt):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("artist,u\n" + "".join(f"a{i},1\n" for i in range(21)),
+                        encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "streamshare.cli", "game", "--format", fmt,
+                               "--input", str(wide)], capture_output=True, env=child_env(),
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"streamshare: error: 21 artists exceeds the enumeration cap 20\n"
 
     def test_usage_errors(self, matrix, capsys):
         assert run(capsys, "allocate")[0] == 1  # --input is required

@@ -5,6 +5,7 @@ lone surrogate gets one too."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from streamshare.indices import (
 )
 
 from helpers import problems
+
+pytestmark = pytest.mark.oracle
 
 KERNELS = (("user-weighted", "user", user_weighted_index),
            ("artist-weighted", "artist", artist_weighted_index))

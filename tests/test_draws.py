@@ -16,6 +16,8 @@ import pytest
 from streamshare.axioms import (HEAVY_CHANCE, HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS,
                                 _below, _pair, _random_rows)
 
+pytestmark = pytest.mark.oracle
+
 # every randint(a, b) of the generators: the shape in _random_rows, with
 # min_n and min_m of 1 or 2 as the generators ask; the entries, light and
 # heavy; and the bumps, increments (from 0 too) and scales of the

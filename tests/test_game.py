@@ -85,6 +85,7 @@ class TestGameConstruction:
                 build(p)
 
 
+@pytest.mark.oracle
 class TestDuality:
     def test_example_1_dual_equals_optimistic(self):
         p = example_1()
@@ -109,6 +110,7 @@ class TestDuality:
             assert dual_game(pessimistic_game(p)).worth == optimistic_game(p).worth
 
 
+@pytest.mark.oracle
 class TestBruteForceShapley:
     def test_example_1_matches_closed_form(self):
         p = example_1()

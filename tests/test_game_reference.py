@@ -2,30 +2,43 @@
 tables read big-endian off its complement, equal the per-bit reference and
 the literal definitions exactly, at every size and at each boundary of the
 packed field width, and the export text equals one ``format`` per
-coalition. Both byte-order branches of the packing run on any host.
+coalition. Both byte-order branches of the packing run on any host. What the
+CLI streams, to stdout and to an ``--output`` file, in text and in JSON, is
+the per-coalition loop's bytes, written one block per high half of the mask.
 
 The closed-form Shapley index equals the Möbius oracle on both games up to
 16 artists, and the Möbius oracle equals the permutation oracle wherever
 that one runs."""
 
+import contextlib
+import io
+import json
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamshare import build_sparse_problem, game, optimistic_game, pessimistic_game
+from streamshare import build_problem, build_sparse_problem, game, optimistic_game, pessimistic_game
+from streamshare.cli import main
+from streamshare.game import STANCES
 from streamshare.indices import shapley_index
-from streamshare.reporting import game_export_text
+from streamshare.reporting import game_chunks, game_export_text
 
 from reference_game import (
     dual_game,
     dual_worth,
+    export_rows,
+    game_document,
     harsanyi_dividends,
     optimistic_worth,
     shapley_value_brute_force,
     shapley_value_mobius,
     user_mask_counts,
 )
+
+pytestmark = pytest.mark.oracle
 
 
 def random_listening_problem(rng, n, max_m=40):
@@ -96,12 +109,39 @@ def test_export_rows_equal_one_format_per_coalition(n):
     # Odd and even n split the mask into unequal and equal halves; at n = 1
     # the low half is empty.
     p = random_listening_problem(random.Random(f"rows|{n}"), n)
-    counts = user_mask_counts(p)
-    tables = {"pessimistic": counts, "optimistic": optimistic_worth(p),
-              "dual": dual_worth(counts)}
-    for stance, worth in tables.items():
-        expected = "".join(f"{s:0{n}b},{w}\n" for s, w in enumerate(worth))
-        assert game_export_text(p, stance) == expected
+    for stance in STANCES:
+        assert game_export_text(p, stance) == "".join(row + "\n" for row in export_rows(p, stance))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_streamed_export_equals_per_coalition_loop(tmp_path_factory, n, data):
+    # n = 1 leaves the low half of the mask empty; odd n splits it unevenly.
+    sets = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1,
+                              max_size=12))
+    streams = [[data.draw(st.integers(1, 9)) if i in s else 0 for s in sets] for i in range(n)]
+    p = build_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(len(sets))], streams)
+    folder = tmp_path_factory.mktemp("export")
+    source, dest = folder / "in.csv", folder / "out"
+    rows = [["artist", *p.users], *([a, *r] for a, r in zip(p.artists, streams))]
+    source.write_text("".join(",".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    for stance in STANCES:
+        text = "".join(row + "\n" for row in export_rows(p, stance))
+        document = json.dumps(game_document(p, stance), indent=2, sort_keys=True) + "\n"
+        for fmt, expected in (("text", text), ("json", document)):
+            argv = ["game", "--input", str(source), "--stance", stance, "--format", fmt]
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv) == 0
+            stdout.flush()
+            assert stdout.buffer.getvalue() == expected.encode()
+            assert main([*argv, "--output", str(dest)]) == 0
+            assert dest.read_bytes() == expected.encode()
+        # one chunk per high half of the mask bits, none holding the whole table
+        chunks = list(game_chunks(p, stance))
+        assert len(chunks) == 1 << n - n // 2
+        assert all(chunk.count(b"\n") == 1 << n // 2 for chunk in chunks)
 
 
 # 20 artists take seconds, so that case runs only under -m slow

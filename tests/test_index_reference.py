@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,9 @@ from streamshare.reporting import allocation_json
 
 from helpers import payouts, problems, random_problem
 from reference_indices import reference_rule, user_centric_index
+
+pytestmark = pytest.mark.oracle
+
 
 def assert_fractions(got, want):
     assert got == want

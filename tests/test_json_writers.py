@@ -1,5 +1,6 @@
-"""The allocation report and the game export are written from fixed templates
-(``reporting.allocation_json`` and ``reporting.game_json``). They must give the
+"""The allocation report is written from fixed templates
+(``reporting.allocation_json``), the game export from a fixed head and tail
+around its row blocks (``reporting.game_json``). They must give the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which
 stays their oracle: the documents are ``reference_indices.allocation_document``
 and ``reference_game.game_document``. The text allocation report
@@ -11,6 +12,7 @@ characters, astral ones included."""
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,8 @@ from streamshare.reporting import allocation_json, allocation_text, game_json, r
 from helpers import problems
 from reference_game import game_document
 from reference_indices import allocation_document, text_allocation
+
+pytestmark = pytest.mark.oracle
 
 SPECIAL = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "/", "é", " ", "\U0001f600"]
 ids = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()), min_size=1, max_size=6)

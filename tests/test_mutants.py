@@ -11,8 +11,12 @@ Shapley fails pairwise homogeneity itself, so that column's grid kills are
 Shapley's own (on the {0, 1, 3} grid), not the planted fault's.
 """
 
+import pytest
+
 from mutants import MUTANTS
 from streamshare.axioms import AXIOM_IDS, audit_pairs
+
+pytestmark = pytest.mark.oracle
 
 KILLS = {
     # pro-rata from 4 artists or 4 users: beyond the grid, so only trials kill it

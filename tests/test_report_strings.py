@@ -6,6 +6,7 @@ reward and of the reward times the price."""
 import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from streamshare.indices import ALL_RULE_NAMES, _ratio, make_rule
 from streamshare.reporting import _dec, allocation_json
 
 from helpers import problems
+
+pytestmark = pytest.mark.oracle
 
 numerators = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**330, 10**330))
 denominators = st.one_of(st.integers(1, 10**6), st.integers(10**299, 10**330))

@@ -31,6 +31,8 @@ from streamshare.reporting import (
     parse_matrix,
 )
 
+pytestmark = pytest.mark.oracle
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LIMIT = csv.field_size_limit()
 ODD_CELLS = [" 0", "00", "0010", "", "-0", "-3", "+1", "1_000", "٣", " 7 ", '"5"', '"0"',

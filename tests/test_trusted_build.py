@@ -12,6 +12,8 @@ from streamshare import build_problem
 from streamshare.axioms import AXIOM_IDS, _grid, generate_instance
 from streamshare.core import Problem, SilentUser, _problem_from_rows
 
+pytestmark = pytest.mark.oracle
+
 DRAWS = 200
 
 
