@@ -7,14 +7,14 @@ returned in their canonical un-normalized form. The payout rule, the factor
 axiom checks pay through it, and print exact numbers through :func:`_ratio`.
 
 Every index is a sum over users of an integer numerator per artist divided
-by a per-user denominator: the listening-set size (shapley, user-weighted),
-the stream total (user-centric) or the weight sum (artist-weighted). The
-kernels walk the sparse columns ``Problem.columns`` once, user by user, so
-they cost O(nnz); they add the integer numerators of users that share a
-denominator, and return the per-artist numerators over the lcm of the
-distinct denominators (:class:`IndexVector`), building no ``Fraction``.
-Nothing goes through floats, which would break the exact equalities the
-axiom checks rely on.
+by a per-user denominator d: the listening-set size (shapley, user-weighted),
+the stream total (user-centric) or the weight sum (artist-weighted). A kernel
+takes ``common``, the lcm of the distinct d, then walks the sparse columns
+``Problem.columns`` once and adds each nonzero's numerator times
+``common // d`` into one per-artist list (:class:`IndexVector`), building no
+``Fraction``: O(nnz) steps, each a product and a sum on integers as large as
+``common``. Nothing goes through floats, which would break the exact
+equalities the axiom checks rely on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .core import Problem
@@ -128,42 +128,24 @@ def artist_weighted_index(p: Problem, weights) -> IndexVector:
 def _proportional(p: Problem, shares) -> IndexVector:
     """Split user ``j``'s unit among the artists ``idx`` in proportion to the
     positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
-    n = len(p.artists)
-    groups = {}
-    for idx, parts in shares:
-        acc = groups.get(d := sum(parts)) or groups.setdefault(d, [0] * n)
+    shares = [(idx, parts, sum(parts)) for idx, parts in shares]
+    common = math.lcm(*{d for _, _, d in shares})
+    totals = [0] * len(p.artists)
+    for idx, parts, d in shares:
+        scale = common // d
         for i, x in zip(idx, parts):
-            acc[i] += x
-    return _combine(p, n, groups)
+            totals[i] += x * scale
+    return tuple.__new__(IndexVector, (p.artists, tuple(totals), common))
 
 
 def _equal_split(p: Problem, numerators) -> IndexVector:
     """Split the ``j``-th of ``numerators`` equally among the artists user ``j`` streamed."""
-    n = len(p.artists)
-    groups = {}
+    common = math.lcm(*{len(idx) for idx, _ in p.columns})
+    totals = [0] * len(p.artists)
     for (idx, _), num in zip(p.columns, numerators):
-        acc = groups.get(d := len(idx)) or groups.setdefault(d, [0] * n)
+        share = num * (common // len(idx))
         for i in idx:
-            acc[i] += num
-    return _combine(p, n, groups)
-
-
-def _combine(p: Problem, n: int, groups: dict[int, list[int]]) -> IndexVector:
-    """Sum ``groups[d][i] / d`` over ``d`` for each of the ``n`` artists, exactly.
-
-    The numerators are brought over the lcm of the denominators, which
-    becomes the vector's ``common``, so no ``Fraction`` is built. With one
-    denominator, it is the ``common`` and nothing is scaled.
-    """
-    if len(groups) == 1:
-        (common, acc), = groups.items()
-        return tuple.__new__(IndexVector, (p.artists, tuple(acc), common))
-    common = math.lcm(*groups)
-    totals = [0] * n
-    for denom, acc in groups.items():
-        scale = common // denom
-        for i in compress(range(n), acc):
-            totals[i] += acc[i] * scale
+            totals[i] += share
     return tuple.__new__(IndexVector, (p.artists, tuple(totals), common))
 
 
@@ -235,7 +217,7 @@ def _weights(seed: int, kind: str, ids: tuple[str, ...]) -> tuple[int, ...]:
     return tuple([default_weight(seed, kind, i) for i in ids])
 
 
-def make_rule(name: str, seed: int = 0) -> IndexRule:
+def make_rule(name: str, seed: int = 42) -> IndexRule:
     """Build a named rule; the weighted ones use the seeded :func:`default_weight`s."""
     try:
         kernel, kind = RULES[name]

@@ -267,6 +267,8 @@ def game_chunks(p: Problem, stance: str, fmt: str = "text"):
     """
     if stance not in STANCES:
         raise ValueError(f"unknown stance {stance!r}")
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     return _game_blocks(p, stance, fmt, _user_mask_counts(p, complement=STANCES[stance]))
 
 

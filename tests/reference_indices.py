@@ -9,15 +9,25 @@ formulas, which the integer sums over one common denominator replaced, and the
 allocation report's strings keep theirs: ``str`` of a ``Fraction`` and
 :func:`decimal`, which the integer ``indices._ratio`` and ``reporting._dec`` replaced.
 
+The per-denominator kernels :func:`_proportional`, :func:`_equal_split` and
+:func:`_combine` are kept as they were, type hints aside, with
+:func:`grouped_rule` to call them as the split rules do, as the integer-identity
+oracle of the one-pass kernels that replaced them: the same ``nums`` over the
+same ``common``, not only equal values.
+
 The allocation report's document (:func:`allocation_document`) and its text
 rendering (:func:`text_allocation`) are kept too, as the oracles of the writers
 ``reporting.allocation_json`` and ``reporting.allocation_text``, which replaced
 them by writing the report straight from the problem.
 """
 
+import math
 from fractions import Fraction
+from itertools import compress, repeat
 
-from streamshare.indices import ZeroTotalIndex, _ratio, default_weight, make_rule, reward_shares
+from streamshare.indices import (
+    IndexVector, ZeroTotalIndex, _ratio, default_weight, make_rule, reward_shares,
+)
 from streamshare.reporting import SCHEMA_VERSION, _dec
 
 from helpers import vector
@@ -116,7 +126,7 @@ def artist_weighted_index(p, weights):
     return vector(p.artists, tuple(acc[a] for a in p.artists))
 
 
-def reference_rule(name, seed=0, weights=None):
+def reference_rule(name, seed=42, weights=None):
     """The reference counterpart of ``make_rule(name, seed, weights)``."""
     plain = {
         "shapley": shapley_index,
@@ -133,6 +143,65 @@ def reference_rule(name, seed=0, weights=None):
     if name == "artist-weighted":
         return lambda p: artist_weighted_index(
             p, weights or {a: default_weight(seed, "artist", a) for a in p.artists})
+    raise KeyError(name)
+
+
+def _proportional(p, shares):
+    """Split user ``j``'s unit among the artists ``idx`` in proportion to the
+    positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
+    n = len(p.artists)
+    groups = {}
+    for idx, parts in shares:
+        acc = groups.get(d := sum(parts)) or groups.setdefault(d, [0] * n)
+        for i, x in zip(idx, parts):
+            acc[i] += x
+    return _combine(p, n, groups)
+
+
+def _equal_split(p, numerators):
+    """Split the ``j``-th of ``numerators`` equally among the artists user ``j`` streamed."""
+    n = len(p.artists)
+    groups = {}
+    for (idx, _), num in zip(p.columns, numerators):
+        acc = groups.get(d := len(idx)) or groups.setdefault(d, [0] * n)
+        for i in idx:
+            acc[i] += num
+    return _combine(p, n, groups)
+
+
+def _combine(p, n, groups):
+    """Sum ``groups[d][i] / d`` over ``d`` for each of the ``n`` artists, exactly.
+
+    The numerators are brought over the lcm of the denominators, which
+    becomes the vector's ``common``, so no ``Fraction`` is built. With one
+    denominator, it is the ``common`` and nothing is scaled.
+    """
+    if len(groups) == 1:
+        (common, acc), = groups.items()
+        return tuple.__new__(IndexVector, (p.artists, tuple(acc), common))
+    common = math.lcm(*groups)
+    totals = [0] * n
+    for denom, acc in groups.items():
+        scale = common // denom
+        for i in compress(range(n), acc):
+            totals[i] += acc[i] * scale
+    return tuple.__new__(IndexVector, (p.artists, tuple(totals), common))
+
+
+def grouped_rule(name, seed=42):
+    """``make_rule(name, seed)`` for the four split rules, through the
+    per-denominator kernels above."""
+    if name == "shapley":
+        return lambda p: _equal_split(p, repeat(1))
+    if name == "user-centric":
+        return lambda p: _proportional(p, p.columns)
+    if name == "user-weighted":
+        return lambda p: _equal_split(p, [default_weight(seed, "user", u) for u in p.users])
+    if name == "artist-weighted":
+        def rule(p):
+            w = [default_weight(seed, "artist", a) for a in p.artists]
+            return _proportional(p, ((idx, [w[i] for i in idx]) for idx, _ in p.columns))
+        return rule
     raise KeyError(name)
 
 

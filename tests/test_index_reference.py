@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_indices as ref
-from streamshare import build_problem, make_rule
+from streamshare import build_problem, build_sparse_problem, make_rule
 from streamshare.indices import ALL_RULE_NAMES
 from streamshare.reporting import allocation_json
 
@@ -116,6 +116,32 @@ def test_property_one_stream_total_equals_reference(p):
     vec = make_rule("user-centric")(p)
     assert {vec.common} == {sum(counts) for _, counts in p.columns}  # the one total, unscaled
     assert_same(vec, user_centric_index(p), p)
+
+
+@st.composite
+def wide_sparse_problems(draw):
+    """Up to 300 artists and 40 users, each streaming 1 to 60 of them with
+    counts up to 10**6: many distinct stream totals, listening-set sizes and
+    weight sums, so the kernels' lcm has many prime factors."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 40))
+    max_k = draw(st.integers(1, min(n, 60)))
+    max_count = draw(st.sampled_from([1, 9, 200, 10**6]))
+    rng = draw(st.randoms(use_true_random=False))
+    columns = []
+    for _ in range(m):
+        idx = sorted(rng.sample(range(n), rng.randint(1, max_k)))
+        columns.append((idx, [rng.randint(1, max_count) for _ in idx]))
+    return build_sparse_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], columns)
+
+
+@settings(max_examples=100)
+@given(wide_sparse_problems(), st.integers(0, 10**6))
+def test_property_one_pass_kernels_equal_grouped_kernels(p, seed):
+    """The same integers, not only equal values: ``nums`` over ``common``."""
+    for name in ("shapley", "user-centric", "user-weighted", "artist-weighted"):
+        got, want = make_rule(name, seed=seed)(p), ref.grouped_rule(name, seed=seed)(p)
+        assert (got.artists, got.nums, got.common) == (want.artists, want.nums, want.common)
 
 
 @settings(max_examples=60)

@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 
 from streamshare import (
     build_problem,
+    build_sparse_problem,
     indices,
     make_rule,
     pro_rata_index,
@@ -230,6 +233,13 @@ class TestRules:
                     assert default_weight(seed, kind, ident) == expected
                     assert default_weight(seed, kind, ident) == expected
 
+    def test_default_seed_is_42(self):
+        """The seed that ``audit``, ``allocation_json`` and ``--seed`` default to."""
+        p = random_problem(random.Random(3), max_n=6, max_m=7, max_entry=50)
+        for name in ALL_RULE_NAMES:
+            got, want = make_rule(name)(p), make_rule(name, seed=42)(p)
+            assert (got.nums, got.common) == (want.nums, want.common)
+
     def test_weighted_rules_are_seed_stable(self):
         p = example_1()
         a = make_rule("user-weighted", seed=5)(p)
@@ -244,3 +254,20 @@ class TestRules:
         s1, s2 = rule(p1), rule(p2)
         for a in p.artists:
             assert whole[a] == s1[a] + s2[a]
+
+
+class TestKernelCost:
+    def test_memory_does_not_grow_with_artists_times_denominators(self):
+        """20000 artists and 300 users, user j streaming artists j and j + 1 with
+        counts 1 and j + 1: 300 distinct stream totals, 600 nonzeros. A table
+        per denominator would hold 300 lists of 20000 ints (about 46 MB)."""
+        p = build_sparse_problem([f"a{i}" for i in range(20000)], [f"u{j}" for j in range(300)],
+                                 [((j, j + 1), (1, j + 1)) for j in range(300)])
+        tracemalloc.start()
+        try:
+            vec = user_centric_index(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vec.common == math.lcm(*range(2, 302))
+        assert peak < 2 * 2**20

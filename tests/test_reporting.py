@@ -14,6 +14,7 @@ from streamshare.reporting import (
     allocation_text,
     audit_json,
     audit_text,
+    game_chunks,
     game_export_text,
     game_json,
     parse_matrix,
@@ -230,6 +231,11 @@ class TestGameExport:
     def test_json_refuses_an_unknown_stance(self):
         with pytest.raises(ValueError):
             game_json(example_1(), "hopeful")
+
+    @pytest.mark.parametrize("fmt", ["JSON", "xml", ""])
+    def test_unknown_format_is_named_before_any_block(self, fmt):
+        with pytest.raises(ValueError, match=rf"^unknown format {fmt!r}$"):
+            game_chunks(example_1(), "pessimistic", fmt)
 
     def test_document_rows_are_the_text_lines(self):
         rng = random.Random(17)
