@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from copy import deepcopy
 from functools import lru_cache, partial
 from itertools import chain, compress, product
 from math import gcd
@@ -161,33 +160,37 @@ def _check_additivity(rule, prepared):
 
 
 def _prepare_reasonable_lower_bound(instance: dict):
-    p = _get_problem(instance)
+    p = _get_problem(instance)  # then one (S, worth[S], members of S) per closed S, in mask order
     try:
-        return p, _user_mask_counts(p)  # worth[S]: the users who stream only inside S
+        worth = _user_mask_counts(p)  # worth[S]: the users who stream only inside S
     except TooManyArtists as exc:
         raise ShapeMismatch(str(exc)) from None
-
-
-def _check_reasonable_lower_bound(rule, prepared):
-    """Artists streamed by a user group receive less than the group paid."""
-    p, worth = prepared
-    # payout i is pays[i] / total, so a group's payout sum is below its size
-    # exactly when the sum of its pays < size * total
-    pays, total = reward_shares(rule(p), len(p.users))
     # A group that streams S lies among the worth[S] users who stream only
     # inside S. Those stream all of S just when S is closed (dropping any
     # artist of S loses one of them), so only closed S can bind. Worth grows with
     # S: if S less its lowest artist (S & S - 1) is worth as much, S is not closed.
+    closed = []
     for s, w in enumerate(worth):
         if worth[s & s - 1] < w:  # never so for an S of worth 0
             members = [i for i in range(len(p.artists)) if s >> i & 1]
             if all(worth[s ^ 1 << i] < w for i in members):
-                got = sum([pays[i] for i in members])
-                if got < w * total:
-                    return {"user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
-                                                 if all(s >> i & 1 for i in idx)),
-                            "streamed_artists": sorted(p.artists[i] for i in members),
-                            "reward_sum": _ratio(got, total), "amount_paid": w}, 0
+                closed.append((s, w, members))
+    return p, closed
+
+
+def _check_reasonable_lower_bound(rule, prepared):
+    """Artists streamed by a user group receive less than the group paid."""
+    p, closed = prepared
+    # payout i is pays[i] / total, so a group's payout sum is below its size
+    # exactly when the sum of its pays < size * total
+    pays, total = reward_shares(rule(p), len(p.users))
+    for s, w, members in closed:
+        got = sum([pays[i] for i in members])
+        if got < w * total:
+            return {"user_group": sorted(u for u, (idx, _) in zip(p.users, p.columns)
+                                         if all(s >> i & 1 for i in idx)),
+                    "streamed_artists": sorted(p.artists[i] for i in members),
+                    "reward_sum": _ratio(got, total), "amount_paid": w}, 0
     return None, 0
 
 
@@ -207,17 +210,23 @@ def _check_equal_global_impact_of_users(rule, prepared):
     return None, 0
 
 
-def _check_symmetry_on_fans(rule, p: Problem):
-    """Two artists with identical fan sets get different index values."""
+def _prepare_symmetry_on_fans(instance: dict):
+    p = _get_problem(instance)  # then each pair x < y of artists with equal fan sets, in order
     fans = [frozenset(compress(p.users, row)) for row in p.streams]
+    n = len(fans)
+    return p, [(x, y, fans[x]) for x in range(n) for y in range(x + 1, n) if fans[x] == fans[y]]
+
+
+def _check_symmetry_on_fans(rule, prepared):
+    """Two artists with identical fan sets get different index values."""
+    p, pairs = prepared
     vec = rule(p)
-    nums, c, n = vec.nums, vec.common, len(p.artists)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if fans[x] == fans[y] and nums[x] != nums[y]:
-                return {"artist": p.artists[x], "other_artist": p.artists[y],
-                        "fans": sorted(fans[x]), "value": _ratio(nums[x], c),
-                        "other_value": _ratio(nums[y], c)}, 0
+    nums, c = vec.nums, vec.common
+    for x, y, fans in pairs:
+        if nums[x] != nums[y]:
+            return {"artist": p.artists[x], "other_artist": p.artists[y],
+                    "fans": sorted(fans), "value": _ratio(nums[x], c),
+                    "other_value": _ratio(nums[y], c)}, 0
     return None, 0
 
 
@@ -429,6 +438,7 @@ def instance_to_dict(instance: dict) -> dict:
 
     A copy, so that a caller who edits a witness cannot edit the cached grid.
     """
+    from copy import deepcopy  # imported on use: only a witness or a grid dump needs it
     return {k: problem_to_dict(v) if type(v) is Problem else deepcopy(v)
             for k, v in instance.items()}
 
@@ -601,7 +611,8 @@ AXIOMS: dict[str, Axiom] = {
     "equal_global_impact_of_users": Axiom(
         _check_equal_global_impact_of_users, _plain(min_m=2),
         _prepare_equal_global_impact_of_users),
-    "symmetry_on_fans": Axiom(_check_symmetry_on_fans, _generate_symmetry_on_fans),
+    "symmetry_on_fans": Axiom(
+        _check_symmetry_on_fans, _generate_symmetry_on_fans, _prepare_symmetry_on_fans),
     "order_preservation": Axiom(_check_order_preservation, _generate_order_preservation),
     "non_unilateral_manipulability": Axiom(
         _check_non_unilateral_manipulability, _generate_non_unilateral_manipulability,

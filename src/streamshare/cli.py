@@ -12,7 +12,6 @@ import os
 import re
 import stat
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import axioms, reporting
@@ -190,7 +189,8 @@ def _run_allocate(args) -> int:
     return EXIT_OK
 
 
-def _parse_price(text: str) -> Fraction:
+def _parse_price(text: str):
+    """The ``--price`` text as a positive ``Fraction``."""
     if len(text) > MAX_PRICE_CHARS:
         raise ValueError(f"price multiplier {text[:20]!r}... has {len(text)} characters, "
                          f"more than {MAX_PRICE_CHARS}")
@@ -200,6 +200,7 @@ def _parse_price(text: str) -> Fraction:
     if exponent and abs(int(exponent.group(1))) > MAX_PRICE_EXPONENT:
         raise ValueError(f"price multiplier {text!r} has an exponent beyond "
                          f"-{MAX_PRICE_EXPONENT}..{MAX_PRICE_EXPONENT}")
+    from fractions import Fraction  # imported here: no other subcommand needs it
     try:
         price = Fraction(text)
     except ZeroDivisionError:

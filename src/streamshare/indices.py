@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
@@ -51,15 +50,18 @@ class IndexVector(namedtuple("IndexVector", "artists nums common")):
     __slots__ = ()
 
     @property
-    def values(self) -> tuple[Fraction, ...]:
+    def values(self):
+        from fractions import Fraction  # imported on use: starting the CLI needs none
         common = self.common
         return tuple([Fraction(x, common) for x in self.nums])
 
-    def __getitem__(self, artist: str) -> Fraction:
+    def __getitem__(self, artist: str):
+        from fractions import Fraction
         return Fraction(self.nums[self.artists.index(artist)], self.common)
 
     @property
-    def total(self) -> Fraction:
+    def total(self):
+        from fractions import Fraction
         return Fraction(sum(self.nums), self.common)
 
     def __eq__(self, other):  # no plain tuple is equal, not even the raw fields

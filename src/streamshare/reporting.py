@@ -16,11 +16,6 @@ is a stream of ASCII ``bytes`` blocks. The same inputs give the same bytes.
 
 from __future__ import annotations
 
-import csv
-import json
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
-
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
 from .game import STANCES, _user_mask_counts
 from .indices import _ratio, make_rule, reward_shares
@@ -93,6 +88,7 @@ def _simple(text: str, marks: str):
     ``(artist, head, end)`` per later line, ``body[head:end]`` being its cells,
     each after a ",".
     """
+    import csv  # imported on use, as json is: starting the CLI needs neither
     limit = csv.field_size_limit()
     if not text.isascii() or limit < MAX_COUNT_DIGITS or any(c in text for c in '"\r\0'):
         return None
@@ -157,6 +153,7 @@ def _read_dense(text: str) -> Problem | None:
     if ("0" * (MAX_COUNT_DIGITS + 1) in marked
             or any(marked.find(_MARK, head, end) >= 0 for _, head, end in spans)):
         return None
+    import json
     try:
         rows = tuple([tuple(json.loads(f"[{body[head + 1:end]}]")) for _, head, end in spans])
     except ValueError:  # a leading zero, or past the int-to-str limit
@@ -170,6 +167,7 @@ def _read_dense(text: str) -> Problem | None:
 def _read_csv(text: str):
     """``(users, rows)`` of ``text`` by ``csv.reader``, each row read as it is taken:
     one comparison with "0" per cell, then :func:`_count` for each other cell."""
+    import csv
     reader = csv.reader(_lines(text))
     lines = _rows(reader)
     header = next(lines, None)
@@ -210,6 +208,7 @@ def _lines(text: str):
 
 def _rows(reader):
     """The nonblank rows of ``reader``; a ``csv.Error`` names its line."""
+    import csv
     try:
         yield from filter(None, reader)
     except csv.Error as exc:
@@ -243,7 +242,7 @@ def _dec(num: int, den: int) -> str:
 # Reports
 
 
-def _sections(p: Problem, rule_names, price: Fraction, seed: int):
+def _sections(p: Problem, rule_names, price, seed: int):
     """One ``(index, values, rewards)`` per requested index. Reward ``i`` is
     ``(artist, fraction, decimal, payout)`` of ``pays[i] / total`` from
     ``indices.reward_shares`` (they sum to ``m`` exactly), the payout times ``price``."""
@@ -278,6 +277,7 @@ def _game_blocks(p: Problem, stance: str, fmt: str, worth):
     formatted, and the tail in place of the separator after the last row."""
     sep = tail = b"\n"
     if fmt == "json":
+        from json.encoder import encode_basestring_ascii as _json_str
         players = _block([*map(_json_str, p.artists)], 2)
         yield f'{{\n  "kind": "game",\n  "players": {players},\n  "rows": [\n    "'.encode()
         sep, tail = b'",\n    "', (f'"\n  ],\n  "schema_version": {SCHEMA_VERSION},\n'
@@ -303,13 +303,14 @@ def game_json(p: Problem, stance: str) -> str:
 
 def render_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    import json
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def allocation_json(p: Problem, rule_names, price: Fraction = Fraction(1),
-                    seed: int = 42) -> str:
+def allocation_json(p: Problem, rule_names, price=1, seed: int = 42) -> str:
     """The allocation report (:func:`_sections`) in :func:`render_json`'s layout, by template."""
-    s, m = _json_str, str(p.m)
+    from json.encoder import encode_basestring_ascii as s
+    m = str(p.m)
     sections = [_SECTION % (s(name), s(m), _block([_REWARD % (s(a), s(dec), s(frac), s(pay))
                                                    for a, frac, dec, pay in rewards], 6),
                             _block([*map(s, values)], 6))
@@ -333,8 +334,7 @@ _ALLOCATION, _PROBLEM, _SECTION, _REWARD = (
         ("artist decimal fraction payout", 8, "")))
 
 
-def allocation_text(p: Problem, rule_names, price: Fraction = Fraction(1),
-                    seed: int = 42) -> str:
+def allocation_text(p: Problem, rule_names, price=1, seed: int = 42) -> str:
     """The allocation report (:func:`_sections`) as text: the problem, then each index."""
     lines = [f"problem: {p.n} artists ({', '.join(p.artists)}), "
              f"{p.m} users ({', '.join(p.users)})", f"price multiplier: {price}"]

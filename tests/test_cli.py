@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import io
 import os
 import stat
@@ -126,7 +127,8 @@ class TestAllocate:
     def test_price_out_of_range_is_refused_before_parsing(self, matrix, capsys,
                                                            monkeypatch, price):
         parsed = []
-        monkeypatch.setattr(cli, "Fraction", lambda text: parsed.append(text))
+        # the CLI imports Fraction when it parses a price, so the class is patched where it lives
+        monkeypatch.setattr(fractions, "Fraction", lambda text: parsed.append(text))
         code, out, err = run(capsys, "allocate", "--input", str(matrix), "--price", price)
         assert code == 2 and out == ""
         assert err.startswith("streamshare: error: price multiplier ")

@@ -29,6 +29,7 @@ from streamshare.indices import (
     uniform_index,
     user_weighted_index,
 )
+from streamshare.reporting import allocation_json, allocation_text
 
 import reference_indices as ref
 from helpers import example_1, example_2, payouts, problems, random_problem, vector
@@ -171,6 +172,11 @@ class TestRewards:
         scaled = vector(vec.artists, tuple(F(7, 3) * v for v in vec.values))
         assert payouts(vec, p) == payouts(scaled, p)
 
+    @pytest.mark.parametrize("write", [allocation_json, allocation_text])
+    def test_default_price_gives_the_bytes_of_price_one(self, write):
+        p = example_1()
+        assert write(p, ALL_RULE_NAMES) == write(p, ALL_RULE_NAMES, price=F(1))
+
 
 class TestIndexVector:
     def test_no_plain_tuple_is_equal(self):
@@ -180,6 +186,15 @@ class TestIndexVector:
         assert not vec == raw and vec != raw
         assert not raw == vec and raw != vec
         assert vec != () and vec != "shapley"
+
+    @pytest.mark.parametrize("name", ALL_RULE_NAMES)
+    def test_scores_are_fractions(self, name):
+        # an int score would pass every `== F(...)` assert, so the type is checked itself
+        p = example_1()
+        vec = make_rule(name)(p)
+        assert [type(v) for v in vec.values] == [F] * p.n
+        assert [type(vec[a]) for a in p.artists] == [F] * p.n
+        assert type(vec.total) is F
 
     @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
     def test_vectors_have_no_order(self, compare):

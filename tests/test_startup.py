@@ -1,43 +1,81 @@
-"""Start-up guard: loading the CLI imports neither ``dataclasses`` nor
-``inspect``, nor ``typing``, and loading ``reporting`` does not import
-``axioms``.
+"""Start-up guard: what the CLI imports before, and while, it runs.
 
-``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
-``tokenize``), which once made up about half of the CLI's import time. The
-record types are ``collections.namedtuple`` classes, so that no run pays
-for it, nor for ``typing``. The check runs in a fresh interpreter under
-``-S``, so neither ``site`` (whose ``.pth`` files may import ``typing``) nor
-the test runner's own imports can load the modules first.
+Loading the CLI (``import streamshare.cli`` and ``build_parser()``) imports
+neither ``dataclasses`` nor ``inspect``, nor ``typing``. ``dataclasses`` pulls
+in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), which once made
+up about half of the CLI's import time; the record types are
+``collections.namedtuple`` classes, so that no run pays for it, nor for
+``typing``. Nor does loading the CLI import ``fractions`` (with ``decimal`` and
+``numbers``), ``json``, ``csv`` or ``copy``, over a third of what was left:
+the functions that use them import them, so each subcommand loads only what it
+needs. ``allocate`` loads ``fractions`` and ``csv``, and ``json`` for a dense
+input or a JSON report. A text ``game`` run on a mostly-zero input loads only
+``csv`` of these. An audit loads neither ``fractions`` nor ``csv``; it loads
+``json`` for a JSON report and ``copy`` once it reports a counterexample.
+Loading ``reporting`` does not import ``axioms``.
+
+Each check runs in a fresh interpreter under ``-S``, so neither ``site``
+(whose ``.pth`` files may import ``typing``) nor the test runner's own
+imports can load the modules first.
 """
 
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
+from streamshare.reporting import _mostly_zero, _scan
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SLOW_MODULES = ("dataclasses", "inspect", "typing")
+DEFERRED_MODULES = ("fractions", "decimal", "json", "csv", "copy")
 
 
-def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
-    child = ("import sys\n"
-             "import streamshare.cli\n"
-             "streamshare.cli.build_parser()\n"
-             f"print(*[m for m in {SLOW_MODULES!r} if m in sys.modules])\n")
+def loaded(code: str, modules) -> list[str]:
+    """Those of ``modules`` loaded once ``code`` has run in a fresh ``-S`` interpreter."""
+    child = f"import sys\n{code}\nprint(*[m for m in {tuple(modules)!r} if m in sys.modules])\n"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", child],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode("utf-8")
-    assert proc.stdout.decode("utf-8").split() == []
+    return proc.stdout.decode("utf-8").split()
+
+
+def cli_run(*argv: str) -> str:
+    """Child code that runs the CLI on ``argv`` and requires exit code 0."""
+    return f"from streamshare.cli import main\nassert main({list(argv)!r}) == 0\n"
+
+
+START_UP = "import streamshare.cli\nstreamshare.cli.build_parser()"
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    assert loaded(START_UP, SLOW_MODULES) == []
+
+
+def test_cli_start_up_imports_no_module_a_subcommand_imports_on_use():
+    assert loaded(START_UP, DEFERRED_MODULES) == []
+
+
+def test_text_game_on_mostly_zero_input_loads_no_fraction_json_or_copy(tmp_path):
+    users, n = string.ascii_letters, 12  # one-letter ids keep the header mostly unmarked
+    text = "artist," + ",".join(users) + "\n" + "".join(
+        f"a{i}," + ",".join(str((j % n == i) * (1 + j % 7)) for j in range(len(users))) + "\n"
+        for i in range(n))
+    assert _mostly_zero(text) and _scan(text) is not None  # the scanner reads it
+    matrix = tmp_path / "sparse.csv"
+    matrix.write_text(text, encoding="utf-8")
+    run = cli_run("game", "--input", str(matrix), "--output", str(tmp_path / "game.txt"))
+    assert loaded(run, ("fractions", "decimal", "json", "copy")) == []
+
+
+def test_json_audit_loads_no_fraction_or_csv(tmp_path):
+    run = cli_run("audit", "--axiom", "additivity", "--index", "shapley", "--trials", "5",
+                  "--format", "json", "--output", str(tmp_path / "audit.json"))
+    assert loaded(run, ("fractions", "decimal", "csv")) == []
 
 
 def test_reporting_does_not_import_axioms():
     # the report writers read verdicts by their fields, so they need no axioms
-    child = ("import sys\n"
-             "import streamshare.reporting\n"
-             "print('streamshare.axioms' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-S", "-c", child],
-                          capture_output=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode("utf-8")
-    assert proc.stdout.decode("utf-8").split() == ["False"]
+    assert loaded("import streamshare.reporting", ("streamshare.axioms",)) == []
