@@ -1,7 +1,9 @@
 """Command-line surface: allocate payouts, export games, run axiom audits.
 
 Exit codes: 0 success (and, for audits, everything matches), 1 usage error,
-2 data error, 3 audit mismatch.
+2 data error, 3 audit mismatch. ``run`` (``python -m streamshare.cli``, the
+``streamshare`` script) ends the process once the output is flushed, with no
+teardown or ``atexit`` handlers; code that embeds the CLI calls ``main``.
 """
 
 from __future__ import annotations
@@ -264,5 +266,17 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> None:
+    """:func:`main` as a process: stdout and stderr are flushed, then ``os._exit``.
+    A failed flush, or a stream that is None, is left to ``sys.exit`` to report."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, AttributeError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

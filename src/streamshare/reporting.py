@@ -16,6 +16,8 @@ is a stream of ASCII ``bytes`` blocks. The same inputs give the same bytes.
 
 from __future__ import annotations
 
+import sys
+
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem
 from .game import STANCES, _user_mask_counts
 from .indices import _ratio, make_rule, reward_shares
@@ -88,8 +90,8 @@ def _simple(text: str, marks: str):
     ``(artist, head, end)`` per later line, ``body[head:end]`` being its cells,
     each after a ",".
     """
-    import csv  # imported on use, as json is: starting the CLI needs neither
-    limit = csv.field_size_limit()
+    csv = sys.modules.get("_csv")  # unloaded, nothing has changed CPython's default limit
+    limit = csv.field_size_limit() if csv else 131072
     if not text.isascii() or limit < MAX_COUNT_DIGITS or any(c in text for c in '"\r\0'):
         return None
     body = text if text.endswith("\n") else text + "\n"
@@ -289,16 +291,6 @@ def _game_blocks(p: Problem, stance: str, fmt: str, worth):
         high = format(start >> k, f"0{p.n - k}b").encode()
         rows = (high + (b",%d" + sep + high).join(lows) + b",%d") % tuple(worth[start:start + size])
         yield rows + (sep if start + size < len(worth) else tail)
-
-
-def game_export_text(p: Problem, stance: str) -> str:
-    """The text game export (:func:`game_chunks`) as one string."""
-    return b"".join(game_chunks(p, stance)).decode("ascii")
-
-
-def game_json(p: Problem, stance: str) -> str:
-    """The JSON game export (:func:`game_chunks`) as one string."""
-    return b"".join(game_chunks(p, stance, "json")).decode("ascii")
 
 
 def render_json(doc: dict) -> str:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from streamshare import build_problem
 from streamshare.indices import IndexVector, reward_shares
+from streamshare.reporting import game_chunks
 
 
 def random_problem(rng, max_n=5, max_m=5, max_entry=5, zero_chance=0.35):
@@ -66,6 +67,16 @@ def payouts(index, p):
     """The payouts of ``indices.reward_shares``, one ``Fraction`` per artist."""
     pays, total = reward_shares(index, p.m)
     return tuple(Fraction(x, total) for x in pays)
+
+
+def game_export_text(p, stance: str) -> str:
+    """The text game export (``reporting.game_chunks``) as one string."""
+    return b"".join(game_chunks(p, stance)).decode("ascii")
+
+
+def game_json(p, stance: str) -> str:
+    """The JSON game export (``reporting.game_chunks``) as one string."""
+    return b"".join(game_chunks(p, stance, "json")).decode("ascii")
 
 
 def serialize_matrix(p) -> str:

@@ -17,7 +17,7 @@ the table limit of 20 artists, where the n! player orders cannot be walked.
 ``export_rows`` is the game export's rows as the per-coalition loop writes
 them, one ``format`` per coalition, and ``game_document`` the export as a
 document, which ``json.dumps(doc, indent=2, sort_keys=True)`` turns into the
-bytes that ``streamshare.reporting.game_json`` writes block by block.
+bytes that ``streamshare.reporting.game_chunks`` writes block by block.
 """
 
 import math

@@ -572,3 +572,86 @@ class TestAudit:
         for value in ("99", "forty-two"):
             monkeypatch.setenv("STREAMSHARE_SEED", value)
             assert run(capsys, *args) == expected
+
+
+class TestProcessEntry:
+    """``run()``, behind ``python -m streamshare.cli`` and the ``streamshare``
+    script, gives what ``main()`` gives in process, then ends the process
+    with ``os._exit`` once stdout and stderr are flushed."""
+
+    ENTRIES = {"module": ["-m", "streamshare.cli"],
+               "run": ["-c", "from streamshare.cli import run; run()"]}
+    BROKEN_PIPE = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                   "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+    @staticmethod
+    def in_process(*argv):
+        """``(code, stdout bytes)`` of ``main(argv)``, stdout a UTF-8 text stream
+        over bytes, as a process's is."""
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        out.flush()
+        return code, out.buffer.getvalue()
+
+    @pytest.fixture(scope="class")
+    def wide_game(self, tmp_path_factory):
+        # 14 artists: the dual JSON export is 2^14 rows in 128 blocks, over 300 KB
+        path = tmp_path_factory.mktemp("game") / "wide.csv"
+        users = [f"u{j}" for j in range(30)]
+        path.write_text("artist," + ",".join(users) + "\n" + "".join(
+            f"a{i}," + ",".join(str((i * 7 + j * 3) % 5) for j in range(len(users))) + "\n"
+            for i in range(14)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("command", ["allocate", "game", "audit"])
+    def test_same_bytes_and_code_as_main(self, entry, command, wide_game):
+        argv = {"allocate": ["allocate", "--format", "json", "--input",
+                             str(Path(__file__).parent / "golden" / "sparse.csv")],
+                "game": ["game", "--stance", "dual", "--format", "json",
+                         "--input", str(wide_game)],
+                "audit": ["audit", "--independence", "--trials", "5"]}[command]
+        code, out = self.in_process(*argv)
+        assert code == (3 if command == "audit" else 0)
+        if command == "game":
+            assert len(out) > 300_000
+        proc = subprocess.run([sys.executable, *self.ENTRIES[entry], *argv],
+                              capture_output=True, env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, b"")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_failed_flush_at_exit_is_reported_by_the_interpreter(self, entry):
+        # --help leaves its text in the stdout buffer; the pipe has no reader
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *self.ENTRIES[entry], "--help"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr.decode("utf-8")) == (120, self.BROKEN_PIPE)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_stdout_closed_at_start_up_exits_as_main_returns(self, entry):
+        # with descriptor 1 closed, sys.stdout is None and argparse prints the
+        # help to stderr; run leaves that exit to sys.exit
+        proc = subprocess.run([sys.executable, *self.ENTRIES[entry], "--help"],
+                              stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env(),
+                              preexec_fn=lambda: os.close(1), timeout=120)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 0 and err.startswith("usage: streamshare"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [
+        "from streamshare.cli import run; run()",
+        "import runpy; runpy.run_module('streamshare.cli', run_name='__main__')",
+    ], ids=["run", "module"])
+    def test_atexit_handlers_do_not_run(self, entry, matrix):
+        child = f"import atexit, os\natexit.register(os.write, 1, b'atexit ran\\n')\n{entry}\n"
+        proc = subprocess.run([sys.executable, "-c", child, "game", "--input", str(matrix)],
+                              capture_output=True, env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, TestOutputFile.EXPORT.encode(),
+                                                               b"")

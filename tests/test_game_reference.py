@@ -24,8 +24,9 @@ from streamshare import build_problem, build_sparse_problem, game, optimistic_ga
 from streamshare.cli import main
 from streamshare.game import STANCES
 from streamshare.indices import shapley_index
-from streamshare.reporting import game_chunks, game_export_text
+from streamshare.reporting import game_chunks
 
+from helpers import game_export_text
 from reference_game import (
     dual_game,
     dual_worth,

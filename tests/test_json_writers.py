@@ -1,8 +1,9 @@
 """The allocation report is written from fixed templates
 (``reporting.allocation_json``), the game export from a fixed head and tail
-around its row blocks (``reporting.game_json``). They must give the
-bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which
-stays their oracle: the documents are ``reference_indices.allocation_document``
+around its row blocks (``reporting.game_chunks``, joined by
+``helpers.game_json``). They must give the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which stays
+their oracle: the documents are ``reference_indices.allocation_document``
 and ``reference_game.game_document``. The text allocation report
 (``reporting.allocation_text``) must give the bytes of the text rendering it
 replaced, ``reference_indices.text_allocation``. Ids carry what a string
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from streamshare import build_problem
 from streamshare.game import STANCES
 from streamshare.indices import ALL_RULE_NAMES
-from streamshare.reporting import allocation_json, allocation_text, game_json, render_json
+from streamshare.reporting import allocation_json, allocation_text, render_json
 
-from helpers import problems
+from helpers import game_json, problems
 from reference_game import game_document
 from reference_indices import allocation_document, text_allocation
 

@@ -15,15 +15,20 @@ from streamshare.reporting import (
     audit_json,
     audit_text,
     game_chunks,
-    game_export_text,
-    game_json,
     parse_matrix,
     render_json,
     suite_json,
     suite_text,
 )
 
-from helpers import EXAMPLE_1, example_1, random_problem, serialize_matrix
+from helpers import (
+    EXAMPLE_1,
+    example_1,
+    game_export_text,
+    game_json,
+    random_problem,
+    serialize_matrix,
+)
 from reference_game import game_document
 
 EXAMPLE_1_CSV = "artist,a,b,c\n1,200,0,0\n2,0,100,100\n"

@@ -11,6 +11,8 @@ a declined text must read through ``parse_matrix`` exactly as through the
 """
 
 import csv
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -263,3 +265,42 @@ def test_density_choice(monkeypatch):
     monkeypatch.setattr(reporting, "_scan", None)  # a call would raise TypeError
     for text in dense:
         assert not _mostly_zero(text) and parse_matrix(text) == _read_dense(text)
+
+
+# an artist id one character past a field size limit lowered to 1000
+long_id_texts = pytest.mark.parametrize("text", [
+    SPARSE.replace("a3,", "a" * 1001 + ","), DENSE.replace("a3,", "a" * 1001 + ",")],
+    ids=["sparse", "dense"])
+
+
+@long_id_texts
+def test_lowered_field_size_limit_reads_as_the_csv_path(text):
+    old = csv.field_size_limit(1000)
+    try:
+        want = outcome(lambda: _problem(*_read_csv(text)))
+        assert want[0] is ParseError and "field larger than field limit (1000)" in want[1]
+        assert outcome(lambda: parse_matrix(text)) == want
+    finally:
+        csv.field_size_limit(old)
+
+
+@long_id_texts
+def test_limit_lowered_through_the_c_module_alone_is_read(text):
+    # a -S child lowers the limit before csv is loaded: the readers find it in _csv
+    child = ("import sys, _csv\n"
+             "_csv.field_size_limit(1000)\n"
+             "from streamshare.reporting import parse_matrix\n"
+             "try:\n"
+             "    parse_matrix(sys.stdin.read())\n"
+             "except ValueError as exc:\n"
+             "    print(repr((type(exc).__name__, str(exc), exc.line, exc.column)))\n")
+    env = {**os.environ, "PYTHONPATH": str(GOLDEN.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", child], input=text.encode("ascii"),
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")
+    old = csv.field_size_limit(1000)
+    try:
+        kind, message, line, column = outcome(lambda: _problem(*_read_csv(text)))
+    finally:
+        csv.field_size_limit(old)
+    assert proc.stdout.decode("ascii") == repr((kind.__name__, message, line, column)) + "\n"

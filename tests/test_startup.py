@@ -8,11 +8,13 @@ up about half of the CLI's import time; the record types are
 ``typing``. Nor does loading the CLI import ``fractions`` (with ``decimal`` and
 ``numbers``), ``json``, ``csv`` or ``copy``, over a third of what was left:
 the functions that use them import them, so each subcommand loads only what it
-needs. ``allocate`` loads ``fractions`` and ``csv``, and ``json`` for a dense
-input or a JSON report. A text ``game`` run on a mostly-zero input loads only
-``csv`` of these. An audit loads neither ``fractions`` nor ``csv``; it loads
-``json`` for a JSON report and ``copy`` once it reports a counterexample.
-Loading ``reporting`` does not import ``axioms``.
+needs. ``allocate`` loads ``fractions``, and ``json`` for a dense input or a
+JSON report; ``allocate`` and ``game`` load ``csv`` only when ``csv.reader``
+reads the input. So a text ``game`` run on a mostly-zero input loads none of
+these, and a text ``allocate`` run on it only ``fractions``. An audit loads
+neither ``fractions`` nor ``csv``; it loads ``json`` for a JSON report and
+``copy`` once it reports a counterexample. Loading ``reporting`` does not
+import ``axioms``.
 
 Each check runs in a fresh interpreter under ``-S``, so neither ``site``
 (whose ``.pth`` files may import ``typing``) nor the test runner's own
@@ -24,6 +26,8 @@ import string
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from streamshare.reporting import _mostly_zero, _scan
 
@@ -58,16 +62,27 @@ def test_cli_start_up_imports_no_module_a_subcommand_imports_on_use():
     assert loaded(START_UP, DEFERRED_MODULES) == []
 
 
-def test_text_game_on_mostly_zero_input_loads_no_fraction_json_or_copy(tmp_path):
+@pytest.fixture
+def mostly_zero(tmp_path):
+    """A 12 x 52 matrix file that the scanner reads whole."""
     users, n = string.ascii_letters, 12  # one-letter ids keep the header mostly unmarked
     text = "artist," + ",".join(users) + "\n" + "".join(
         f"a{i}," + ",".join(str((j % n == i) * (1 + j % 7)) for j in range(len(users))) + "\n"
         for i in range(n))
-    assert _mostly_zero(text) and _scan(text) is not None  # the scanner reads it
+    assert _mostly_zero(text) and _scan(text) is not None
     matrix = tmp_path / "sparse.csv"
     matrix.write_text(text, encoding="utf-8")
-    run = cli_run("game", "--input", str(matrix), "--output", str(tmp_path / "game.txt"))
-    assert loaded(run, ("fractions", "decimal", "json", "copy")) == []
+    return matrix
+
+
+def test_text_game_on_mostly_zero_input_loads_no_fraction_json_or_copy(mostly_zero, tmp_path):
+    run = cli_run("game", "--input", str(mostly_zero), "--output", str(tmp_path / "game.txt"))
+    assert loaded(run, DEFERRED_MODULES) == []
+
+
+def test_text_allocate_on_mostly_zero_input_loads_no_csv_json_or_copy(mostly_zero, tmp_path):
+    run = cli_run("allocate", "--input", str(mostly_zero), "--output", str(tmp_path / "a.txt"))
+    assert loaded(run, ("csv", "json", "copy")) == []
 
 
 def test_json_audit_loads_no_fraction_or_csv(tmp_path):
