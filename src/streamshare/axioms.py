@@ -449,36 +449,17 @@ def instance_to_dict(instance: dict) -> dict:
 # Each generator draws and adjusts plain rows, then builds them unvalidated.
 
 
-def _below(getrandbits, n: int) -> int:
-    """A draw from ``range(n)`` as ``randrange(n)`` makes it on Python 3.10-3.13, at half its
-    cost. Every integer the generators draw comes from it: ``a + _below(bits, b - a + 1)`` as
-    ``randint(a, b)``, ``seq[_below(bits, len(seq))]`` as ``choice(seq)``, or :func:`_pair`."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _pair(getrandbits, n: int) -> tuple[int, int]:
-    """Two distinct draws from ``range(n)`` as ``sample(range(n), 2)`` makes them, for n <= 21."""
-    i, k = _below(getrandbits, n), _below(getrandbits, n - 1)
-    return i, n - 1 if k == i else k
-
-
 def _random_rows(
     rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
 ) -> list[list[int]]:
-    bits, rand = rng.getrandbits, rng.random
-    n = min_n + _below(bits, MAX_ARTISTS - min_n + 1)
-    m = min_m + _below(bits, MAX_USERS - min_m + 1)
+    randrange, rand = rng.randrange, rng.random
+    n = min_n + randrange(MAX_ARTISTS - min_n + 1)
+    m = min_m + randrange(MAX_USERS - min_m + 1)
     max_entry = HEAVY_ENTRY if rand() < HEAVY_CHANCE else MAX_ENTRY
-    k = max_entry.bit_length()  # each entry's first draw of _below, made inline
-    rows = [[0 if rand() < zero_chance else
-             1 + (r if (r := bits(k)) < max_entry else _below(bits, max_entry))
-             for _ in range(m)] for _ in range(n)]
+    rows = [[0 if rand() < zero_chance else 1 + randrange(max_entry) for _ in range(m)]
+            for _ in range(n)]
     for j in _empty_columns(rows):
-        rows[_below(bits, n)][j] = 1 + _below(bits, max_entry)
+        rows[randrange(n)][j] = 1 + randrange(max_entry)
     return rows
 
 
@@ -490,7 +471,7 @@ def _empty_columns(rows):
 def _bump_column(rng, rows, j, avoid):
     """Make column j positive without touching rows in ``avoid``."""
     candidates = [x for x in range(len(rows)) if x not in avoid]
-    rows[candidates[_below(rng.getrandbits, len(candidates))]][j] = 1 + _below(rng.getrandbits, 3)
+    rows[rng.choice(candidates)][j] = 1 + rng.randrange(3)
 
 
 def _refill_pair(rng, rows, i, k, partner):
@@ -500,7 +481,7 @@ def _refill_pair(rng, rows, i, k, partner):
         if len(rows) > 2:
             _bump_column(rng, rows, j, {i, k})
         else:
-            rows[i][j] = 1 + _below(rng.getrandbits, MAX_ENTRY)
+            rows[i][j] = 1 + rng.randrange(MAX_ENTRY)
             rows[k][j] = partner(rows[i][j])
 
 
@@ -521,37 +502,34 @@ def _generate_additivity(rng):
 def _generate_symmetry_on_fans(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        bits = rng.getrandbits
-        i, k = _pair(bits, len(rows))
-        rows[k] = [0 if x == 0 else 1 + _below(bits, MAX_ENTRY) for x in rows[i]]
-        _refill_pair(rng, rows, i, k, lambda v: 1 + _below(bits, MAX_ENTRY))
+        i, k = rng.sample(range(len(rows)), 2)
+        rows[k] = [0 if x == 0 else 1 + rng.randrange(MAX_ENTRY) for x in rows[i]]
+        _refill_pair(rng, rows, i, k, lambda v: 1 + rng.randrange(MAX_ENTRY))
     return {"problem": _problem(rows)}
 
 
 def _generate_order_preservation(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.6:
-        bits = rng.getrandbits
-        i, k = _pair(bits, len(rows))
-        rows[k] = [x + _below(bits, 3) for x in rows[i]]
+        i, k = rng.sample(range(len(rows)), 2)
+        rows[k] = [x + rng.randrange(3) for x in rows[i]]
         for j in _empty_columns(rows):
             # bumping the dominating row keeps the domination intact
-            rows[k][j] += 1 + _below(bits, 2)
+            rows[k][j] += 1 + rng.randrange(2)
     return {"problem": _problem(rows)}
 
 
 def _generate_non_unilateral_manipulability(rng):
     rows = _random_rows(rng)
-    bits, fans = rng.getrandbits, [x for x in range(len(rows)) if any(rows[x])]
-    i = fans[_below(bits, len(fans))]
-    new_row = [x + (_below(bits, MAX_ENTRY + 1) if x else 0) for x in rows[i]]
+    i = rng.choice([x for x in range(len(rows)) if any(rows[x])])
+    new_row = [x + (rng.randrange(MAX_ENTRY + 1) if x else 0) for x in rows[i]]
     p = _problem(rows)
     return {"problem": p, "modified": _with_row(p, i, new_row), "artist": p.artists[i]}
 
 
 def _generate_null_artists(rng):
     rows = _random_rows(rng, min_n=2)
-    i = _below(rng.getrandbits, len(rows))
+    i = rng.randrange(len(rows))
     rows[i] = [0] * len(rows[i])
     for j in _empty_columns(rows):
         _bump_column(rng, rows, j, {i})
@@ -561,11 +539,10 @@ def _generate_null_artists(rng):
 def _generate_pairwise_homogeneity(rng):
     rows = _random_rows(rng, min_n=2)
     if rng.random() < 0.7:
-        bits = rng.getrandbits
-        i, k = _pair(bits, len(rows))
+        i, k = rng.sample(range(len(rows)), 2)
         if not any(rows[i]):
-            rows[i] = [1 + _below(bits, MAX_ENTRY) for _ in rows[i]]
-        mult = (2, 3)[_below(bits, 2)]
+            rows[i] = [1 + rng.randrange(MAX_ENTRY) for _ in rows[i]]
+        mult = rng.choice((2, 3))
         rows[k] = [mult * x for x in rows[i]]
         _refill_pair(rng, rows, i, k, lambda v: mult * v)
     return {"problem": _problem(rows)}
@@ -573,17 +550,16 @@ def _generate_pairwise_homogeneity(rng):
 
 def _generate_click_fraud_proofness(rng):
     rows = _random_rows(rng)
-    bits, n = rng.getrandbits, len(rows)
-    j = _below(bits, len(rows[0]))
+    j = rng.randrange(len(rows[0]))
     col = [row[j] for row in rows]
     style = rng.random()
     if style < 0.4:
-        new_col = [0] * n
-        new_col[_below(bits, n)] = 1 + _below(bits, HEAVY_ENTRY)
+        new_col = [0] * len(col)
+        new_col[rng.randrange(len(col))] = 1 + rng.randrange(HEAVY_ENTRY)
     elif style < 0.7:
         new_col = list(reversed(col))
     else:
-        scale = 2 + _below(bits, 49)
+        scale = 2 + rng.randrange(49)
         new_col = [scale * x for x in col]
     p = _problem(rows)
     return {"problem": p, "modified": _with_column(p, j, new_col), "user": p.users[j]}

@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(report, args) -> None:
     """Write a report (:func:`_put`) to ``--output`` or stdout; a failed write is a data error."""
+    if args.output is None and sys.stdout is None:  # fd 1 was closed before start-up
+        raise ValueError("cannot write stdout: file descriptor 1 is closed")
     try:
         if args.output is not None:
             _replace_file(args.output, report)

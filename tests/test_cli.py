@@ -352,6 +352,21 @@ class TestErrorsAndUsage:
         assert err.startswith("streamshare: error: cannot write stdout: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["allocate", "audit", "game"])
+    def test_stdout_closed_at_start_up_is_data_error(self, command, matrix):
+        # with descriptor 1 closed, sys.stdout is None: nothing can be written
+        argv = {"allocate": ["allocate", "--input", str(matrix)],
+                "audit": ["audit", "--axiom", "null_artists", "--index", "shapley",
+                          "--trials", "2"],
+                "game": ["game", "--input", str(matrix)]}[command]
+        proc = subprocess.run([sys.executable, "-m", "streamshare.cli", *argv],
+                              stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env(),
+                              preexec_fn=lambda: os.close(1), timeout=120)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2, err
+        assert err.startswith("streamshare: error: cannot write stdout")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_failed_stdout_write_mid_stream_is_one_data_error(self, tmp_path, fmt):
         # The dual export of 10 artists (1024 rows) outgrows a 4096-byte file
