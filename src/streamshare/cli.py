@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(report, args) -> None:
     """Write a report (:func:`_put`) to ``--output`` or stdout; a failed write is a data error."""
-    if args.output is None and sys.stdout is None:  # fd 1 was closed before start-up
-        raise ValueError("cannot write stdout: file descriptor 1 is closed")
     try:
         if args.output is not None:
             _replace_file(args.output, report)
@@ -259,6 +257,8 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         if args.output is not None:
             _check_output(args.output)
+        elif sys.stdout is None:  # fd 1 was closed before start-up: refused before any work
+            raise ValueError("cannot write stdout: file descriptor 1 is closed")
         return args.run(args)
     except ValueError as exc:  # every data error the package raises is one
         print(f"streamshare: error: {exc}", file=sys.stderr)

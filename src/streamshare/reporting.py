@@ -1,10 +1,10 @@
 """CSV matrix ingestion and report writers.
 
-Simple matrix files (ASCII, no quote, carriage return, NUL, empty cell or
-blank line) are read by C-level string passes: mostly-zero ones are scanned
-for their nonzero cells, the others read one ``json.loads`` per row. The rest,
-and whatever those two readers decline, go through ``csv.reader``, which
-gives the same result and every parse error.
+Simple matrix files (ASCII, no quote, carriage return, NUL or blank line) are
+read by C-level string passes: mostly-zero ones are scanned for their nonzero
+cells, the others read one ``json.loads`` per row. The rest, and whatever
+those two readers decline, go through ``csv.reader``, which gives the same
+result and every parse error.
 
 Each report has one writer per format, which reads its records directly: the
 allocation and game reports read the problem, the audit and suite reports the
@@ -83,12 +83,12 @@ def _simple(text: str, marks: str):
     """``(users, rows, body, marked)`` of a simple ``text``, or None; never raises.
 
     Simple text is ASCII with no ``"``, ``\\r`` or NUL (a ``csv.reader`` row is
-    then the line split at ","), no empty cell or blank line, an ``artist``
-    header and nonempty ids, each within ``csv.field_size_limit()``, as are
-    counts of ``MAX_COUNT_DIGITS`` digits. ``body`` is ``text`` ending in a
-    newline, ``marked`` its translation by ``marks``; ``rows`` holds one
-    ``(artist, head, end)`` per later line, ``body[head:end]`` being its cells,
-    each after a ",".
+    then the line split at ","), an ``artist`` header and nonempty ids (so no
+    blank line), each within ``csv.field_size_limit()``, as are counts of
+    ``MAX_COUNT_DIGITS`` digits. It may hold empty cells, which each reader
+    refuses. ``body`` is ``text`` ending in a newline, ``marked`` its
+    translation by ``marks``; ``rows`` holds one ``(artist, head, end)`` per
+    later line, ``body[head:end]`` being its cells, each after a ",".
     """
     csv = sys.modules.get("_csv")  # unloaded, nothing has changed CPython's default limit
     limit = csv.field_size_limit() if csv else 131072
@@ -99,8 +99,8 @@ def _simple(text: str, marks: str):
     end = body.find("\n")
     header = body[:end].split(",")
     users = [c.strip() for c in header[1:]]
-    if (",," in marked or header[0].strip() != "artist" or not users  # ",,": an empty
-            or not all(users) or max(map(len, header)) > limit):      # cell or a blank line
+    if (header[0].strip() != "artist" or not users or not all(users)
+            or max(map(len, header)) > limit):
         return None
     rows = []
     while end + 1 < len(body):
@@ -115,25 +115,31 @@ def _simple(text: str, marks: str):
 
 def _scan(text: str) -> Problem | None:
     """What ``_problem(*_read_csv(text))`` gives for simple ``text`` whose zeros
-    are spelled "0" and other counts plain digits, or None."""
+    are spelled "0" and other counts plain digits, or None. Searches jump from
+    one nonzero cell to the next. Each run of zero cells between, and the row's
+    tail up to the "," its newline became, must be "0," repeated: one count of
+    "0," checks the run and gives the columns it spans."""
     if not (simple := _simple(text, _MARKS)):
         return None
     users, spans, body, marked = simple
     rows = []
     for artist, head, end in spans:
         pos, column, texts, columns = head, 0, [], []
-        while (hit := marked.find(_MARK, pos, end)) >= 0:  # the next nonzero cell
-            cell = marked.rfind(",", pos, hit) + 1
-            column += marked.count(",", pos, cell)
+        while True:  # pos is at the "," before a run of zero cells
+            hit = marked.find(_MARK, pos, end)  # the next nonzero cell, if any
+            cell = marked.rfind(",", pos, hit) + 1 if hit >= 0 else end + 1
+            zeros = marked.count("0,", pos + 1, cell)
+            if 2 * zeros != cell - pos - 1:
+                return None
+            column += zeros
+            if hit < 0:
+                break
             pos = marked.find(",", hit)
             texts.append(body[cell:pos])
-            columns.append(column - 1)
-        column += marked.count(",", pos, end)
-        # With no empty cell, the row has this length only if each zero cell is "0".
-        size = 2 * len(users) - len(texts) + sum(map(len, texts))
-        if (column != len(users) or end - head != size
-                or texts and not ("".join(texts).isdigit()
-                                  and max(map(len, texts)) <= MAX_COUNT_DIGITS)):
+            columns.append(column)
+            column += 1
+        if (column != len(users) or texts and not ("".join(texts).isdigit()
+                                                   and max(map(len, texts)) <= MAX_COUNT_DIGITS)):
             return None
         rows.append((artist, columns, map(int, texts)))
     return _problem(users, rows)
@@ -144,9 +150,9 @@ def _read_dense(text: str) -> Problem | None:
     raises only what :func:`_check_ids` and :func:`_problem_from_rows` raise.
 
     Once its marks show a row to be digits and ","s, one ``json.loads`` reads
-    it: JSON refuses a leading zero, and its integers are then what ``int()``
-    gives. No rows, or a count over ``MAX_COUNT_DIGITS`` digits or past the
-    int-to-str limit, declines the text.
+    it: JSON refuses a leading zero and an empty cell, and its integers are
+    then what ``int()`` gives. No rows, or a count over ``MAX_COUNT_DIGITS``
+    digits or past the int-to-str limit, declines the text.
     """
     simple = _simple(text, _DIGITS)
     if not simple:
@@ -158,7 +164,7 @@ def _read_dense(text: str) -> Problem | None:
     import json
     try:
         rows = tuple([tuple(json.loads(f"[{body[head + 1:end]}]")) for _, head, end in spans])
-    except ValueError:  # a leading zero, or past the int-to-str limit
+    except ValueError:  # a leading zero, an empty cell, or past the int-to-str limit
         return None
     if {len(row) for row in rows} != {len(users)}:  # no rows, or one of another width
         return None
@@ -245,16 +251,19 @@ def _dec(num: int, den: int) -> str:
 
 
 def _sections(p: Problem, rule_names, price, seed: int):
-    """One ``(index, values, rewards)`` per requested index. Reward ``i`` is
-    ``(artist, fraction, decimal, payout)`` of ``pays[i] / total`` from
-    ``indices.reward_shares`` (they sum to ``m`` exactly), the payout times ``price``."""
+    """One ``(index, cells)`` per requested index. Cell ``i`` is the strings
+    ``(value, fraction, decimal, payout)`` of artist ``i``: its value, then
+    ``pays[i] / total`` from ``indices.reward_shares`` (they sum to ``m``
+    exactly) and the payout times ``price``. Artists with equal numerators
+    share one tuple, formatted once."""
     pn, pd = price.numerator, price.denominator
     for name in rule_names:
         vec = make_rule(name, seed=seed)(p)
         pays, total = reward_shares(vec, p.m)
-        yield name, [_ratio(x, vec.common) for x in vec.nums], [
-            (a, _ratio(x, total), _dec(x, total), _dec(x * pn, total * pd))
-            for a, x in zip(p.artists, pays)]
+        keys = list(zip(vec.nums, pays))
+        strings = {(x, pay): (_ratio(x, vec.common), _ratio(pay, total), _dec(pay, total),
+                              _dec(pay * pn, total * pd)) for x, pay in set(keys)}
+        yield name, [*map(strings.__getitem__, keys)]
 
 
 def game_chunks(p: Problem, stance: str, fmt: str = "text"):
@@ -302,13 +311,14 @@ def render_json(doc: dict) -> str:
 def allocation_json(p: Problem, rule_names, price=1, seed: int = 42) -> str:
     """The allocation report (:func:`_sections`) in :func:`render_json`'s layout, by template."""
     from json.encoder import encode_basestring_ascii as s
-    m = str(p.m)
-    sections = [_SECTION % (s(name), s(m), _block([_REWARD % (s(a), s(dec), s(frac), s(pay))
-                                                   for a, frac, dec, pay in rewards], 6),
-                            _block([*map(s, values)], 6))
-                for name, values, rewards in _sections(p, rule_names, price, seed)]
+    m, artists, sections = s(str(p.m)), [*map(s, p.artists)], []
+    for name, cells in _sections(p, rule_names, price, seed):
+        rewards = [_REWARD % (a, s(dec), s(frac), s(pay))
+                   for a, (_, frac, dec, pay) in zip(artists, cells)]
+        sections.append(_SECTION % (s(name), m, _block(rewards, 6),
+                                    _block([s(value) for value, *_ in cells], 6)))
     return _ALLOCATION % (s("allocation"), s(str(price)), _PROBLEM % (
-        _block([*map(s, p.artists)], 4), p.m, p.n, _block([*map(s, p.users)], 4)),
+        _block(artists, 4), p.m, p.n, _block([*map(s, p.users)], 4)),
         SCHEMA_VERSION, _block(sections, 2))
 
 
@@ -330,10 +340,10 @@ def allocation_text(p: Problem, rule_names, price=1, seed: int = 42) -> str:
     """The allocation report (:func:`_sections`) as text: the problem, then each index."""
     lines = [f"problem: {p.n} artists ({', '.join(p.artists)}), "
              f"{p.m} users ({', '.join(p.users)})", f"price multiplier: {price}"]
-    for name, values, rewards in _sections(p, rule_names, price, seed):
+    for name, cells in _sections(p, rule_names, price, seed):
         lines.append(f"index {name}:")
         lines += [f"  {a}: value={value} reward={frac} ({dec}) payout={pay}"
-                  for value, (a, frac, dec, pay) in zip(values, rewards)]
+                  for a, (value, frac, dec, pay) in zip(p.artists, cells)]
         lines.append(f"  reward total: {p.m}")
     return "\n".join(lines) + "\n"
 

@@ -367,6 +367,15 @@ class TestErrorsAndUsage:
         assert err.startswith("streamshare: error: cannot write stdout")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_stdout_closed_at_start_up_is_refused_before_any_work(self, capsys, monkeypatch):
+        def audit_pairs(*args):
+            raise AssertionError("the audit ran")
+        monkeypatch.setattr(cli.axioms, "audit_pairs", audit_pairs)
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["audit", "--axiom", "null_artists", "--index", "shapley", "--trials", "2"])
+        assert (code, capsys.readouterr().err) == (
+            2, "streamshare: error: cannot write stdout: file descriptor 1 is closed\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_failed_stdout_write_mid_stream_is_one_data_error(self, tmp_path, fmt):
         # The dual export of 10 artists (1024 rows) outgrows a 4096-byte file

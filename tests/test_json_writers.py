@@ -63,6 +63,31 @@ def test_text_allocation_report_equals_reference_rendering(p, rules, price, seed
     assert allocation_text(p, rules, price=price, seed=seed) == text_allocation(doc)
 
 
+@st.composite
+def patterned_problems(draw):
+    """Up to 40 artists, each streaming one of 2 or 3 row patterns, so that
+    many artists share a numerator under most rules (a silent user's cell is
+    set to 1 in the first row)."""
+    m = draw(st.integers(1, 5))
+    patterns = draw(st.lists(st.lists(st.integers(0, 9), min_size=m, max_size=m),
+                             min_size=2, max_size=3))
+    picks = draw(st.lists(st.sampled_from(patterns), min_size=1, max_size=40))
+    rows = [list(row) for row in picks]
+    for j in range(m):
+        if not any(row[j] for row in rows):
+            rows[0][j] = 1
+    return build_problem([f"a{i}" for i in range(len(rows))], [f"u{j}" for j in range(m)], rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(patterned_problems(), prices, st.integers(0, 10**6))
+def test_reports_format_shared_numerators_as_the_reference(p, price, seed):
+    # each distinct numerator is formatted once and its strings reused
+    doc = allocation_document(p, ALL_RULE_NAMES, price=price, seed=seed)
+    assert allocation_json(p, ALL_RULE_NAMES, price=price, seed=seed) == dumps(doc)
+    assert allocation_text(p, ALL_RULE_NAMES, price=price, seed=seed) == text_allocation(doc)
+
+
 @settings(max_examples=200)
 @given(labelled_problems(), st.sampled_from(sorted(STANCES)))
 def test_game_export_equals_json_dumps(p, stance):
