@@ -9,12 +9,13 @@ axiom checks pay through it, and print exact numbers through :func:`_ratio`.
 Every index is a sum over users of an integer numerator per artist divided
 by a per-user denominator d: the listening-set size (shapley, user-weighted),
 the stream total (user-centric) or the weight sum (artist-weighted). A kernel
-takes ``common``, the lcm of the distinct d, then walks the sparse columns
-``Problem.columns`` once and adds each nonzero's numerator times
-``common // d`` into one per-artist list (:class:`IndexVector`), building no
-``Fraction``: O(nnz) steps, each a product and a sum on integers as large as
-``common``. Nothing goes through floats, which would break the exact
-equalities the axiom checks rely on.
+walks the sparse columns ``Problem.columns`` once, takes ``common``, the lcm
+of the distinct d, and adds each numerator times ``common // d`` into one
+per-artist list (:class:`IndexVector`), building no ``Fraction``: O(nnz)
+steps. The equal split scales each nonzero; the proportional split first sums
+the parts of users who share a d per artist, so an integer as large as
+``common`` is multiplied once per (d, artist). Nothing goes through floats,
+which would break the exact equalities the axiom checks rely on.
 """
 
 from __future__ import annotations
@@ -129,13 +130,23 @@ def artist_weighted_index(p: Problem, weights) -> IndexVector:
 
 def _proportional(p: Problem, shares) -> IndexVector:
     """Split user ``j``'s unit among the artists ``idx`` in proportion to the
-    positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``."""
-    shares = [(idx, parts, sum(parts)) for idx, parts in shares]
-    common = math.lcm(*{d for _, _, d in shares})
-    totals = [0] * len(p.artists)
-    for idx, parts, d in shares:
-        scale = common // d
+    positive integers ``parts``, for the ``j``-th ``(idx, parts)`` of ``shares``.
+    Parts with the same sum d are added per artist first, in small integers (a
+    lone user's pairs, else an ``{artist: sum}`` dict), then scaled once."""
+    groups = {}
+    for idx, parts in shares:
+        if (acc := groups.get(d := sum(parts))) is None:
+            groups[d] = zip(idx, parts)
+            continue
+        if acc.__class__ is zip:
+            acc = groups[d] = dict(acc)
         for i, x in zip(idx, parts):
+            acc[i] = acc.get(i, 0) + x
+    common = math.lcm(*groups)
+    totals = [0] * len(p.artists)
+    for d, acc in groups.items():
+        scale = common // d
+        for i, x in acc.items() if acc.__class__ is dict else acc:
             totals[i] += x * scale
     return tuple.__new__(IndexVector, (p.artists, tuple(totals), common))
 

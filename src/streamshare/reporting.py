@@ -250,19 +250,20 @@ def _dec(num: int, den: int) -> str:
 # Reports
 
 
-def _sections(p: Problem, rule_names, price, seed: int):
+def _sections(p: Problem, rule_names, price, seed: int, quote=str):
     """One ``(index, cells)`` per requested index. Cell ``i`` is the strings
-    ``(value, fraction, decimal, payout)`` of artist ``i``: its value, then
-    ``pays[i] / total`` from ``indices.reward_shares`` (they sum to ``m``
-    exactly) and the payout times ``price``. Artists with equal numerators
-    share one tuple, formatted once."""
+    ``(value, fraction, decimal, payout)`` of artist ``i``, each through
+    ``quote``: its value, then ``pays[i] / total`` from ``indices.reward_shares``
+    (they sum to ``m`` exactly) and the payout times ``price``. Artists with
+    equal numerators share one tuple, formatted and quoted once."""
     pn, pd = price.numerator, price.denominator
     for name in rule_names:
         vec = make_rule(name, seed=seed)(p)
         pays, total = reward_shares(vec, p.m)
         keys = list(zip(vec.nums, pays))
-        strings = {(x, pay): (_ratio(x, vec.common), _ratio(pay, total), _dec(pay, total),
-                              _dec(pay * pn, total * pd)) for x, pay in set(keys)}
+        strings = {(x, pay): (quote(_ratio(x, vec.common)), quote(_ratio(pay, total)),
+                              quote(_dec(pay, total)), quote(_dec(pay * pn, total * pd)))
+                   for x, pay in set(keys)}
         yield name, [*map(strings.__getitem__, keys)]
 
 
@@ -312,11 +313,10 @@ def allocation_json(p: Problem, rule_names, price=1, seed: int = 42) -> str:
     """The allocation report (:func:`_sections`) in :func:`render_json`'s layout, by template."""
     from json.encoder import encode_basestring_ascii as s
     m, artists, sections = s(str(p.m)), [*map(s, p.artists)], []
-    for name, cells in _sections(p, rule_names, price, seed):
-        rewards = [_REWARD % (a, s(dec), s(frac), s(pay))
-                   for a, (_, frac, dec, pay) in zip(artists, cells)]
+    for name, cells in _sections(p, rule_names, price, seed, s):
+        rewards = [_REWARD % (a, dec, frac, pay) for a, (_, frac, dec, pay) in zip(artists, cells)]
         sections.append(_SECTION % (s(name), m, _block(rewards, 6),
-                                    _block([s(value) for value, *_ in cells], 6)))
+                                    _block([value for value, *_ in cells], 6)))
     return _ALLOCATION % (s("allocation"), s(str(price)), _PROBLEM % (
         _block(artists, 4), p.m, p.n, _block([*map(s, p.users)], 4)),
         SCHEMA_VERSION, _block(sections, 2))

@@ -13,7 +13,9 @@ The per-denominator kernels :func:`_proportional`, :func:`_equal_split` and
 :func:`_combine` are kept as they were, type hints aside, with
 :func:`grouped_rule` to call them as the split rules do, as the integer-identity
 oracle of the one-pass kernels that replaced them: the same ``nums`` over the
-same ``common``, not only equal values.
+same ``common``, not only equal values. The live proportional kernel groups
+users by denominator again, but sparsely: per (denominator, artist) pair
+streamed, where these build an n-long list per denominator.
 
 The allocation report's document (:func:`allocation_document`) and its text
 rendering (:func:`text_allocation`) are kept too, as the oracles of the writers

@@ -144,6 +144,66 @@ def test_property_one_pass_kernels_equal_grouped_kernels(p, seed):
         assert (got.artists, got.nums, got.common) == (want.artists, want.nums, want.common)
 
 
+def _composition(rng, total, k):
+    """``k`` positive parts summing to ``total`` (``1 <= k <= total``), uniformly cut."""
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
+
+
+def shared_total_problem(rng, n, m, totals, supports):
+    """``m`` users over ``n`` artists, each user's counts a composition of one of
+    ``totals`` over one of ``supports`` or, half the time, a fresh random subset,
+    cut to at most ``total`` artists: users share stream totals over different
+    supports and weight sums over the same ones."""
+    columns = []
+    for _ in range(m):
+        total = rng.choice(totals)
+        idx = rng.choice(supports) if rng.random() < 0.5 else rng.sample(range(n), rng.randint(1, n))
+        idx = sorted(idx[:total])
+        columns.append((idx, _composition(rng, total, len(idx))))
+    return build_sparse_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], columns)
+
+
+@st.composite
+def shared_total_problems(draw, max_n=8, max_m=30):
+    """Up to 8 x 30 problems whose users' counts are compositions of 2-3 totals
+    over random artist subsets: groups of one, two and many users per stream
+    total, with different supports, and per weight sum, with shared ones."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    rng = draw(st.randoms(use_true_random=False))
+    totals = rng.sample(range(1, draw(st.sampled_from([12, 200, 10**6]))), rng.randint(2, 3))
+    supports = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
+    return shared_total_problem(rng, n, m, totals, supports)
+
+
+def assert_proportional_rules_match(p, seed):
+    """User-centric and artist-weighted: the grouped kernels' ``nums`` over
+    ``common``, integer for integer, and the per-entry reference's values."""
+    for name in ("user-centric", "artist-weighted"):
+        got, want = make_rule(name, seed=seed)(p), ref.grouped_rule(name, seed=seed)(p)
+        assert (got.artists, got.nums, got.common) == (want.artists, want.nums, want.common)
+        assert_same(got, reference_rule(name, seed=seed)(p), p)
+
+
+@settings(max_examples=150)
+@given(shared_total_problems(), st.integers(0, 10**6))
+def test_property_shared_denominators_equal_grouped_kernels(p, seed):
+    assert_proportional_rules_match(p, seed)
+
+
+def test_shared_denominators_with_a_common_of_over_300_digits():
+    rng = random.Random(7)
+    totals = rng.sample(range(100, 5000), 300)
+    supports = [rng.sample(range(40), 20) for _ in range(8)]
+    p = shared_total_problem(rng, 40, 1200, totals, supports)
+    sums = [sum(counts) for _, counts in p.columns]
+    assert len(set(sums)) < len(sums)  # some users share a total
+    for name in ("user-centric", "artist-weighted"):
+        assert len(str(make_rule(name)(p).common)) > 300
+    assert_proportional_rules_match(p, 7)
+
+
 @settings(max_examples=60)
 @given(problems(max_n=5, max_m=6, max_entry=200), st.integers(0, 10**6))
 def test_property_report_payout_total_equals_reference(p, seed):
