@@ -10,8 +10,9 @@ instance reproduces the violation bit-for-bit through
 the seed.
 
 Quantified axioms ("for each pair", "for each subset") are checked over
-every applicable pair or subset inside each instance. Random problems have
-at most 5 artists and 5 users.
+every applicable pair or subset inside each instance. A trial is one of the
+instances an axiom expands a random problem into (:func:`generate_instance`), as
+it expands each grid problem. Random problems have at most 5 artists and 5 users.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from .indices import TABLE_RULE_NAMES, IndexRule, _ratio, make_rule, reward_shar
 
 DEFAULT_TRIALS = 500
 
-# Random problems: up to MAX_ARTISTS x MAX_USERS, entries up to MAX_ENTRY. A
-# HEAVY_CHANCE share of trials caps entries at HEAVY_ENTRY instead, which is
-# what exposes ratio-sensitive violations (for example, reward shifts under a
+# Random problems: up to MAX_ARTISTS x MAX_USERS, each entry 0 by ZERO_CHANCE, else
+# up to MAX_ENTRY. A HEAVY_CHANCE share of trials caps entries at HEAVY_ENTRY instead,
+# which is what exposes ratio-sensitive violations (for example, reward shifts under a
 # single user's extreme stream counts).
 MAX_ARTISTS = 5
 MAX_USERS = 5
 MAX_ENTRY = 5
 HEAVY_ENTRY = 200
 HEAVY_CHANCE = 0.15
+ZERO_CHANCE = 0.35
 
 
 class ShapeMismatch(ValueError):
@@ -346,13 +348,14 @@ def _check_click_fraud_proofness(rule, prepared):
 # built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 #
-# An audit runs each axiom's grid and then ``trials`` draws from one generator, seeded
-# by the seed and the axiom, one instance at a time: it prepares each once and checks it
-# under every rule not yet refuted, so a rule's draws are a fixed prefix of the axiom's
-# stream. Each rule scores the grid through its own ``lru_cache``, keyed by problem
-# content (ids included, which the weighted rules read), so it computes each distinct
-# grid problem (base problems, split parts, removals, modified problems) once per call.
-# Drawn problems go straight to its kernel: kept too, they would raise the peak memory.
+# An audit runs each axiom's grid and then ``trials`` draws of :func:`generate_instance`
+# from one ``random.Random``, seeded by the seed and the axiom, one instance at a time:
+# it prepares each once and checks it under every rule not yet refuted, so a rule's
+# draws are a fixed prefix of the axiom's stream. Each rule scores the grid through its
+# own ``lru_cache``, keyed by problem content (ids included, which the weighted rules
+# read), so it computes each distinct grid problem (base problems, split parts, removals,
+# modified problems) once per call. Drawn problems go straight to its kernel: kept too,
+# they would raise the peak memory.
 
 
 @lru_cache(maxsize=1)
@@ -444,164 +447,79 @@ def instance_to_dict(instance: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Random instance generation
+# Random instances
 #
-# Each generator draws and adjusts plain rows, then builds them unvalidated.
+# Every axiom draws its trials from one planted-problem generator and takes one of
+# the instances its ``expand`` makes of the problem, as the grid does.
 
 
-def _random_rows(
-    rng: random.Random, min_n: int = 1, min_m: int = 1, zero_chance: float = 0.35
-) -> list[list[int]]:
+def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
+    """Random rows, at most one structure planted: a pair of artists with equal fan sets,
+    a proportional pair (by 2 or 3), a dominated pair or, less often, a null artist. Users
+    left silent are dropped; a draw that leaves none is drawn again."""
     randrange, rand = rng.randrange, rng.random
-    n = min_n + randrange(MAX_ARTISTS - min_n + 1)
-    m = min_m + randrange(MAX_USERS - min_m + 1)
-    max_entry = HEAVY_ENTRY if rand() < HEAVY_CHANCE else MAX_ENTRY
-    rows = [[0 if rand() < zero_chance else 1 + randrange(max_entry) for _ in range(m)]
-            for _ in range(n)]
-    for j in _empty_columns(rows):
-        rows[randrange(n)][j] = 1 + randrange(max_entry)
-    return rows
-
-
-def _empty_columns(rows):
-    """Positions of the all-zero columns; refilling column ``j`` leaves the others as they are."""
-    return [j for j, col in enumerate(zip(*rows)) if not any(col)]
-
-
-def _bump_column(rng, rows, j, avoid):
-    """Make column j positive without touching rows in ``avoid``."""
-    candidates = [x for x in range(len(rows)) if x not in avoid]
-    rows[rng.choice(candidates)][j] = 1 + rng.randrange(3)
-
-
-def _refill_pair(rng, rows, i, k, partner):
-    """Refill empty columns from rows other than ``i`` and ``k``, if any; with only
-    those two rows, row ``i`` gets a fresh entry ``v`` and row ``k`` gets ``partner(v)``."""
-    for j in _empty_columns(rows):
-        if len(rows) > 2:
-            _bump_column(rng, rows, j, {i, k})
-        else:
-            rows[i][j] = 1 + rng.randrange(MAX_ENTRY)
-            rows[k][j] = partner(rows[i][j])
-
-
-def _plain(**shape):
-    """A generator of bare random problems of the given shape."""
-    return lambda rng: {"problem": _problem(_random_rows(rng, **shape))}
-
-
-def _generate_additivity(rng):
-    p = _problem(_random_rows(rng, min_m=2))
     while True:
-        first = [u for u in p.users if rng.random() < 0.5]
-        second = [u for u in p.users if u not in first]
-        if first and second:
-            return {"problem": p, "first_users": first, "second_users": second}
+        n, m = 1 + randrange(MAX_ARTISTS), 1 + randrange(MAX_USERS)
+        top = HEAVY_ENTRY if rand() < HEAVY_CHANCE else MAX_ENTRY
+        rows = [[0 if rand() < ZERO_CHANCE else 1 + randrange(top) for _ in range(m)]
+                for _ in range(n)]
+        plant = rand() if n > 1 else 1
+        if plant < 0.6:  # row k gets row i's fans, a multiple of row i, or dominates it
+            i, k = rng.sample(range(n), 2)
+            if plant < 0.2:
+                rows[k] = [x and 1 + randrange(top) for x in rows[i]]
+            elif plant < 0.4:
+                mult = 2 + randrange(2)
+                rows[k] = [mult * x for x in rows[i]]
+            else:
+                rows[k] = [x + randrange(3) for x in rows[i]]
+        elif plant < 0.7:
+            rows[randrange(n)] = [0] * m
+        cols = [col for col in zip(*rows) if any(col)]
+        if cols:
+            return list(zip(*cols))
 
 
-def _generate_symmetry_on_fans(rng):
-    rows = _random_rows(rng, min_n=2)
-    if rng.random() < 0.7:
-        i, k = rng.sample(range(len(rows)), 2)
-        rows[k] = [0 if x == 0 else 1 + rng.randrange(MAX_ENTRY) for x in rows[i]]
-        _refill_pair(rng, rows, i, k, lambda v: 1 + rng.randrange(MAX_ENTRY))
-    return {"problem": _problem(rows)}
-
-
-def _generate_order_preservation(rng):
-    rows = _random_rows(rng, min_n=2)
-    if rng.random() < 0.6:
-        i, k = rng.sample(range(len(rows)), 2)
-        rows[k] = [x + rng.randrange(3) for x in rows[i]]
-        for j in _empty_columns(rows):
-            # bumping the dominating row keeps the domination intact
-            rows[k][j] += 1 + rng.randrange(2)
-    return {"problem": _problem(rows)}
-
-
-def _generate_non_unilateral_manipulability(rng):
-    rows = _random_rows(rng)
-    i = rng.choice([x for x in range(len(rows)) if any(rows[x])])
-    new_row = [x + (rng.randrange(MAX_ENTRY + 1) if x else 0) for x in rows[i]]
-    p = _problem(rows)
-    return {"problem": p, "modified": _with_row(p, i, new_row), "artist": p.artists[i]}
-
-
-def _generate_null_artists(rng):
-    rows = _random_rows(rng, min_n=2)
-    i = rng.randrange(len(rows))
-    rows[i] = [0] * len(rows[i])
-    for j in _empty_columns(rows):
-        _bump_column(rng, rows, j, {i})
-    return {"problem": _problem(rows)}
-
-
-def _generate_pairwise_homogeneity(rng):
-    rows = _random_rows(rng, min_n=2)
-    if rng.random() < 0.7:
-        i, k = rng.sample(range(len(rows)), 2)
-        if not any(rows[i]):
-            rows[i] = [1 + rng.randrange(MAX_ENTRY) for _ in rows[i]]
-        mult = rng.choice((2, 3))
-        rows[k] = [mult * x for x in rows[i]]
-        _refill_pair(rng, rows, i, k, lambda v: mult * v)
-    return {"problem": _problem(rows)}
-
-
-def _generate_click_fraud_proofness(rng):
-    rows = _random_rows(rng)
-    j = rng.randrange(len(rows[0]))
-    col = [row[j] for row in rows]
-    style = rng.random()
-    if style < 0.4:
-        new_col = [0] * len(col)
-        new_col[rng.randrange(len(col))] = 1 + rng.randrange(HEAVY_ENTRY)
-    elif style < 0.7:
-        new_col = list(reversed(col))
-    else:
-        scale = 2 + rng.randrange(49)
-        new_col = [scale * x for x in col]
-    p = _problem(rows)
-    return {"problem": p, "modified": _with_column(p, j, new_col), "user": p.users[j]}
+_grid_set = lru_cache(maxsize=1)(lambda: frozenset(_grid_problems()))
 
 
 def generate_instance(axiom: str, rng: random.Random) -> dict:
-    """Draw one random instance of the shape the axiom expects, its problems built
-    (:func:`instance_to_dict` turns it into plain data)."""
-    return _lookup(axiom).generate(rng)
+    """One of the instances the axiom's ``expand`` makes of a random problem, drawn by
+    ``rng``, its problems built (:func:`instance_to_dict` turns it into plain data). A
+    problem that is a base grid problem in content, or that expands to no instance (too
+    few users to split), is drawn again."""
+    expand = _lookup(axiom).expand
+    while True:
+        p = _problem(_random_rows(rng))
+        if p not in _grid_set() and (instances := list(expand(p))):
+            return rng.choice(instances)
 
 
 # ---------------------------------------------------------------------------
 # The axiom registry
 
 
-# One axiom: ``check`` and ``prepare`` (see the single-instance checks), a random-instance
-# generator ``generate(rng)``, and ``expand(problem)``, its instances from one grid problem.
-Axiom = namedtuple("Axiom", "check generate prepare expand", defaults=(_get_problem, _single))
+# One axiom: ``check`` and ``prepare`` (see the single-instance checks), and
+# ``expand(problem)``, its instances of one grid or random problem.
+Axiom = namedtuple("Axiom", "check prepare expand", defaults=(_get_problem, _single))
 
 
 AXIOMS: dict[str, Axiom] = {
-    "additivity": Axiom(_check_additivity, _generate_additivity, _prepare_additivity, _user_splits),
-    "reasonable_lower_bound": Axiom(
-        _check_reasonable_lower_bound, _plain(), _prepare_reasonable_lower_bound),
+    "additivity": Axiom(_check_additivity, _prepare_additivity, _user_splits),
+    "reasonable_lower_bound": Axiom(_check_reasonable_lower_bound, _prepare_reasonable_lower_bound),
     "equal_global_impact_of_users": Axiom(
-        _check_equal_global_impact_of_users, _plain(min_m=2),
-        _prepare_equal_global_impact_of_users),
-    "symmetry_on_fans": Axiom(
-        _check_symmetry_on_fans, _generate_symmetry_on_fans, _prepare_symmetry_on_fans),
-    "order_preservation": Axiom(_check_order_preservation, _generate_order_preservation),
+        _check_equal_global_impact_of_users, _prepare_equal_global_impact_of_users),
+    "symmetry_on_fans": Axiom(_check_symmetry_on_fans, _prepare_symmetry_on_fans),
+    "order_preservation": Axiom(_check_order_preservation),
     "non_unilateral_manipulability": Axiom(
-        _check_non_unilateral_manipulability, _generate_non_unilateral_manipulability,
-        partial(_modified_pair, key="artist"), _row_inflations),
-    # dense matrices keep most artist removals inside the model
+        _check_non_unilateral_manipulability, partial(_modified_pair, key="artist"),
+        _row_inflations),
     "equal_impact_of_artists": Axiom(
-        _check_equal_impact_of_artists, _plain(min_n=2, zero_chance=0.15),
-        _prepare_equal_impact_of_artists),
-    "null_artists": Axiom(_check_null_artists, _generate_null_artists),
-    "pairwise_homogeneity": Axiom(_check_pairwise_homogeneity, _generate_pairwise_homogeneity),
+        _check_equal_impact_of_artists, _prepare_equal_impact_of_artists),
+    "null_artists": Axiom(_check_null_artists),
+    "pairwise_homogeneity": Axiom(_check_pairwise_homogeneity),
     "click_fraud_proofness": Axiom(
-        _check_click_fraud_proofness, _generate_click_fraud_proofness,
-        partial(_modified_pair, key="user"), _column_changes),
+        _check_click_fraud_proofness, partial(_modified_pair, key="user"), _column_changes),
 }
 
 AXIOM_IDS = tuple(AXIOMS)
@@ -660,7 +578,8 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
     for axiom in dict.fromkeys(a for a, _ in pairs):
         ax, grid, rng = _lookup(axiom), _grid(axiom), random.Random(f"{seed}|{axiom}")
         live = dict.fromkeys((r for a, r in pairs if a == axiom), 0)  # rule: skipped so far
-        for k, instance in enumerate(chain(grid, (ax.generate(rng) for _ in range(trials))), 1):
+        drawn = (generate_instance(axiom, rng) for _ in range(trials))
+        for k, instance in enumerate(chain(grid, drawn), 1):
             n = min(k, len(grid))  # k == n on the grid, scored through the memos
             prep = ax.prepare(instance)
             for r in tuple(live):

@@ -36,7 +36,8 @@ def _pair(p):
 
 
 def _bulky(p):
-    """Pro-rata once a count exceeds ``MAX_ENTRY``: heavy trials and some modified grid problems."""
+    """Pro-rata once a count exceeds ``MAX_ENTRY``: heavy trials, planted multiples and dominating
+    rows, and some modified grid problems."""
     bulky = any(x > MAX_ENTRY for _, counts in p.columns for x in counts)
     return (pro_rata_index if bulky else shapley_index)(p)
 

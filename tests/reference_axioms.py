@@ -60,8 +60,8 @@ def check_instance(axiom, rule, instance):
 def audit(axiom, rule, trials, seed):
     """The verdict of ``streamshare.axioms.audit`` by its definition, one instance at a time.
 
-    The axiom's grid as plain dicts, in scan order, then ``trials`` draws from the
-    axiom's generator, ``random.Random(f"{seed}|{axiom}")``, which every rule of the
+    The axiom's grid as plain dicts, in scan order, then ``trials`` draws of
+    ``generate_instance`` from ``random.Random(f"{seed}|{axiom}")``, which every rule of the
     axiom shares, each checked alone by :func:`check_instance` here; the first
     violation is the counterexample.
     """

@@ -195,7 +195,7 @@ def planted_pairs(draw, max_n=5, max_m=6, max_entry=5, max_scale=7):
 @settings(max_examples=300, deadline=None)
 @given(planted_pairs(), st.sampled_from(PROPERTY_RULES))
 def test_homogeneity_on_planted_pairs_matches_reference(p, rule):
-    # the generators and the {0, 1, 3} grid plant only the ratios 2, 3 and 1/3
+    # the generator and the {0, 1, 3} grid plant only the ratios 2, 3 and 1/3
     assert_same_as_reference("pairwise_homogeneity", rule, {"problem": p})
 
 
@@ -301,7 +301,7 @@ def _reference_cells(result, every):
 def test_suite_cells_equal_reference_audits(table_run, independence_run):
     """Outcome, position, witness, details and ``skipped`` of a sample of suite
     cells equal those of the reference audit loop, which shares no code with
-    the runner past the instance generators and the grid."""
+    the runner past the instance generator and the grid."""
     sample = _reference_cells(table_run, 2) + _reference_cells(independence_run, 2)
     for cell, want in sample:
         got = cell._replace(expected=None, axiom_set=None)

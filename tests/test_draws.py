@@ -1,12 +1,12 @@
-"""The audit's instance generators draw every integer with ``random.Random``'s
+"""The audit's instance generator draws every integer with ``random.Random``'s
 own methods: ``a + randrange(b - a + 1)`` for an integer in ``[a, b]``,
 ``randrange(n)``, ``choice(seq)`` and ``sample(range(n), 2)``. The pinned
 digests of ``tests/golden/instances.json`` hold only if each of these draws as
 ``randint`` and as the rejection loop over ``getrandbits`` that CPython 3.10-3.13
 run. ``randbelow`` and ``pair`` below spell that loop out, an independent
 reference: each test draws the same values and leaves the generator in the
-same state. So does ``axioms._random_rows``, which every generator starts
-from, against ``reference_rows``, spelled with ``randint``. On a Python whose
+same state. So does ``axioms._random_rows``, the planted problem every trial
+expands, against ``reference_rows``, spelled with ``randint``. On a Python whose
 ``random`` draws otherwise, these tests fail by name, ahead of the digests."""
 
 import random
@@ -14,17 +14,17 @@ import random
 import pytest
 
 from streamshare.axioms import (HEAVY_CHANCE, HEAVY_ENTRY, MAX_ARTISTS, MAX_ENTRY, MAX_USERS,
-                                _random_rows)
+                                ZERO_CHANCE, _random_rows)
 
 pytestmark = pytest.mark.oracle
 
-# every integer range the generators draw from: the shape in _random_rows,
-# with min_n and min_m of 1 or 2 as the generators ask; the entries, light
-# and heavy; and the bumps, increments (from 0 too) and scales of the
-# axiom-specific generators
-RANDINT_BOUNDS = sorted({(low, high) for low in (1, 2) for high in (MAX_ARTISTS, MAX_USERS)}
-                        | {(1, MAX_ENTRY), (1, HEAVY_ENTRY), (1, 2), (1, 3), (2, 50),
-                           (0, 2), (0, MAX_ENTRY)})
+# every integer range _random_rows draws from: the shape; the entries, light and
+# heavy; the multiplier of a proportional pair and the increments of a dominating row
+RANDINT_BOUNDS = sorted({(1, MAX_ARTISTS), (1, MAX_USERS), (1, MAX_ENTRY), (1, HEAVY_ENTRY),
+                         (2, 3), (0, 2)})
+# every count of instances an axiom's expand makes of a random problem, which
+# generate_instance chooses from: up to 14 user splits, or three column changes per user
+CHOICE_SIZES = range(1, 3 * MAX_USERS + 1)
 SEEDS = [0, 1, 2**64 + 3, "7|additivity|shapley", "42|click_fraud_proofness|uniform"]
 DRAWS = 400
 
@@ -68,7 +68,7 @@ def test_randbelow_draws_as_randrange(n, seed):
     assert ours.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("size", range(1, MAX_ARTISTS + 1))
+@pytest.mark.parametrize("size", CHOICE_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_randbelow_draws_as_choice(size, seed):
     items = [f"x{i}" for i in range(size)]
@@ -87,22 +87,33 @@ def test_pair_draws_as_sample(n, seed):
     assert ours.getstate() == reference.getstate()
 
 
-def reference_rows(rng, min_n=1, min_m=1, zero_chance=0.35):
+def reference_rows(rng):
     """``axioms._random_rows`` spelled with ``randint``."""
-    n, m = rng.randint(min_n, MAX_ARTISTS), rng.randint(min_m, MAX_USERS)
-    max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
-    rows = [[0 if rng.random() < zero_chance else rng.randint(1, max_entry) for _ in range(m)]
-            for _ in range(n)]
-    for j in range(m):
-        if not any(row[j] for row in rows):
-            rows[rng.randrange(n)][j] = rng.randint(1, max_entry)
-    return rows
+    while True:
+        n, m = rng.randint(1, MAX_ARTISTS), rng.randint(1, MAX_USERS)
+        max_entry = HEAVY_ENTRY if rng.random() < HEAVY_CHANCE else MAX_ENTRY
+        rows = [[0 if rng.random() < ZERO_CHANCE else rng.randint(1, max_entry)
+                 for _ in range(m)] for _ in range(n)]
+        plant = rng.random() if n >= 2 else 1
+        if plant < 0.6:
+            i, k = rng.sample(range(n), 2)
+            if plant < 0.2:  # equal fan sets
+                rows[k] = [rng.randint(1, max_entry) if x else 0 for x in rows[i]]
+            elif plant < 0.4:  # proportional
+                scale = rng.randint(2, 3)
+                rows[k] = [scale * x for x in rows[i]]
+            else:  # row k dominates row i
+                rows[k] = [x + rng.randint(0, 2) for x in rows[i]]
+        elif plant < 0.7:  # a null artist
+            rows[rng.randint(0, n - 1)] = [0] * m
+        users = [j for j in range(m) if any(row[j] for row in rows)]
+        if users:
+            return [tuple(row[j] for j in users) for row in rows]
 
 
-@pytest.mark.parametrize("shape", [{}, {"min_m": 2}, {"min_n": 2, "zero_chance": 0.15}])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_rows_draw_as_randint(shape, seed):
+def test_random_rows_draw_as_randint(seed):
     ours, reference = twins(seed)
-    assert [_random_rows(ours, **shape) for _ in range(DRAWS)] == \
-        [reference_rows(reference, **shape) for _ in range(DRAWS)]
+    assert [_random_rows(ours) for _ in range(DRAWS)] == \
+        [reference_rows(reference) for _ in range(DRAWS)]
     assert ours.getstate() == reference.getstate()

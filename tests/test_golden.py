@@ -1,11 +1,12 @@
-"""Golden CLI reports, pinned instance generators, and the reports'
+"""Golden CLI reports, the pinned instance generator, and the reports'
 independence from the interpreter's hash seed and from the environment.
 
 The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical (the six audit
-files were rewritten once, when every rule of an axiom came to share one
-stream of seeded trials, which moved only the ``skipped`` count of the
-``equal_impact_of_artists`` cells that hold):
+files were rewritten twice: when every rule of an axiom came to share one
+stream of seeded trials, and when every axiom came to draw its trials from
+one planted-problem generator; each time only the ``skipped`` count of the
+``equal_impact_of_artists`` cells that hold moved):
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
 (24 artists x 40 users) and a seeded dense one (6 x 30), the same with
 ``--price 9.99`` on a seeded wide one (80 x 600, 1.6% dense, which
@@ -19,7 +20,7 @@ problem with its manipulating artist or user (the plain audit), and a user
 split (the independence suite).
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
-not pin the random instance generators. ``instances.json`` does: for each
+not pin the random instance generator. ``instances.json`` does: for each
 axiom, one sha256 of its grid instances and one of 400 random instances drawn
 from ``random.Random(f"pin|{axiom}")``.
 """
