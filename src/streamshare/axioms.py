@@ -10,9 +10,9 @@ instance reproduces the violation bit-for-bit through
 the seed.
 
 Quantified axioms ("for each pair", "for each subset") are checked over
-every applicable pair or subset inside each instance. A trial is one of the
-instances an axiom expands a random problem into (:func:`generate_instance`), as
-it expands each grid problem. Random problems have at most 5 artists and 5 users.
+every applicable pair or subset inside each instance. The trials are the
+instances an axiom expands random problems into (:func:`random_instances`), as it
+expands each grid problem. Random problems have at most 5 artists and 5 users.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product
 from math import gcd
 from operator import le
 
@@ -348,14 +348,14 @@ def _check_click_fraud_proofness(rule, prepared):
 # built unvalidated. Plain dicts appear only at the edges: :func:`build_problem`
 # validates a supplied instance, and a witness leaves through :func:`instance_to_dict`.
 #
-# An audit runs each axiom's grid and then ``trials`` draws of :func:`generate_instance`
-# from one ``random.Random``, seeded by the seed and the axiom, one instance at a time:
-# it prepares each once and checks it under every rule not yet refuted, so a rule's
-# draws are a fixed prefix of the axiom's stream. Each rule scores the grid through its
-# own ``lru_cache``, keyed by problem content (ids included, which the weighted rules
-# read), so it computes each distinct grid problem (base problems, split parts, removals,
-# modified problems) once per call. Drawn problems go straight to its kernel: kept too,
-# they would raise the peak memory.
+# An audit runs each axiom's grid and then the first ``trials`` instances of
+# :func:`random_instances`, drawn by one ``random.Random`` seeded by the seed and the
+# axiom, one instance at a time: it prepares each once and checks it under every rule
+# not yet refuted, so a rule's trials are a fixed prefix of the axiom's stream. Each
+# rule scores the grid through its own ``lru_cache``, keyed by problem content (ids
+# included, which the weighted rules read), so it computes each distinct grid problem
+# (base problems, split parts, removals, modified problems) once per call. Drawn
+# problems go straight to its kernel: kept too, they would raise the peak memory.
 
 
 @lru_cache(maxsize=1)
@@ -382,10 +382,8 @@ def _with_row(p: Problem, i: int, row) -> Problem:
 
 
 def _with_column(p: Problem, j: int, col) -> Problem:
-    """``p`` with column ``j`` of its streams replaced by generated ``col``."""
+    """``p`` with column ``j`` of its streams replaced by generated ``col``, never all zero."""
     new = (tuple(compress(range(len(col)), col)), tuple(filter(None, col)))
-    if not new[0]:
-        raise SilentUser(p.users[j])
     return tuple.__new__(Problem, (p.artists, p.users, p.columns[:j] + (new,) + p.columns[j + 1:]))
 
 
@@ -449,8 +447,8 @@ def instance_to_dict(instance: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Random instances
 #
-# Every axiom draws its trials from one planted-problem generator and takes one of
-# the instances its ``expand`` makes of the problem, as the grid does.
+# Every axiom draws its trials from one planted-problem generator and takes every
+# instance its ``expand`` makes of each problem, in order, as the grid does.
 
 
 def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
@@ -483,16 +481,15 @@ def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
 _grid_set = lru_cache(maxsize=1)(lambda: frozenset(_grid_problems()))
 
 
-def generate_instance(axiom: str, rng: random.Random) -> dict:
-    """One of the instances the axiom's ``expand`` makes of a random problem, drawn by
-    ``rng``, its problems built (:func:`instance_to_dict` turns it into plain data). A
-    problem that is a base grid problem in content, or that expands to no instance (too
-    few users to split), is drawn again."""
+def random_instances(axiom: str, rng: random.Random):
+    """Every instance the axiom's ``expand`` makes of each random problem ``rng`` draws, in
+    order and without end, its problems built (:func:`instance_to_dict` turns one into plain
+    data). A problem that is a base grid problem in content is skipped."""
     expand = _lookup(axiom).expand
     while True:
         p = _problem(_random_rows(rng))
-        if p not in _grid_set() and (instances := list(expand(p))):
-            return rng.choice(instances)
+        if p not in _grid_set():
+            yield from expand(p)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +575,7 @@ def audit_pairs(pairs, trials: int = DEFAULT_TRIALS, seed: int = 42) -> list[Ver
     for axiom in dict.fromkeys(a for a, _ in pairs):
         ax, grid, rng = _lookup(axiom), _grid(axiom), random.Random(f"{seed}|{axiom}")
         live = dict.fromkeys((r for a, r in pairs if a == axiom), 0)  # rule: skipped so far
-        drawn = (generate_instance(axiom, rng) for _ in range(trials))
+        drawn = islice(random_instances(axiom, rng), trials)
         for k, instance in enumerate(chain(grid, drawn), 1):
             n = min(k, len(grid))  # k == n on the grid, scored through the memos
             prep = ax.prepare(instance)

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from streamshare.axioms import (
     ShapeMismatch,
     Verdict,
     _get_problem,
     _modified_pair,
-    generate_instance,
     grid_instances,
     instance_to_dict,
+    random_instances,
 )
 from streamshare.core import (
     ProblemError,
@@ -60,14 +60,14 @@ def check_instance(axiom, rule, instance):
 def audit(axiom, rule, trials, seed):
     """The verdict of ``streamshare.axioms.audit`` by its definition, one instance at a time.
 
-    The axiom's grid as plain dicts, in scan order, then ``trials`` draws of
-    ``generate_instance`` from ``random.Random(f"{seed}|{axiom}")``, which every rule of the
-    axiom shares, each checked alone by :func:`check_instance` here; the first
+    The axiom's grid as plain dicts, in scan order, then the first ``trials`` instances of
+    ``random_instances`` drawn by ``random.Random(f"{seed}|{axiom}")``, which every rule of
+    the axiom shares, each checked alone by :func:`check_instance` here; the first
     violation is the counterexample.
     """
     grid = grid_instances(axiom)
     rng = random.Random(f"{seed}|{axiom}")
-    drawn = (generate_instance(axiom, rng) for _ in range(trials))
+    drawn = islice(random_instances(axiom, rng), trials)
     skipped = 0
     for k, instance in enumerate(chain(grid, drawn), 1):
         details, sk = check_instance(axiom, rule, instance)

@@ -33,6 +33,7 @@ also on integer weights other than the seeded ones.
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,7 @@ from streamshare.axioms import (
     _grid_problems,
     audit,
     check_instance,
-    generate_instance,
+    random_instances,
 )
 from streamshare.indices import (
     ALL_RULE_NAMES,
@@ -71,7 +72,9 @@ from reference_indices import reference_rule, rewards
 pytestmark = pytest.mark.oracle
 
 SEED = 3
-DRAWS = 40
+# trial instances per axiom: 60, so that the stream of an axiom that makes several
+# instances of each problem still reaches a heavy one
+DRAWS = 60
 # ids of every grid and random problem, and of the lower-bound property's six
 # artists and ten users, with weights of several denominators
 FRACTION_WEIGHTS = {ident: F(7 * k % 11 + 1, k % 4 + 2) for k, ident in enumerate(
@@ -140,7 +143,7 @@ def test_grid_matches_reference(axiom):
 @pytest.mark.parametrize("axiom", AXIOM_IDS)
 def test_random_draws_match_reference(axiom):
     rng = random.Random(f"oracle|{axiom}")
-    draws = [generate_instance(axiom, rng) for _ in range(DRAWS)]
+    draws = list(islice(random_instances(axiom, rng), DRAWS))
     # a heavy draw has entries up to HEAVY_ENTRY; no light draw exceeds 3 * MAX_ENTRY
     assert any(max(_counts(d["problem"])) > 3 * MAX_ENTRY for d in draws)
     for rule in _rules():

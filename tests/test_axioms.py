@@ -1,7 +1,7 @@
 import json
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -16,15 +16,15 @@ from streamshare.axioms import (
     Verdict,
     audit,
     check_instance,
-    generate_instance,
     grid_instances,
     independence_suite,
     instance_to_dict,
     problem_to_dict,
+    random_instances,
     replay_witness,
     reproduce_table,
 )
-from streamshare.axioms import AXIOMS, _grid, _grid_problems
+from streamshare.axioms import AXIOMS, _grid, _grid_problems, _problem, _random_rows
 
 from helpers import EXAMPLE_1, EXAMPLE_2
 
@@ -48,14 +48,15 @@ def assert_cells_equal_standalone_audits(result):
 
 
 def _count_axiom_calls(monkeypatch):
-    """A counter of the audits' draws and prepared instances, keyed by ``("generate",
-    axiom)`` (calls of ``axioms.generate_instance``) and ``("prepare", axiom)``."""
+    """A counter of the audits' trials and prepared instances, keyed by ``("generate",
+    axiom)`` (instances taken from ``axioms.random_instances``) and ``("prepare", axiom)``."""
     calls = Counter()
 
-    def generate(axiom, rng, real=axioms.generate_instance):
-        calls["generate", axiom] += 1
-        return real(axiom, rng)
-    monkeypatch.setattr(axioms, "generate_instance", generate)
+    def generate(axiom, rng, real=axioms.random_instances):
+        for instance in real(axiom, rng):
+            calls["generate", axiom] += 1
+            yield instance
+    monkeypatch.setattr(axioms, "random_instances", generate)
     for axiom, ax in AXIOMS.items():
         def prepare(instance, axiom=axiom, real=ax.prepare):
             calls["prepare", axiom] += 1
@@ -67,13 +68,14 @@ def _count_axiom_calls(monkeypatch):
 def _count_kernel_calls(monkeypatch):
     """A counter of the audits' kernel calls, keyed by ``(on_grid, kernel, problem)``, the
     problem by content; ``on_grid`` is False for the problems of a drawn instance. The
-    runner prepares each instance just before scoring it, a drawn one just after drawing it."""
+    runner prepares each instance just before scoring it, a drawn one just after taking it."""
     calls, drawn, on_grid = Counter(), [None], [False]
 
-    def generate(axiom, rng, real=axioms.generate_instance):
-        drawn[0] = real(axiom, rng)
-        return drawn[0]
-    monkeypatch.setattr(axioms, "generate_instance", generate)
+    def generate(axiom, rng, real=axioms.random_instances):
+        for instance in real(axiom, rng):
+            drawn[0] = instance
+            yield instance
+    monkeypatch.setattr(axioms, "random_instances", generate)
     for axiom, ax in AXIOMS.items():
         def prepare(instance, real=ax.prepare):
             on_grid[0] = instance is not drawn[0]
@@ -304,8 +306,7 @@ class TestAudit:
         import random
         rng = random.Random(0)
         for axiom in AXIOM_IDS:
-            for _ in range(40):
-                inst = generate_instance(axiom, rng)
+            for inst in islice(random_instances(axiom, rng), 40):
                 # must not raise ShapeMismatch
                 check_instance(axiom, SHAPLEY, inst)
 
@@ -422,7 +423,7 @@ class TestGrid:
     @pytest.mark.parametrize("axiom", AXIOM_IDS)
     def test_built_and_plain_instances_check_alike(self, axiom):
         rng = random.Random(f"alike|{axiom}")
-        drawn = [generate_instance(axiom, rng) for _ in range(40)]
+        drawn = list(islice(random_instances(axiom, rng), 40))
         for instance in _grid(axiom) + tuple(drawn):
             plain = instance_to_dict(instance)
             for rule in (SHAPLEY, PRO_RATA, USER_CENTRIC):
@@ -433,10 +434,27 @@ class TestGrid:
     def test_draws_are_expanded_and_never_a_base_grid_problem(self, axiom):
         bases, expand = set(_grid_problems()), AXIOMS[axiom].expand
         rng = random.Random(f"new|{axiom}")
-        for _ in range(200):
-            instance = generate_instance(axiom, rng)
+        for instance in islice(random_instances(axiom, rng), 200):
             assert instance["problem"] not in bases
             assert instance in list(expand(instance["problem"]))
+
+    @pytest.mark.parametrize("seed", [0, 42, "7|stream"])
+    @pytest.mark.parametrize("axiom", AXIOM_IDS)
+    def test_stream_is_every_instance_of_each_new_problem_in_order(self, axiom, seed):
+        # every instance of each drawn problem that is not a base grid problem, none
+        # chosen among them, and nothing for a problem that expands to no instance
+        bases, expand, n = set(_grid_problems()), AXIOMS[axiom].expand, 300
+        ours, reference = random.Random(seed), random.Random(seed)
+        expected, empty = [], 0
+        while len(expected) < n:
+            p = _problem(_random_rows(reference))
+            if p not in bases:
+                instances = list(expand(p))
+                expected += instances
+                empty += not instances
+        assert list(islice(random_instances(axiom, ours), n)) == expected[:n]
+        assert ours.getstate() == reference.getstate()  # no problem drawn ahead
+        assert empty > 0 or axiom != "additivity"
 
     def test_grid_witnesses_are_plain_grid_instances(self, table_run, independence_run):
         grids = {}
@@ -491,7 +509,7 @@ class TestGrid:
         # at seed 42 with 500 trials; computing the 9 twin base problems apart
         # would add 27 and 45 kernel calls
         calls = _count_kernel_calls(monkeypatch)
-        for suite, expected in ((reproduce_table, 25826), (independence_suite, 33025)):
+        for suite, expected in ((reproduce_table, 25966), (independence_suite, 33270)):
             calls.clear()
             suite(trials=500, seed=42)
             assert sum(calls.values()) == expected, suite.__name__

@@ -1,13 +1,14 @@
 """The audit's instance generator draws every integer with ``random.Random``'s
 own methods: ``a + randrange(b - a + 1)`` for an integer in ``[a, b]``,
-``randrange(n)``, ``choice(seq)`` and ``sample(range(n), 2)``. The pinned
-digests of ``tests/golden/instances.json`` hold only if each of these draws as
-``randint`` and as the rejection loop over ``getrandbits`` that CPython 3.10-3.13
-run. ``randbelow`` and ``pair`` below spell that loop out, an independent
-reference: each test draws the same values and leaves the generator in the
-same state. So does ``axioms._random_rows``, the planted problem every trial
-expands, against ``reference_rows``, spelled with ``randint``. On a Python whose
-``random`` draws otherwise, these tests fail by name, ahead of the digests."""
+``randrange(n)`` and ``sample(range(n), 2)``. The pinned digests of
+``tests/golden/instances.json`` hold only if each of these draws as ``randint``
+and as the rejection loop over ``getrandbits`` that CPython 3.10-3.13 run;
+``choice(seq)`` is held to the same loop. ``randbelow`` and ``pair`` below spell
+that loop out, an independent reference: each test draws the same values and
+leaves the generator in the same state. So does ``axioms._random_rows``, the
+planted problem every trial expands, against ``reference_rows``, spelled with
+``randint``. On a Python whose ``random`` draws otherwise, these tests fail by
+name, ahead of the digests."""
 
 import random
 
@@ -22,8 +23,9 @@ pytestmark = pytest.mark.oracle
 # heavy; the multiplier of a proportional pair and the increments of a dominating row
 RANDINT_BOUNDS = sorted({(1, MAX_ARTISTS), (1, MAX_USERS), (1, MAX_ENTRY), (1, HEAVY_ENTRY),
                          (2, 3), (0, 2)})
-# every count of instances an axiom's expand makes of a random problem, which
-# generate_instance chooses from: up to 14 user splits, or three column changes per user
+# every count of instances an axiom's expand makes of a random problem: up to 14 user
+# splits, or three column changes per user. The audit takes all of them
+# (axioms.random_instances) and draws no choice; these sizes hold choice to the loop.
 CHOICE_SIZES = range(1, 3 * MAX_USERS + 1)
 SEEDS = [0, 1, 2**64 + 3, "7|additivity|shapley", "42|click_fraud_proofness|uniform"]
 DRAWS = 400

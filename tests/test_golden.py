@@ -3,9 +3,10 @@ independence from the interpreter's hash seed and from the environment.
 
 The files under ``golden/`` were written by the CLI before the code they
 cover was restructured, and reports must stay byte-identical (the six audit
-files were rewritten twice: when every rule of an axiom came to share one
-stream of seeded trials, and when every axiom came to draw its trials from
-one planted-problem generator; each time only the ``skipped`` count of the
+files were rewritten three times: when every rule of an axiom came to share
+one stream of seeded trials, when every axiom came to draw its trials from
+one planted-problem generator, and when the trials came to take every
+instance of each random problem; each time only the ``skipped`` count of the
 ``equal_impact_of_artists`` cells that hold moved):
 ``allocate --index all --format json --seed 7`` on a seeded sparse input
 (24 artists x 40 users) and a seeded dense one (6 x 30), the same with
@@ -21,8 +22,8 @@ split (the independence suite).
 
 At seed 7 every audit counterexample is found on the grid, so the reports do
 not pin the random instance generator. ``instances.json`` does: for each
-axiom, one sha256 of its grid instances and one of 400 random instances drawn
-from ``random.Random(f"pin|{axiom}")``.
+axiom, one sha256 of its grid instances and one of the first 400 instances of
+its random stream, drawn by ``random.Random(f"pin|{axiom}")``.
 """
 
 import hashlib
@@ -31,11 +32,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from streamshare.axioms import AXIOM_IDS, generate_instance, grid_instances, instance_to_dict
+from streamshare.axioms import AXIOM_IDS, grid_instances, instance_to_dict, random_instances
 from streamshare.cli import main
 from streamshare.reporting import _read_dense, _scan
 
@@ -113,7 +115,7 @@ def _digest(obj) -> str:
 def test_instances_match_pinned_digests(axiom):
     pinned = json.loads((GOLDEN / "instances.json").read_text(encoding="utf-8"))[axiom]
     rng = random.Random(f"pin|{axiom}")
-    draws = [instance_to_dict(generate_instance(axiom, rng)) for _ in range(400)]
+    draws = [instance_to_dict(i) for i in islice(random_instances(axiom, rng), 400)]
     assert _digest(list(grid_instances(axiom))) == pinned["grid"]
     assert _digest(draws) == pinned["random"]
 

@@ -3,13 +3,14 @@
 instead, each is the same problem: ids, sparse columns and dense view."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamshare import build_problem
-from streamshare.axioms import AXIOM_IDS, _grid, generate_instance
+from streamshare.axioms import AXIOM_IDS, _column_variants, _grid, random_instances
 from streamshare.core import Problem, SilentUser, _problem_from_rows
 
 pytestmark = pytest.mark.oracle
@@ -34,8 +35,7 @@ def built_problems(instance: dict):
 @pytest.mark.parametrize("axiom", AXIOM_IDS)
 def test_generated_problems_equal_validated(axiom):
     rng = random.Random(f"trusted|{axiom}")
-    for _ in range(DRAWS):
-        instance = generate_instance(axiom, rng)
+    for instance in islice(random_instances(axiom, rng), DRAWS):
         for p in built_problems(instance):
             assert_same_as_validated(p)
 
@@ -71,3 +71,10 @@ def test_trusted_build_equals_validated_or_refuses_the_same_silent_user(case):
     got = _problem_from_rows(artists, users, rows)
     assert (got.artists, got.users, got.columns, got.streams) == \
         (want.artists, want.users, want.columns, want.streams)
+
+
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=5).filter(any))
+def test_column_variants_keep_a_positive_entry(col):
+    # axioms._with_column builds each variant unvalidated: none may silence its user
+    for variant in _column_variants(col):
+        assert len(variant) == len(col) and max(variant) > 0
