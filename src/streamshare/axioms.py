@@ -15,8 +15,6 @@ instances an axiom expands random problems into (:func:`random_instances`), as i
 expands each grid problem. Random problems have at most 5 artists and 5 users.
 """
 
-from __future__ import annotations
-
 import random
 from collections import namedtuple
 from functools import lru_cache, partial

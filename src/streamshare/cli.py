@@ -6,8 +6,6 @@ Exit codes: 0 success (and, for audits, everything matches), 1 usage error,
 teardown or ``atexit`` handlers; code that embeds the CLI calls ``main``.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import os
@@ -174,7 +172,6 @@ def _read_problem(path: Path):
 
 
 def _run_allocate(args) -> int:
-    p = _read_problem(args.input)
     if args.index == "all":
         names = list(ALL_RULE_NAMES)
     else:
@@ -186,6 +183,7 @@ def _run_allocate(args) -> int:
             if names.count(n) > 1:
                 raise ValueError(f"index rule {n!r} is listed more than once")
     price = _parse_price(args.price)
+    p = _read_problem(args.input)
     report = reporting.allocation_json if args.format == "json" else reporting.allocation_text
     _write(report(p, names, price, args.seed), args)
     return EXIT_OK

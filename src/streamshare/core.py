@@ -6,8 +6,6 @@ dense ``streams`` view is computed on first use; a race computes it twice,
 to the same value.)
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property

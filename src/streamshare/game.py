@@ -7,8 +7,6 @@ taken from m and read big-endian (optimistic, which equals the dual of the
 pessimistic game). Worth tables are exact integers.
 """
 
-from __future__ import annotations
-
 import sys
 from array import array
 from collections import namedtuple

@@ -18,8 +18,6 @@ the parts of users who share a d per artist, so an integer as large as
 which would break the exact equalities the axiom checks rely on.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple

@@ -14,8 +14,6 @@ numerators, so right for any magnitude. The game export, in either format,
 is a stream of ASCII ``bytes`` blocks. The same inputs give the same bytes.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .core import Problem, _check_ids, _problem_from_rows, build_sparse_problem

@@ -15,7 +15,6 @@ import time
 from fractions import Fraction as F
 
 from streamshare import (
-    build_problem,
     make_rule,
     optimistic_game,
     pessimistic_game,

@@ -141,6 +141,25 @@ class TestAllocate:
                                  "--index", "shapley", "--price", price)
             assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--price", "abc", "price multiplier 'abc' is not an exact fraction"),
+        ("--index", "bogus", "unknown index rule 'bogus'"),
+    ], ids=["price", "index"])
+    def test_bad_option_is_refused_before_the_matrix_is_read(self, matrix, capsys, monkeypatch,
+                                                            option, value, message):
+        reads = []
+        monkeypatch.setattr(cli, "_read_problem", reads.append)
+        code, out, err = run(capsys, "allocate", "--input", str(matrix), option, value)
+        assert (code, out, err) == (2, "", f"streamshare: error: {message}\n")
+        assert reads == []
+
+    def test_bad_price_outranks_a_malformed_matrix(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("artist,a\nx,oops\n", encoding="utf-8")
+        code, out, err = run(capsys, "allocate", "--input", str(path), "--price", "x")
+        assert (code, out) == (2, "")
+        assert err == "streamshare: error: price multiplier 'x' is not an exact fraction\n"
+
     def test_output_file(self, matrix, tmp_path, capsys):
         dest = tmp_path / "report.txt"
         code, out, _ = run(capsys, "allocate", "--input", str(matrix),

@@ -22,7 +22,6 @@ from streamshare.reporting import (
 )
 
 from helpers import (
-    EXAMPLE_1,
     example_1,
     game_export_text,
     game_json,

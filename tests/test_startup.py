@@ -1,11 +1,13 @@
 """Start-up guard: what the CLI imports before, and while, it runs.
 
 Loading the CLI (``import streamshare.cli`` and ``build_parser()``) imports
-neither ``dataclasses`` nor ``inspect``, nor ``typing``. ``dataclasses`` pulls
-in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), which once made
-up about half of the CLI's import time; the record types are
-``collections.namedtuple`` classes, so that no run pays for it, nor for
-``typing``. Nor does loading the CLI import ``fractions`` (with ``decimal`` and
+neither ``dataclasses`` nor ``inspect``, nor ``typing``, nor ``__future__``.
+``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
+``tokenize``), which once made up about half of the CLI's import time; the
+record types are ``collections.namedtuple`` classes, so that no run pays for
+it, nor for ``typing``. No module of the package has a ``from __future__``
+import: its annotations use only Python 3.10 syntax and are evaluated as
+written. Nor does loading the CLI import ``fractions`` (with ``decimal`` and
 ``numbers``), ``json``, ``csv`` or ``copy``, over a third of what was left:
 the functions that use them import them, so each subcommand loads only what it
 needs. ``allocate`` loads ``fractions``, and ``json`` for a dense input or a
@@ -56,6 +58,11 @@ START_UP = "import streamshare.cli\nstreamshare.cli.build_parser()"
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     assert loaded(START_UP, SLOW_MODULES) == []
+
+
+def test_cli_start_up_imports_no_future_module():
+    # the package evaluates its annotations as written (Python 3.10 syntax)
+    assert loaded(START_UP, ("__future__",)) == []
 
 
 def test_cli_start_up_imports_no_module_a_subcommand_imports_on_use():
